@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .dc_protocol import capacity, channel_matrix_batch
+from .dc_protocol import capacity, channel_matrix_batch, optimal_params
 
 __all__ = [
     "SEARCH_CAP_NBAR",
@@ -45,8 +44,8 @@ __all__ = [
 
 SEARCH_CAP_NBAR = 1e4     # photon budgets beyond this are treated as "never"
 BISECT_TOL = 1e-6         # absolute nbar tolerance for threshold roots
-COARSE_RESOLUTION = 64    # grid axis size for the global threshold search
-TIE_TOL = 1e-4            # coarse-grid thresholds within this of the best are ties
+COARSE_RESOLUTION = 64    # tau1-line points solved alongside the global minimum
+TIE_TOL = 1e-4            # line thresholds within this of the best line point are ties
 
 
 class NoAdvantageError(RuntimeError):
@@ -118,51 +117,57 @@ def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float
     return capacity(n_modes, _validated_taus(n_modes, taus), nbar).delta
 
 
+def _thresholds(n_modes: int, grams: np.ndarray, tol: float) -> np.ndarray:
+    """Threshold budget for each stacked channel Gram; inf where delta
+    never turns positive up to SEARCH_CAP_NBAR.
+
+    One shared bisection on [1e-6, SEARCH_CAP_NBAR] until hi - lo <= tol.
+    The floor never holds an advantage: the Gram's eigenvalues are at
+    most 2, so C_q <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 at
+    nbar = 1e-6, while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5 there.
+    """
+    thresholds = np.full(grams.shape[0], np.inf)
+    alive = _delta_batch(n_modes, grams, SEARCH_CAP_NBAR) > 0.0
+    g_alive = grams[alive]
+    lo = np.full(g_alive.shape[0], 1e-6)
+    hi = np.full(g_alive.shape[0], SEARCH_CAP_NBAR)
+    while np.any(hi - lo > tol):
+        mid = 0.5 * (lo + hi)
+        above = _delta_batch(n_modes, g_alive, mid) > 0.0
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    thresholds[alive] = 0.5 * (lo + hi)
+    return thresholds
+
+
 def threshold_energy(
     n_modes: int, taus: Sequence[float], tol: float = BISECT_TOL
 ) -> float:
     """Photon budget where the advantage turns positive for fixed taus.
 
-    Brackets the root inside [1e-6, SEARCH_CAP_NBAR] by geometric
-    expansion, then bisects to absolute tolerance tol. delta is strictly
-    increasing in nbar over the relevant range, so the root is unique.
-    Raises NoAdvantageError if delta never turns positive below the cap.
+    Bisects inside [1e-6, SEARCH_CAP_NBAR] to absolute tolerance tol.
+    delta is strictly increasing in nbar over the relevant range, so the
+    root is unique. Raises NoAdvantageError if delta never turns
+    positive below the cap.
     """
     taus = _validated_taus(n_modes, taus)
-    gram = _grams(n_modes, np.array([taus]))
-
-    def delta(nb: float) -> float:
-        return float(_delta_batch(n_modes, gram, nb)[0])
-
-    if delta(SEARCH_CAP_NBAR) <= 0.0:
+    nbar_th = float(_thresholds(n_modes, _grams(n_modes, np.array([taus])), tol)[0])
+    if not np.isfinite(nbar_th):
         raise NoAdvantageError(
             f"no quantum advantage up to nbar = {SEARCH_CAP_NBAR:g} "
             f"for {n_modes}-mode taus {taus}"
         )
-    lo = 1e-6
-    if delta(lo) > 0.0:  # root sits below the floor of the search range
-        return lo
-    hi = 2.0 * lo
-    while hi < SEARCH_CAP_NBAR and delta(hi) <= 0.0:
-        lo = hi
-        hi *= 2.0
-    hi = min(hi, SEARCH_CAP_NBAR)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if delta(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return nbar_th
 
 
 @dataclass(frozen=True)
 class MinThresholdResult:
     """Global minimum threshold budget and where it is attained.
 
-    ties lists the coarse-grid points whose thresholds came within
-    TIE_TOL of the best one (symmetric minima show up here). Iterating
-    yields (nbar_th, taus) for tuple-style unpacking.
+    ties lists the points of the tau1 line (tau1, 0, ..., 0) whose
+    thresholds came within TIE_TOL of the best line point; they sit
+    symmetrically about tau1 = 1/2. Iterating yields (nbar_th, taus) for
+    tuple-style unpacking.
     """
 
     nbar_th: float
@@ -179,57 +184,33 @@ def min_threshold_energy(
 ) -> MinThresholdResult:
     """Minimize the threshold budget over all chain transmissivities.
 
-    Stage 1 solves the threshold root for every point of a full
-    grid_resolution^(n-1) grid at once (shared vector bisection over the
-    stacked channel Grams). Stage 2 polishes the best grid point with
-    bounds-respecting Nelder-Mead. Grid points that never reach a
-    positive advantage are left out; if none do, NoAdvantageError.
+    The minimum is attained at taus = (1/2, 0, ..., 0) for every n:
+    delta never rises with the tail transmissivities tau_2..tau_{n-1}
+    (the same fact tau_boundaries relies on), and on the line
+    (tau1, 0, ..., 0) the quantum rate is
+    C_q = [ln(1 + 2g tau1) + ln(1 + 2g (1 - tau1)) + (n-2) ln(1 + 2g)] / 2,
+    symmetric and strictly concave in tau1. So at every budget delta is
+    largest at tau1 = 1/2, and the global threshold is the fixed-taus
+    threshold there. One shared bisection solves it together with the
+    grid_resolution points of the tau1 line, which give the ties.
+    Raises NoAdvantageError if delta never turns positive below the cap.
     """
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8")
-    axes = [np.linspace(0.0, 1.0, grid_resolution)] * (n_modes - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    taus_grid = np.stack([m.ravel() for m in mesh], axis=1)
-    grams = _grams(n_modes, taus_grid)
-
-    alive = _delta_batch(n_modes, grams, SEARCH_CAP_NBAR) > 0.0
-    if not alive.any():
+    line = np.zeros((grid_resolution + 1, n_modes - 1))
+    line[:-1, 0] = np.linspace(0.0, 1.0, grid_resolution)
+    line[-1, 0] = 0.5
+    thresholds = _thresholds(n_modes, _grams(n_modes, line), tol=1e-9)
+    nbar_th = float(thresholds[-1])
+    if not np.isfinite(nbar_th):
         raise NoAdvantageError(
             f"no transmissivity choice gives an advantage below "
             f"nbar = {SEARCH_CAP_NBAR:g} for {n_modes} modes"
         )
-    g_alive = grams[alive]
-    lo = np.full(g_alive.shape[0], 1e-6)
-    hi = np.full(g_alive.shape[0], SEARCH_CAP_NBAR)
-    for _ in range(50):  # 1e4 / 2^50 ~ 1e-11, well past BISECT_TOL
-        mid = 0.5 * (lo + hi)
-        above = _delta_batch(n_modes, g_alive, mid) > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    thresholds = np.full(taus_grid.shape[0], np.inf)
-    thresholds[alive] = 0.5 * (lo + hi)
-
-    best = int(np.argmin(thresholds))
-    best_nbar = float(thresholds[best])
-    tie_mask = thresholds <= best_nbar + TIE_TOL
-    ties = tuple(tuple(row) for row in taus_grid[tie_mask])
-
-    def objective(t: np.ndarray) -> float:
-        try:
-            return threshold_energy(n_modes, np.clip(t, 0.0, 1.0), tol=1e-9)
-        except NoAdvantageError:
-            return np.inf
-
-    res = minimize(
-        objective,
-        x0=taus_grid[best],
-        method="Nelder-Mead",
-        bounds=[(0.0, 1.0)] * (n_modes - 1),
-        options={"xatol": 1e-6, "fatol": 1e-9},
-    )
-    if np.isfinite(res.fun) and res.fun < best_nbar:
-        return MinThresholdResult(float(res.fun), tuple(float(v) for v in res.x), ties)
-    return MinThresholdResult(best_nbar, tuple(taus_grid[best]), ties)
+    on_line = thresholds[:-1]
+    tie_mask = on_line <= on_line.min() + TIE_TOL
+    ties = tuple(tuple(float(t) for t in row) for row in line[:-1][tie_mask])
+    return MinThresholdResult(nbar_th, (0.5,) + (0.0,) * (n_modes - 2), ties)
 
 
 @dataclass(frozen=True)
@@ -327,8 +308,6 @@ def tau_boundaries(
 def break_even_squeezing(n_modes: int, taus: Sequence[float]) -> float:
     """Squeezing strength in use exactly at the threshold budget: the
     optimal r evaluated at threshold_energy(n_modes, taus)."""
-    from .dc_protocol import optimal_params
-
     return optimal_params(n_modes, threshold_energy(n_modes, taus)).r
 
 

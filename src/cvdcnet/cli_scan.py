@@ -227,7 +227,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     file_values = _load_config_file(ns.config) if ns.config else {}
 
     def pick(key: str) -> Optional[str]:
-        flag = getattr(ns, key if key != "format" else "format", None)
+        flag = getattr(ns, key, None)
         if flag is not None:
             return str(flag)
         return file_values.get(key)
@@ -590,9 +590,7 @@ def _run_verify(config: RunConfig) -> int:
             "total": len(records),
         }
         Path(config.out).write_bytes(_json_bytes(obj))
-        sys.stdout.write(text_report)
-    else:
-        sys.stdout.write(text_report)
+    sys.stdout.write(text_report)
     return 0 if n_pass == len(records) else 2
 
 

@@ -63,6 +63,17 @@ def capacity4_closed(tau1, tau2, tau3, nbar):
     return 0.5 * np.log(det13 * det24)
 
 
+def capacity_line_closed(n_modes, tau1, nbar):
+    """Capacity at taus = (tau1, 0, ..., 0) for any number of modes: the
+    first splitter sets one factor pair, every other mode adds 1 + 2g."""
+    g = signal_gain(n_modes, nbar)
+    return 0.5 * (
+        np.log1p(2 * g * tau1)
+        + np.log1p(2 * g * (1 - tau1))
+        + (n_modes - 2) * np.log1p(2 * g)
+    )
+
+
 def capacity3_balanced_closed(nbar):
     a = nbar * (nbar + 2.0)
     return 0.5 * np.log((a + 3) * (a + 6) * (2 * a + 3) / 54.0)

@@ -34,6 +34,9 @@ from helpers import (
     boundary4_tau1_literal,
     boundary4_tau2_literal,
     boundary4_tau3_literal,
+    capacity3_closed,
+    capacity4_closed,
+    capacity_line_closed,
     classical_literal,
     classical_stable,
 )
@@ -128,9 +131,10 @@ def test_threshold_energy_input_validation():
 def test_min_threshold_three_modes():
     result = min_threshold_energy(3)
     assert result.nbar_th == pytest.approx(MIN_TH3, abs=1e-6)
+    assert result.taus == (0.5, 0.0)
     assert abs(result.taus[0] - 0.5) <= 1e-3
     assert result.taus[1] <= 1e-3
-    assert len(result.ties) >= 2  # tau2 in {0, 1} give the same chain
+    assert len(result.ties) >= 2  # (31/63, 0) and (32/63, 0), symmetric about 1/2
     nbar_th, taus = result  # tuple-style unpacking
     assert nbar_th == result.nbar_th and taus == result.taus
 
@@ -138,9 +142,69 @@ def test_min_threshold_three_modes():
 def test_min_threshold_four_modes():
     result = min_threshold_energy(4)
     assert result.nbar_th == pytest.approx(MIN_TH4, abs=1e-6)
+    assert result.taus == (0.5, 0.0, 0.0)
     assert abs(result.taus[0] - 0.5) <= 1e-3
     assert max(result.taus[1:]) <= 1e-3
     assert len(result.ties) >= 2
+
+
+def test_tail_taus_never_raise_the_closed_form_capacity():
+    # the reduction behind min_threshold_energy, from the hand-derived
+    # 3- and 4-mode determinants: C(tau1, tail) <= C(tau1, 0, ...) <= C(1/2, 0, ...)
+    axis = np.linspace(0.0, 1.0, 65)
+    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
+    u1, u2, u3 = np.meshgrid(axis, axis, axis, indexing="ij")
+    for nbar in (1.0, 5.38, 11.45, 30.0, 300.0, 1e4):
+        on_line3 = capacity3_closed(t1, 0.0, nbar)
+        assert np.all(capacity3_closed(t1, t2, nbar) <= on_line3 + 1e-12)
+        assert np.all(on_line3 <= capacity3_closed(0.5, 0.0, nbar) + 1e-12)
+        on_line4 = capacity4_closed(u1, 0.0, 0.0, nbar)
+        assert np.all(capacity4_closed(u1, u2, u3, nbar) <= on_line4 + 1e-12)
+        assert np.all(on_line4 <= capacity4_closed(0.5, 0.0, 0.0, nbar) + 1e-12)
+
+
+def test_tail_taus_never_raise_delta_for_longer_chains():
+    # dense build_channel path, not the batched kernel the search uses
+    rng = np.random.default_rng(2024)
+    for n in range(5, 13):
+        for nbar in (1.0, 5.0, 30.0, 300.0):
+            for _ in range(6):
+                tau1 = float(rng.uniform())
+                tail = tuple(rng.uniform(size=n - 2))
+                on_line = quantum_advantage(n, (tau1,) + (0.0,) * (n - 2), nbar)
+                assert quantum_advantage(n, (tau1,) + tail, nbar) <= on_line + 1e-12
+
+
+def test_advantage_negative_at_the_search_floor():
+    # the threshold bisection starts at nbar = 1e-6 and never checks it
+    for n in range(2, 65):
+        for tau in (0.0, 0.5, 1.0):
+            assert quantum_advantage(n, (tau,) * (n - 1), 1e-6) < 0
+
+
+def test_line_closed_form_matches_the_channel():
+    for n in (5, 8, 13, 24):
+        for tau1, nbar in ((0.5, 3.0), (0.2, 40.0), (0.9, 700.0)):
+            expected = capacity_line_closed(n, tau1, nbar) - classical_stable(n - 1, nbar)
+            got = quantum_advantage(n, (tau1,) + (0.0,) * (n - 2), nbar)
+            assert got == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
+
+
+def test_min_threshold_longer_chains():
+    for n in range(5, 13):
+        result = min_threshold_energy(n)
+
+        def delta(nb, n=n):
+            return capacity_line_closed(n, 0.5, nb) - float(classical_stable(n - 1, nb))
+
+        assert result.nbar_th == pytest.approx(
+            bisect_root(delta, 1.0, SEARCH_CAP_NBAR), abs=1e-6
+        )
+        assert result.taus == (0.5,) + (0.0,) * (n - 2)
+        assert len(result.ties) >= 2
+        firsts = sorted(tie[0] for tie in result.ties)
+        assert_allclose(firsts, sorted(1.0 - t for t in firsts), atol=1e-12)
+        assert all(tie[1:] == (0.0,) * (n - 2) for tie in result.ties)
 
 
 def test_min_threshold_rejects_tiny_grids():

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvdcnet
-from cvdcnet.advantage_analysis import region_scan
+from cvdcnet.advantage_analysis import region_scan, threshold_energy
 from cvdcnet.cli_scan import (
     LN2,
     CliConfigError,
@@ -222,6 +222,13 @@ def test_threshold_command_global_minimum(capsys):
     assert result["nbar_th"] == pytest.approx(MIN_TH3, abs=1e-5)
     assert abs(result["taus"][0] - 0.5) <= 1e-3
     assert len(result["ties"]) >= 2
+
+
+def test_threshold_command_global_minimum_five_modes(capsys):
+    assert main(["threshold", "--modes", "5"]) == 0
+    result = _json_out(capsys)["result"]
+    assert result["taus"] == [0.5, 0.0, 0.0, 0.0]
+    assert result["nbar_th"] < threshold_energy(5, (0.5, 0.5, 0.5, 0.5))
 
 
 def test_threshold_command_no_advantage_diagnostic(capsys):
