@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dc_protocol import capacity, channel_matrix_batch, optimal_params
+from .dc_protocol import (
+    _grams,
+    _quantum_rates,
+    _signal_gain,
+    _validated_taus,
+    capacity,
+    optimal_params,
+)
+from .phase_space import _frozen_array
 
 __all__ = [
     "SEARCH_CAP_NBAR",
@@ -77,44 +85,17 @@ def classical_capacity(n_senders: int, nbar):
     return float(val) if arr.ndim == 0 else val
 
 
-def _signal_gain(n_modes: int, nbar):
-    """e^{2r} sigma^2 at the optimal working point: the single scalar the
-    channel determinant depends on besides the transmissivities."""
-    nb = np.asarray(nbar, dtype=float)
-    gain = 2.0 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
-    return float(gain) if nb.ndim == 0 else gain
-
-
-def _grams(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
-    m = channel_matrix_batch(n_modes, taus_grid)
-    return np.einsum("gij,gkj->gik", m, m)
-
-
 def _delta_batch(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
     """delta = C_quantum - C_classical for stacked channel Grams.
 
     nbar may be a scalar (shared budget) or one budget per Gram.
     """
-    gain = np.asarray(_signal_gain(n_modes, nbar), dtype=float)
-    eye = np.eye(n_modes)
-    mats = eye + gain[..., None, None] * grams
-    _, logdet = np.linalg.slogdet(mats)
-    return 0.5 * logdet - classical_capacity(n_modes - 1, nbar)
-
-
-def _validated_taus(n_modes: int, taus) -> tuple[float, ...]:
-    out = tuple(float(t) for t in taus)
-    if len(out) != n_modes - 1:
-        raise ValueError(f"{n_modes}-mode chain needs {n_modes - 1} transmissivities")
-    for t in out:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-    return out
+    return _quantum_rates(n_modes, grams, nbar) - classical_capacity(n_modes - 1, nbar)
 
 
 def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float:
     """delta(taus, nbar) = C_quantum - C_classical in nats."""
-    return capacity(n_modes, _validated_taus(n_modes, taus), nbar).delta
+    return capacity(n_modes, taus, nbar).delta
 
 
 def _thresholds(n_modes: int, grams: np.ndarray, tol: float) -> np.ndarray:
@@ -320,7 +301,6 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     """
     if r_large < 10.0:
         raise ValueError("asymptotic regime starts at r_large >= 10")
-    taus = _validated_taus(n_modes, taus)
     nbar = (n_modes - 1) * np.expm1(2.0 * r_large) / 2.0
     report = capacity(n_modes, taus, nbar)
     return report.c_quantum / report.c_classical
@@ -338,9 +318,9 @@ class RegionScan:
     flags: np.ndarray    # (G,), bool, flags == (deltas > 0)
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
-        deltas = np.asarray(self.deltas, dtype=float)
-        flags = np.asarray(self.flags, dtype=bool)
+        taus = _frozen_array(self.taus)
+        deltas = _frozen_array(self.deltas)
+        flags = _frozen_array(self.flags, dtype=bool)
         g = taus.shape[0]
         if taus.shape != (g, self.n_modes - 1):
             raise ValueError(f"taus shape {taus.shape} inconsistent with n_modes")
@@ -348,8 +328,6 @@ class RegionScan:
             raise ValueError("deltas/flags length mismatch")
         if not np.array_equal(flags, deltas > 0):
             raise ValueError("flags must equal (deltas > 0) exactly")
-        for arr in (taus, deltas, flags):
-            arr.flags.writeable = False
         object.__setattr__(self, "nbar", float(self.nbar))
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "deltas", deltas)

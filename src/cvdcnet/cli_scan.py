@@ -492,7 +492,6 @@ def _diag(exc: NoAdvantageError) -> dict:
 def _run_breakeven(config: RunConfig) -> int:
     meta = _meta(config)
     try:
-        value = break_even_squeezing(config.modes, config.taus)
         threshold = threshold_energy(config.modes, config.taus)
     except NoAdvantageError as exc:
         _emit(config, _json_bytes({"meta": meta, "diagnostic": _diag(exc)}))
@@ -500,7 +499,8 @@ def _run_breakeven(config: RunConfig) -> int:
     result = {
         "n_modes": config.modes,
         "taus": [_round12(t) for t in config.taus],
-        "r_break_even": _round12(value),
+        # break_even_squeezing's value, without solving the threshold twice
+        "r_break_even": _round12(optimal_params(config.modes, threshold).r),
         "nbar_th": _round12(threshold),
     }
     _emit(config, _json_bytes({"meta": meta, "result": result}))

@@ -31,10 +31,11 @@ from .phase_space import (
     Quadrature,
     QuadratureSelection,
     SymplecticTransform,
+    _frozen_array,
+    _symmetrized,
     apply_symplectic,
-    beam_splitter,
 )
-from .resource_prep import ResourceSpec, alternating_pattern
+from .resource_prep import ResourceSpec, _chain_adjoint, alternating_pattern
 
 __all__ = [
     "EncodingPlan",
@@ -167,12 +168,8 @@ def decoding_symplectic(n_modes: int, taus: Sequence[float]) -> SymplecticTransf
     message component appears with a positive coefficient. It negates
     whole rows of the channel matrix, so capacities do not depend on it.
     """
-    taus = tuple(float(t) for t in taus)
-    if len(taus) != n_modes - 1:
-        raise ValueError(f"{n_modes}-mode chain needs {n_modes - 1} transmissivities")
-    s = np.eye(2 * n_modes)
-    for k, tau in enumerate(taus):
-        s = s @ beam_splitter(n_modes, k, k + 1, tau).matrix.T
+    taus = _validated_taus(n_modes, taus)
+    s = _chain_adjoint(np.array([taus]), np.eye(2 * n_modes)[None])[0]
     s[2:, :] *= -1.0
     return SymplecticTransform(n_modes, s)
 
@@ -191,14 +188,8 @@ def decoded_quadrature_variances(n_modes: int, r: float) -> np.ndarray:
     in closed form because the numerically decoded covariance loses the
     small variances to e^{2r}-scale cancellation once r >~ 15.
     """
-    v = np.empty(2 * n_modes)
-    lo = 0.5 * np.exp(-2.0 * r)
-    hi = 0.5 * np.exp(2.0 * r)
-    for k, choice in enumerate(alternating_pattern(n_modes).choices):
-        if choice is Quadrature.MOMENTUM:
-            v[2 * k], v[2 * k + 1] = hi, lo
-        else:
-            v[2 * k], v[2 * k + 1] = lo, hi
+    v = np.full(2 * n_modes, 0.5 * np.exp(2.0 * r))
+    v[alternating_pattern(n_modes).flat_indices()] = 0.5 * np.exp(-2.0 * r)
     return v
 
 
@@ -222,19 +213,17 @@ class LinearGaussianChannel:
             raise ValueError(f"noise_cov shape {noise.shape}, expected {(n_out, n_out)}")
         if msg.shape != (n_msg, n_msg):
             raise ValueError(f"msg_cov shape {msg.shape}, expected {(n_msg, n_msg)}")
-        for name, c in (("noise_cov", noise), ("msg_cov", msg)):
-            scale = max(1.0, float(np.abs(c).max()))
-            if np.abs(c - c.T).max() > 1e-12 * scale:
-                raise ValueError(f"{name} is not symmetric")
+        noise = _symmetrized(noise, "noise_cov")
+        msg = _symmetrized(msg, "msg_cov")
         try:
             np.linalg.cholesky(noise)
         except LinAlgError as exc:
             raise ValueError("noise_cov must be positive definite") from exc
-        if np.linalg.eigvalsh((msg + msg.T) / 2.0).min() < -1e-12:
+        if np.linalg.eigvalsh(msg).min() < -1e-12:
             raise ValueError("msg_cov must be positive semidefinite")
-        object.__setattr__(self, "matrix", _frozen(m))
-        object.__setattr__(self, "noise_cov", _frozen((noise + noise.T) / 2.0))
-        object.__setattr__(self, "msg_cov", _frozen((msg + msg.T) / 2.0))
+        object.__setattr__(self, "matrix", _frozen_array(m))
+        object.__setattr__(self, "noise_cov", _frozen_array(noise))
+        object.__setattr__(self, "msg_cov", _frozen_array(msg))
 
     @property
     def n_outputs(self) -> int:
@@ -243,12 +232,6 @@ class LinearGaussianChannel:
     @property
     def n_messages(self) -> int:
         return self.matrix.shape[1]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def build_channel(
@@ -419,21 +402,16 @@ class CapacityReport:
 def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport:
     """Network capacity at photon budget nbar with optimal (r, sigma^2).
 
-    Uses the exact channel determinant; the classical benchmark for the
+    C_q = (1/2) ln det(I + g Gram) of the standard-plan channel, with
+    g = e^{2r} sigma^2 in closed form; the classical benchmark for the
     same number of senders and budget rides along in the report.
     """
     from .advantage_analysis import classical_capacity
 
-    taus = tuple(float(t) for t in taus)
-    if len(taus) != n_modes - 1:
-        raise ValueError(f"{n_modes}-mode chain needs {n_modes - 1} transmissivities")
+    taus = _validated_taus(n_modes, taus)
     r, sigma_sq = optimal_params(n_modes, nbar)
-    if sigma_sq > 0.0:
-        spec = ResourceSpec(n_modes, r, taus)
-        plan = EncodingPlan.standard(n_modes, np.sqrt(sigma_sq))
-        c_q = mutual_information(build_channel(spec, plan))
-    else:
-        c_q = 0.0  # nbar = 0: nothing to modulate with
+    grams = _grams(n_modes, np.array([taus]))
+    c_q = max(0.0, float(_quantum_rates(n_modes, grams, nbar)[0]))
     c_cl = classical_capacity(n_modes - 1, nbar)
     return CapacityReport(
         n_modes=n_modes,
@@ -459,21 +437,40 @@ def channel_matrix_batch(n_modes: int, taus_grid) -> np.ndarray:
     taus = np.asarray(taus_grid, dtype=float)
     if taus.ndim != 2 or taus.shape[1] != n_modes - 1:
         raise ValueError(f"taus_grid shape {taus.shape}, expected (G, {n_modes - 1})")
-    if taus.size and (taus.min() < 0.0 or taus.max() > 1.0):
-        raise ValueError("transmissivities must lie in [0, 1]")
-    g_count = taus.shape[0]
     plan = EncodingPlan.standard(n_modes, 1.0)  # sigma is irrelevant to the matrix
-    x = np.broadcast_to(encoding_matrix(plan), (g_count, 2 * n_modes, n_modes)).copy()
-    for k in reversed(range(n_modes - 1)):
-        t = np.sqrt(taus[:, k])[:, None, None]
-        rfl = np.sqrt(1.0 - taus[:, k])[:, None, None]
-        upper = x[:, 2 * k : 2 * k + 2, :]
-        lower = x[:, 2 * k + 2 : 2 * k + 4, :]
-        # adjoint beam-splitter block [[t, rfl], [-rfl, t]] acting in place
-        new_upper = t * upper + rfl * lower
-        new_lower = -rfl * upper + t * lower
-        x[:, 2 * k : 2 * k + 2, :] = new_upper
-        x[:, 2 * k + 2 : 2 * k + 4, :] = new_lower
-    x[:, 2:, :] *= -1.0
-    rows = alternating_pattern(n_modes).flat_indices()
-    return x[:, rows, :]
+    e = encoding_matrix(plan)
+    x = _chain_adjoint(taus, np.broadcast_to(e, (taus.shape[0],) + e.shape).copy())
+    x[:, 2:, :] *= -1.0  # the decoding flip, as in decoding_symplectic
+    return x[:, alternating_pattern(n_modes).flat_indices(), :]
+
+
+def _validated_taus(n_modes: int, taus) -> tuple[float, ...]:
+    out = tuple(float(t) for t in taus)
+    if len(out) != n_modes - 1:
+        raise ValueError(f"{n_modes}-mode chain needs {n_modes - 1} transmissivities")
+    for t in out:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
+    return out
+
+
+def _signal_gain(n_modes: int, nbar):
+    """e^{2r} sigma^2 at the optimal working point: the single scalar the
+    channel determinant depends on besides the transmissivities."""
+    nb = np.asarray(nbar, dtype=float)
+    gain = 2.0 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
+    return float(gain) if nb.ndim == 0 else gain
+
+
+def _grams(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
+    """Channel Grams M M^T for a (G, n_modes - 1) grid of taus."""
+    m = channel_matrix_batch(n_modes, taus_grid)
+    return np.einsum("gij,gkj->gik", m, m)
+
+
+def _quantum_rates(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
+    """C_q = (1/2) ln det(I + g Gram) for stacked channel Grams at the
+    optimal working point; nbar is a scalar or one budget per Gram."""
+    gain = np.asarray(_signal_gain(n_modes, nbar), dtype=float)
+    _, logdet = np.linalg.slogdet(np.eye(n_modes) + gain[..., None, None] * grams)
+    return 0.5 * logdet

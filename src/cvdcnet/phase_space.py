@@ -58,9 +58,19 @@ class Quadrature(enum.Enum):
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy; the caller's array stays writeable."""
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _symmetrized(c: np.ndarray, name: str) -> np.ndarray:
+    """(c + c^T)/2, after checking that c is symmetric to SYMMETRY_ATOL
+    relative to its largest entry."""
+    scale = max(1.0, float(np.abs(c).max()))
+    if np.abs(c - c.T).max() > SYMMETRY_ATOL * scale:
+        raise ValueError(f"{name} is not symmetric")
+    return (c + c.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -115,12 +125,10 @@ class GaussianState:
             raise ValueError(f"covariance shape {cov.shape}, expected ({2 * n}, {2 * n})")
         if not np.all(np.isfinite(d)) or not np.all(np.isfinite(cov)):
             raise ValueError("moments must be finite")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > SYMMETRY_ATOL * scale:
-            raise ValueError("covariance is not symmetric")
+        cov = _symmetrized(cov, "covariance")
         object.__setattr__(self, "n_modes", n)
         object.__setattr__(self, "displacement", _frozen_array(d))
-        object.__setattr__(self, "covariance", _frozen_array((cov + cov.T) / 2.0))
+        object.__setattr__(self, "covariance", _frozen_array(cov))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ mode 1 position-squeezed, and so on), chained through N-1 beam splitters:
 modes (0,1) first with transmissivity taus[0], then (1,2) with taus[1],
 continuing down the line. The receiver holds the last mode.
 
+The chain is written once, in _chain_adjoint: preparation, decoding and
+the batched channel matrices all run it.
+
 All senders share one squeezing strength r. For the three-mode family the
 resulting covariance has a closed form, three_mode_reference_cov, computed
 here independently of the circuit so tests can pin the sign conventions.
@@ -23,8 +26,6 @@ from .phase_space import (
     QuadratureSelection,
     SymplecticTransform,
     apply_symplectic,
-    beam_splitter,
-    single_mode_squeezer,
     vacuum,
 )
 
@@ -88,16 +89,29 @@ def alternating_pattern(n_modes: int) -> QuadratureSelection:
     )
 
 
+def _chain_adjoint(taus: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Apply C^T, C = BS_{n-2} ... BS_0, in place to (G, 2n, k) rows and
+    return them; row block g gets the chain of taus[g], taus (G, n - 1).
+    BS_k is beam_splitter on modes (k, k+1); its adjoint is applied as
+    the 2x2 block update [[t, rfl], [-rfl, t]], last splitter first."""
+    if not np.all((taus >= 0.0) & (taus <= 1.0)):
+        raise ValueError("transmissivities must lie in [0, 1]")
+    for k in reversed(range(taus.shape[1])):
+        t = np.sqrt(taus[:, k])[:, None, None]
+        rfl = np.sqrt(1.0 - taus[:, k])[:, None, None]
+        upper, lower = rows[:, 2 * k : 2 * k + 2], rows[:, 2 * k + 2 : 2 * k + 4]
+        upper[...], lower[...] = t * upper + rfl * lower, -rfl * upper + t * lower
+    return rows
+
+
 def preparation_transform(spec: ResourceSpec) -> SymplecticTransform:
-    """Symplectic map taking the vacuum to the resource state."""
+    """Symplectic map taking the vacuum to the resource state: the
+    squeezers, then the chain, S = C diag(squeeze)."""
     n = spec.n_modes
-    pattern = alternating_pattern(n)
-    s = single_mode_squeezer(n, 0, spec.r, pattern.choices[0])
-    for k in range(1, n):
-        s = single_mode_squeezer(n, k, spec.r, pattern.choices[k]) @ s
-    for k, tau in enumerate(spec.taus):
-        s = beam_splitter(n, k, k + 1, tau) @ s
-    return s
+    chain = _chain_adjoint(np.array([spec.taus]), np.eye(2 * n)[None])[0].T
+    squeeze = np.full(2 * n, np.exp(spec.r))
+    squeeze[alternating_pattern(n).flat_indices()] = np.exp(-spec.r)
+    return SymplecticTransform(n, chain * squeeze)
 
 
 def prepare_resource(spec: ResourceSpec) -> GaussianState:

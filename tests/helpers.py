@@ -226,3 +226,30 @@ def random_symplectic(rng, n_modes, max_ops=6, max_r=1.5):
                 n_modes, mode, float(rng.uniform(-max_r, max_r)), quad
             ) @ s
     return s
+
+
+def dense_preparation(n_modes, r, taus):
+    """Resource preparation as an explicit product of dense primitives:
+    squeezers on every mode (momentum on even k, position on odd k), then
+    beam splitters (0,1), (1,2), ... in chain order."""
+    from cvdcnet import Quadrature, beam_splitter, single_mode_squeezer
+
+    s = np.eye(2 * n_modes)
+    for k in range(n_modes):
+        quad = Quadrature.MOMENTUM if k % 2 == 0 else Quadrature.POSITION
+        s = single_mode_squeezer(n_modes, k, r, quad).matrix @ s
+    for k, tau in enumerate(taus):
+        s = beam_splitter(n_modes, k, k + 1, float(tau)).matrix @ s
+    return s
+
+
+def dense_decoding(n_modes, taus):
+    """Receiver transform as an explicit product: the transposed splitters
+    in reverse order, then a sign flip of modes 1..n-1."""
+    from cvdcnet import beam_splitter
+
+    s = np.eye(2 * n_modes)
+    for k, tau in enumerate(taus):
+        s = s @ beam_splitter(n_modes, k, k + 1, float(tau)).matrix.T
+    s[2:, :] *= -1.0
+    return s

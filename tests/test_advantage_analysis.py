@@ -420,3 +420,16 @@ def test_region_scan_validation_and_strict_flags():
             deltas=good.deltas.copy(),
             flags=~good.flags,
         )
+
+
+def test_region_scan_freezes_copies_not_caller_arrays():
+    taus = np.linspace(0.0, 1.0, 16).reshape(8, 2)
+    deltas = np.linspace(-1.0, 1.0, 8)
+    flags = deltas > 0
+    scan = RegionScan(3, 5.0, 8, taus, deltas, flags)
+    for mine, theirs in ((taus, scan.taus), (deltas, scan.deltas), (flags, scan.flags)):
+        assert mine.flags.writeable
+        assert not theirs.flags.writeable
+        assert np.array_equal(mine, theirs)
+    taus[0, 0] = 0.25  # the caller may keep using its arrays
+    assert scan.taus[0, 0] == 0.0

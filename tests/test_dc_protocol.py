@@ -34,6 +34,7 @@ from helpers import (
     capacity4_mixed_closed,
     decoded_mean_three,
     decoded_measured_mean_four,
+    dense_decoding,
     signal_gain,
 )
 
@@ -118,6 +119,17 @@ def test_decoding_inverts_chain_up_to_sign_flip():
     assert_allclose(product, flip, atol=1e-12)
 
 
+def test_decoding_symplectic_matches_dense_product():
+    rng = np.random.default_rng(72)
+    for n in range(2, 9):
+        for _ in range(6):
+            taus = rng.uniform(size=n - 1)
+            taus[rng.uniform(size=n - 1) < 0.3] = 0.0
+            taus[rng.uniform(size=n - 1) < 0.3] = 1.0
+            s = decoding_symplectic(n, tuple(taus))
+            assert_allclose(s.matrix, dense_decoding(n, taus), rtol=0, atol=1e-14)
+
+
 def test_decoded_displacement_three_modes_sign_exact():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -195,6 +207,13 @@ def test_channel_validation():
         LinearGaussianChannel(np.eye(2), np.eye(3), np.eye(2))
     with pytest.raises(ValueError, match="semidefinite"):
         LinearGaussianChannel(np.eye(2), np.eye(2), -np.eye(2))
+    lopsided = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="noise_cov is not symmetric"):
+        LinearGaussianChannel(np.eye(2), lopsided, np.eye(2))
+    with pytest.raises(ValueError, match="msg_cov is not symmetric"):
+        LinearGaussianChannel(np.eye(2), np.eye(2), lopsided)
+    within_tol = LinearGaussianChannel(np.eye(2), np.eye(2) + 1e-13 * lopsided, np.eye(2))
+    assert np.array_equal(within_tol.noise_cov, within_tol.noise_cov.T)
     with pytest.raises(ValueError, match="modes"):
         build_channel(
             ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(4, 1.0)
@@ -212,6 +231,16 @@ def test_channel_matrix_batch_agrees_with_single_builds():
                 EncodingPlan.standard(n, 1.0),
             )
             assert_allclose(batch[row], ch.matrix, atol=1e-13)
+
+
+def test_chain_rejects_out_of_range_and_nan_transmissivities():
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError, match="lie in"):
+            channel_matrix_batch(3, [[0.5, bad]])
+        with pytest.raises(ValueError, match="lie in"):
+            decoding_symplectic(3, (bad, 0.5))
+        with pytest.raises(ValueError, match="lie in"):
+            capacity(3, (0.5, bad), 5.0)
 
 
 # --- information --------------------------------------------------------------
@@ -302,6 +331,33 @@ def test_capacity_zero_budget_is_zero():
     assert rep.c_quantum == 0.0
     assert rep.c_classical == 0.0
     assert rep.r == 0.0 and rep.sigma_msg_sq == 0.0
+
+
+def test_capacity_matches_dense_channel_information():
+    # capacity's Gram log-det against mutual_information of the channel
+    # that build_channel assembles at the optimal (r, sigma^2)
+    rng = np.random.default_rng(73)
+    for n in range(2, 33):
+        taus = rng.uniform(size=n - 1)
+        taus[rng.uniform(size=n - 1) < 0.2] = 0.0
+        taus[rng.uniform(size=n - 1) < 0.2] = 1.0
+        inner = rng.uniform(0.05, 0.95, size=n - 1)  # full-rank Gram for r = 20
+        r20_budget = (n - 1) * np.expm1(40.0) / 2.0
+        cases = [(taus, nbar) for nbar in np.logspace(-1, 4, 6)] + [(inner, r20_budget)]
+        for t, nbar in cases:
+            r, sigma_sq = optimal_params(n, nbar)
+            ch = build_channel(
+                ResourceSpec(n, r, tuple(t)), EncodingPlan.standard(n, np.sqrt(sigma_sq))
+            )
+            assert capacity(n, tuple(t), nbar).c_quantum == pytest.approx(
+                mutual_information(ch), rel=1e-10
+            )
+        # nbar = 0: no squeezing and no message power, so both are exactly 0
+        assert optimal_params(n, 0.0) == (0.0, 0.0)
+        ch = build_channel(ResourceSpec(n, 0.0, tuple(taus)), EncodingPlan.standard(n, 1.0))
+        silent = LinearGaussianChannel(ch.matrix, ch.noise_cov, np.zeros((n, n)))
+        assert mutual_information(silent) == 0.0
+        assert capacity(n, tuple(taus), 0.0).c_quantum == 0.0
 
 
 def test_capacity_matches_closed_forms_on_random_grid():

@@ -17,6 +17,8 @@ from cvdcnet.resource_prep import (
     three_mode_reference_cov,
 )
 
+from helpers import dense_preparation
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -113,3 +115,15 @@ def test_preparation_transform_is_symplectic_with_unit_det():
     j = symplectic_form(4)
     assert np.abs(s.matrix @ j @ s.matrix.T - j).max() < 1e-10
     assert np.linalg.det(s.matrix) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_preparation_transform_matches_dense_product():
+    rng = np.random.default_rng(71)
+    for n in range(2, 9):
+        for _ in range(6):
+            taus = rng.uniform(size=n - 1)
+            taus[rng.uniform(size=n - 1) < 0.3] = 0.0
+            taus[rng.uniform(size=n - 1) < 0.3] = 1.0
+            r = float(rng.uniform(0.0, 2.0))
+            s = preparation_transform(ResourceSpec(n, r, tuple(taus)))
+            assert_allclose(s.matrix, dense_preparation(n, r, taus), rtol=0, atol=1e-13)
