@@ -7,7 +7,8 @@ an empty scan region, failed verify checkpoints); a diagnostic record is
 still written in the exit-2 cases.
 
 Flags can also come from a config file (--config PATH, "key = value"
-lines, # comments); explicit flags override file values. Serialized
+lines, # comments); explicit flags override file values, and a subcommand
+ignores file keys for flags it does not have. Serialized
 scans are byte-identical across runs for the same configuration: floats
 are printed with 12 significant digits, rows in lexicographic tau order,
 and every output embeds the package's phase-convention fingerprint so
@@ -21,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,18 +57,6 @@ __all__ = [
 
 LN2 = float(np.log(2.0))
 _FORMATS = ("csv", "json")
-_CONFIG_KEYS = (
-    "modes",
-    "tau",
-    "nbar",
-    "grid",
-    "samples",
-    "seed",
-    "out",
-    "format",
-    "bits",
-    "squeezing",
-)
 
 
 class CliConfigError(Exception):
@@ -106,82 +95,8 @@ def _round12(x: float) -> float:
     return float(_fmt12(x))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="cvdcnet",
-        description="capacity and quantum-advantage analysis for "
-        "continuous-variable dense-coding networks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *keys: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", default=None, help="key = value config file")
-        if "modes" in keys:
-            sp.add_argument("--modes", default=None, help="network mode count")
-        if "tau" in keys:
-            sp.add_argument(
-                "--tau", default=None, help="chain transmissivities, e.g. 0.5,0.5"
-            )
-        if "nbar" in keys:
-            sp.add_argument("--nbar", default=None, help="photon budget per network use")
-        if "grid" in keys:
-            sp.add_argument("--grid", default=None, help="grid points per tau axis")
-        if "samples" in keys:
-            sp.add_argument(
-                "--samples", default=None, help="Monte Carlo cross-check sample count"
-            )
-        if "seed" in keys:
-            sp.add_argument("--seed", default=None, help="RNG seed (unsigned 64-bit)")
-        if "bits" in keys:
-            sp.add_argument(
-                "--bits",
-                action="store_const",
-                const="true",
-                default=None,
-                help="report information quantities in bits instead of nats",
-            )
-        if "squeezing" in keys:
-            sp.add_argument(
-                "--squeezing", default=None, help="squeezing strength r (>= 10)"
-            )
-        sp.add_argument("--out", default=None, help="write output to this path")
-        sp.add_argument(
-            "--format", default=None, choices=None, help="output format: csv or json"
-        )
-        return sp
-
-    add("capacity", "capacity report for one configuration",
-        "modes", "tau", "nbar", "samples", "seed", "bits")
-    add("scan", "tabulate the advantage over a full tau grid",
-        "modes", "nbar", "grid", "bits")
-    add("threshold", "threshold photon budget (global minimum without --tau)",
-        "modes", "tau")
-    add("breakeven", "squeezing in use at the threshold budget", "modes", "tau")
-    add("ratio", "quantum/classical capacity ratio deep in the squeezing limit",
-        "modes", "tau", "squeezing")
-    add("verify", "run the reference checkpoint suite")
-    return parser
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliConfigError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise CliConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        values[key] = value.strip()
-    return values
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
 
 def _to_int(name: str, raw: str) -> int:
@@ -201,15 +116,38 @@ def _to_float(name: str, raw: str) -> float:
     return value
 
 
-def _to_taus(raw: str) -> tuple[float, ...]:
+def _at_least(convert: Callable[[str, str], Any], low) -> Callable[[str, str], Any]:
+    def parse(name: str, raw: str):
+        value = convert(name, raw)
+        if value < low:
+            raise CliConfigError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _to_seed(name: str, raw: str) -> int:
+    seed = _to_int(name, raw)
+    if not 0 <= seed < 2**64:
+        raise CliConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _to_taus(name: str, raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise CliConfigError("tau list is empty")
-    taus = tuple(_to_float("tau", p) for p in parts)
+    taus = tuple(_to_float(name, p) for p in parts)
     for t in taus:
         if not 0.0 <= t <= 1.0:
             raise CliConfigError(f"transmissivities must lie in [0, 1], got {t}")
     return taus
+
+
+def _to_format(name: str, raw: str) -> str:
+    if raw not in _FORMATS:
+        raise CliConfigError(f"format must be one of {_FORMATS}, got '{raw}'")
+    return raw
 
 
 def _to_bool(name: str, raw: str) -> bool:
@@ -221,81 +159,56 @@ def _to_bool(name: str, raw: str) -> bool:
     raise CliConfigError(f"{name} must be boolean, got '{raw}'")
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Parse flags plus optional config file into a validated RunConfig."""
-    ns = build_parser().parse_args(argv)
-    file_values = _load_config_file(ns.config) if ns.config else {}
+@dataclass(frozen=True)
+class _Key:
+    """A flag that a config file may also set, as 'name = value'."""
 
-    def pick(key: str) -> Optional[str]:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            return str(flag)
-        return file_values.get(key)
+    field: str  # the RunConfig field it fills
+    parse: Callable[[str, str], Any]  # (name, raw text) -> validated value
+    help: str
+    switch: bool = False  # a bare flag, standing for 'name = true'
 
-    command = ns.command
-    raw = {key: pick(key) if hasattr(ns, key) or key in file_values else None
-           for key in _CONFIG_KEYS}
-    # keys the command has no flag for may still appear in a shared config
-    # file; they are ignored rather than rejected
 
-    modes = _to_int("modes", raw["modes"]) if raw["modes"] is not None else None
-    if modes is not None and modes < 2:
-        raise CliConfigError(f"modes must be >= 2, got {modes}")
-    taus = _to_taus(raw["tau"]) if raw["tau"] is not None else None
-    nbar = _to_float("nbar", raw["nbar"]) if raw["nbar"] is not None else None
-    if nbar is not None and nbar < 0:
-        raise CliConfigError(f"nbar must be >= 0, got {nbar}")
-    grid = _to_int("grid", raw["grid"]) if raw["grid"] is not None else None
-    if grid is not None and grid < 8:
-        raise CliConfigError(f"grid must be >= 8, got {grid}")
-    samples = _to_int("samples", raw["samples"]) if raw["samples"] is not None else None
-    if samples is not None and samples < 10_000:
-        raise CliConfigError(f"samples must be >= 10000, got {samples}")
-    seed = _to_int("seed", raw["seed"]) if raw["seed"] is not None else 0
-    if not 0 <= seed < 2**64:
-        raise CliConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    fmt = raw["format"] if raw["format"] is not None else "csv"
-    if fmt not in _FORMATS:
-        raise CliConfigError(f"format must be one of {_FORMATS}, got '{fmt}'")
-    bits = _to_bool("bits", raw["bits"]) if raw["bits"] is not None else False
-    squeezing = (
-        _to_float("squeezing", raw["squeezing"])
-        if raw["squeezing"] is not None
-        else 20.0
-    )
+# In validation order: with several bad values, the first one here is reported
+_KEYS = {
+    "modes": _Key("modes", _at_least(_to_int, 2), "network mode count"),
+    "tau": _Key("taus", _to_taus, "chain transmissivities, e.g. 0.5,0.5"),
+    "nbar": _Key("nbar", _at_least(_to_float, 0), "photon budget per network use"),
+    "grid": _Key("grid", _at_least(_to_int, 8), "grid points per tau axis"),
+    "samples": _Key(
+        "samples", _at_least(_to_int, 10_000), "Monte Carlo cross-check sample count"
+    ),
+    "seed": _Key("seed", _to_seed, "RNG seed (unsigned 64-bit)"),
+    "format": _Key("fmt", _to_format, "output format: csv or json"),
+    "bits": _Key(
+        "bits",
+        _to_bool,
+        "report information quantities in bits instead of nats",
+        switch=True,
+    ),
+    "squeezing": _Key("squeezing", _to_float, "squeezing strength r (>= 10)"),
+    "out": _Key("out", lambda name, raw: raw, "write output to this path"),
+}
 
-    def need(value, flag: str):
-        if value is None:
-            raise CliConfigError(f"{command} requires {flag}")
-        return value
 
-    if command == "capacity":
-        need(modes, "--modes"), need(taus, "--tau"), need(nbar, "--nbar")
-    elif command == "scan":
-        need(modes, "--modes"), need(nbar, "--nbar"), need(grid, "--grid")
-    elif command == "threshold":
-        need(modes, "--modes")
-    elif command in ("breakeven", "ratio"):
-        need(modes, "--modes"), need(taus, "--tau")
-        if command == "ratio" and squeezing < 10.0:
-            raise CliConfigError("ratio needs --squeezing >= 10")
-    if taus is not None and modes is not None and len(taus) != modes - 1:
-        raise CliConfigError(
-            f"{modes}-mode chain needs {modes - 1} transmissivities, got {len(taus)}"
-        )
-    return RunConfig(
-        command=command,
-        modes=modes,
-        taus=taus,
-        nbar=nbar,
-        grid=grid,
-        samples=samples,
-        seed=seed,
-        out=raw["out"],
-        fmt=fmt,
-        bits=bits,
-        squeezing=squeezing,
-    )
+def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliConfigError(f"cannot read config file {path}: {exc}") from exc
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise CliConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        values[key] = value.strip()
+    return values
 
 
 def serialize_region(scan: RegionScan, fmt: str = "csv", units: str = "nats") -> bytes:
@@ -336,8 +249,7 @@ def serialize_region(scan: RegionScan, fmt: str = "csv", units: str = "nats") ->
         }
         for row, delta, flag in zip(scan.taus, scan.deltas, scan.flags)
     ]
-    obj = {"meta": meta, "records": records}
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+    return _json_bytes({"meta": meta, "records": records})
 
 
 def parse_region(data: bytes) -> RegionScan:
@@ -352,7 +264,6 @@ def parse_region(data: bytes) -> RegionScan:
         meta = obj["meta"]
         taus = np.array([rec["taus"] for rec in obj["records"]], dtype=float)
         deltas = np.array([rec["delta"] for rec in obj["records"]], dtype=float)
-        units = meta["units"]
     else:
         meta = {}
         header: Optional[list[str]] = None
@@ -373,16 +284,9 @@ def parse_region(data: bytes) -> RegionScan:
             delta_col.append(float(cells[-2]))
         if header is None:
             raise ValueError("CSV region data has no header row")
-        meta = {
-            "n_modes": int(meta["n_modes"]),
-            "nbar": float(meta["nbar"]),
-            "grid_resolution": int(meta["grid_resolution"]),
-            "units": meta["units"],
-        }
         taus = np.array(tau_rows, dtype=float)
         deltas = np.array(delta_col, dtype=float)
-        units = meta["units"]
-    if units == "bits":
+    if meta["units"] == "bits":
         deltas = deltas * LN2
     return RegionScan(
         n_modes=int(meta["n_modes"]),
@@ -396,37 +300,38 @@ def parse_region(data: bytes) -> RegionScan:
 
 def _emit(config: RunConfig, data: bytes) -> None:
     if config.out:
-        Path(config.out).write_bytes(data)
+        try:
+            Path(config.out).write_bytes(data)
+        except OSError as exc:
+            raise CliConfigError(f"cannot write {config.out}: {exc}") from exc
     else:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
-def _meta(config: RunConfig) -> dict:
-    return {
+def _emit_json(config: RunConfig, **body) -> None:
+    meta = {
         "command": config.command,
         "units": "bits" if config.bits else "nats",
         "convention": CONVENTION_FINGERPRINT,
     }
+    _emit(config, _json_bytes({"meta": meta, **body}))
 
 
 def _run_capacity(config: RunConfig) -> int:
     report = capacity(config.modes, config.taus, config.nbar)
     scale = 1.0 / LN2 if config.bits else 1.0
-    result = {
-        "n_modes": report.n_modes,
-        "taus": [_round12(t) for t in report.taus],
-        "nbar": _round12(report.nbar),
-        "r": _round12(report.r),
-        "sigma_msg_sq": _round12(report.sigma_msg_sq),
-        "c_quantum": _round12(report.c_quantum * scale),
-        "c_classical": _round12(report.c_classical * scale),
-        "delta": _round12(report.delta * scale),
+    body = {
+        "result": {
+            "n_modes": report.n_modes,
+            "taus": [_round12(t) for t in report.taus],
+            "nbar": _round12(report.nbar),
+            "r": _round12(report.r),
+            "sigma_msg_sq": _round12(report.sigma_msg_sq),
+            "c_quantum": _round12(report.c_quantum * scale),
+            "c_classical": _round12(report.c_classical * scale),
+            "delta": _round12(report.delta * scale),
+        }
     }
-    obj = {"meta": _meta(config), "result": result}
     if config.samples:
         r, sigma_sq = optimal_params(config.modes, config.nbar)
         channel = build_channel(
@@ -434,13 +339,13 @@ def _run_capacity(config: RunConfig) -> int:
             EncodingPlan.standard(config.modes, float(np.sqrt(sigma_sq))),
         )
         est = mutual_information_mc(channel, config.samples, config.seed)
-        obj["mc"] = {
+        body["mc"] = {
             "estimate": _round12(est.estimate * scale),
             "std_error": _round12(est.std_error * scale),
             "samples": config.samples,
             "seed": config.seed,
         }
-    _emit(config, _json_bytes(obj))
+    _emit_json(config, **body)
     return 0
 
 
@@ -452,50 +357,26 @@ def _run_scan(config: RunConfig) -> int:
 
 
 def _run_threshold(config: RunConfig) -> int:
-    meta = _meta(config)
-    try:
-        if config.taus is not None:
-            if len(config.taus) != config.modes - 1:
-                raise CliConfigError(
-                    f"{config.modes}-mode chain needs {config.modes - 1} "
-                    "transmissivities"
-                )
-            value = threshold_energy(config.modes, config.taus)
-            result = {
-                "n_modes": config.modes,
-                "taus": [_round12(t) for t in config.taus],
-                "nbar_th": _round12(value),
-            }
-        else:
-            found = min_threshold_energy(config.modes)
-            result = {
-                "n_modes": config.modes,
-                "taus": [_round12(t) for t in found.taus],
-                "nbar_th": _round12(found.nbar_th),
-                "ties": [[_round12(t) for t in tie] for tie in found.ties],
-            }
-    except NoAdvantageError as exc:
-        _emit(config, _json_bytes({"meta": meta, "diagnostic": _diag(exc)}))
-        return 2
-    _emit(config, _json_bytes({"meta": meta, "result": result}))
+    if config.taus is not None:
+        result = {
+            "n_modes": config.modes,
+            "taus": [_round12(t) for t in config.taus],
+            "nbar_th": _round12(threshold_energy(config.modes, config.taus)),
+        }
+    else:
+        found = min_threshold_energy(config.modes)
+        result = {
+            "n_modes": config.modes,
+            "taus": [_round12(t) for t in found.taus],
+            "nbar_th": _round12(found.nbar_th),
+            "ties": [[_round12(t) for t in tie] for tie in found.ties],
+        }
+    _emit_json(config, result=result)
     return 0
 
 
-def _diag(exc: NoAdvantageError) -> dict:
-    return {
-        "error": "no-advantage",
-        "message": str(exc),
-        "search_cap": exc.search_cap,
-    }
-
-
 def _run_breakeven(config: RunConfig) -> int:
-    meta = _meta(config)
-    try:
-        threshold = threshold_energy(config.modes, config.taus)
-    except NoAdvantageError as exc:
-        _emit(config, _json_bytes({"meta": meta, "diagnostic": _diag(exc)}))
-        return 2
+    threshold = threshold_energy(config.modes, config.taus)
     result = {
         "n_modes": config.modes,
         "taus": [_round12(t) for t in config.taus],
@@ -503,7 +384,7 @@ def _run_breakeven(config: RunConfig) -> int:
         "r_break_even": _round12(optimal_params(config.modes, threshold).r),
         "nbar_th": _round12(threshold),
     }
-    _emit(config, _json_bytes({"meta": meta, "result": result}))
+    _emit_json(config, result=result)
     return 0
 
 
@@ -517,7 +398,7 @@ def _run_ratio(config: RunConfig) -> int:
         "ratio": _round12(value),
         "limit": _round12(limit),
     }
-    _emit(config, _json_bytes({"meta": _meta(config), "result": result}))
+    _emit_json(config, result=result)
     return 0
 
 
@@ -583,32 +464,126 @@ def _run_verify(config: RunConfig) -> int:
     lines.append(f"passed {n_pass}/{len(records)}")
     text_report = "\n".join(lines) + "\n"
     if config.out:
-        obj = {
-            "meta": _meta(config),
-            "checkpoints": records,
-            "passed": n_pass,
-            "total": len(records),
-        }
-        Path(config.out).write_bytes(_json_bytes(obj))
+        _emit_json(config, checkpoints=records, passed=n_pass, total=len(records))
     sys.stdout.write(text_report)
     return 0 if n_pass == len(records) else 2
 
 
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its flags (names in _KEYS) and the handler that runs it."""
+
+    help: str
+    handler: Callable[[RunConfig], int]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return self.required + self.optional + ("out",)
+
+
+_COMMANDS = {
+    "capacity": _Command(
+        "capacity report for one configuration",
+        _run_capacity,
+        required=("modes", "tau", "nbar"),
+        optional=("samples", "seed", "bits"),
+    ),
+    "scan": _Command(
+        "tabulate the advantage over a full tau grid",
+        _run_scan,
+        required=("modes", "nbar", "grid"),
+        optional=("format", "bits"),
+    ),
+    "threshold": _Command(
+        "threshold photon budget (global minimum without --tau)",
+        _run_threshold,
+        required=("modes",),
+        optional=("tau",),
+    ),
+    "breakeven": _Command(
+        "squeezing in use at the threshold budget",
+        _run_breakeven,
+        required=("modes", "tau"),
+    ),
+    "ratio": _Command(
+        "quantum/classical capacity ratio deep in the squeezing limit",
+        _run_ratio,
+        required=("modes", "tau"),
+        optional=("squeezing",),
+    ),
+    "verify": _Command("run the reference checkpoint suite", _run_verify),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="cvdcnet",
+        description="capacity and quantum-advantage analysis for "
+        "continuous-variable dense-coding networks",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        sp.add_argument("--config", default=None, help="key = value config file")
+        for key_name, key in _KEYS.items():
+            if key_name in command.keys:
+                bare = {"action": "store_const", "const": "true"} if key.switch else {}
+                sp.add_argument(f"--{key_name}", default=None, help=key.help, **bare)
+    return parser
+
+
+_PARSER = build_parser()
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
+    """Parse flags plus optional config file into a validated RunConfig.
+
+    A subcommand reads only its own keys, each from its flag or else from
+    the config file; file keys for flags it lacks are ignored.
+    """
+    ns = _PARSER.parse_args(argv)
+    command = _COMMANDS[ns.command]
+    file_values = _load_config_file(ns.config) if ns.config else {}
+    fields = {}
+    for name, key in _KEYS.items():
+        if name not in command.keys:
+            continue
+        raw = getattr(ns, name)
+        if raw is None:
+            raw = file_values.get(name)
+        if raw is not None:
+            fields[key.field] = key.parse(name, raw)
+    for name in command.required:
+        if _KEYS[name].field not in fields:
+            raise CliConfigError(f"{ns.command} requires --{name}")
+    if "squeezing" in fields and fields["squeezing"] < 10.0:
+        raise CliConfigError(f"{ns.command} needs --squeezing >= 10")
+    modes, taus = fields.get("modes"), fields.get("taus")
+    if taus is not None and modes is not None and len(taus) != modes - 1:
+        raise CliConfigError(
+            f"{modes}-mode chain needs {modes - 1} transmissivities, got {len(taus)}"
+        )
+    return RunConfig(command=ns.command, **fields)
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated RunConfig; returns the process exit code."""
-    dispatch = {
-        "capacity": _run_capacity,
-        "scan": _run_scan,
-        "threshold": _run_threshold,
-        "breakeven": _run_breakeven,
-        "ratio": _run_ratio,
-        "verify": _run_verify,
-    }
     try:
-        handler = dispatch[config.command]
+        handler = _COMMANDS[config.command].handler
     except KeyError as exc:
         raise CliConfigError(f"unknown command '{config.command}'") from exc
-    return handler(config)
+    try:
+        return handler(config)
+    except NoAdvantageError as exc:
+        diagnostic = {
+            "error": "no-advantage",
+            "message": str(exc),
+            "search_cap": exc.search_cap,
+        }
+        _emit_json(config, diagnostic=diagnostic)
+        return 2
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -13,6 +13,7 @@ from cvdcnet.advantage_analysis import region_scan, threshold_energy
 from cvdcnet.cli_scan import (
     LN2,
     CliConfigError,
+    RunConfig,
     main,
     parse_args,
     parse_region,
@@ -54,9 +55,16 @@ def _json_out(capsys):
         ["scan", "--modes", "3", "--nbar", "7", "--grid", "16", "--format", "xml"],
         ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "5"],
         ["threshold", "--modes", "two"],
+        # --format belongs to scan alone
+        ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8",
+         "--format", "json"],
+        ["threshold", "--modes", "3", "--format", "json"],
+        ["verify", "--format", "json"],
+        ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--out", "{missing}/r.json"],
     ],
 )
-def test_bad_invocations_exit_one_with_message(argv, capsys):
+def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
+    argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
 
@@ -76,6 +84,47 @@ def test_config_file_merging_and_flag_override(tmp_path):
     assert config.nbar == 9.0  # flag beats file
     assert config.bits is True
     assert config.seed == 0
+
+
+def test_shared_config_file_drives_every_subcommand(tmp_path, capsys):
+    # values that are bad for one subcommand are ignored by the others, and
+    # that subcommand's own flag overrides them
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(
+        "modes = 3\n"
+        "tau = 0.5,0.5\n"
+        "nbar = 8.15\n"
+        "grid = 8\n"
+        "samples = 5000\n"
+        "squeezing = 5\n"
+        "format = xml\n"
+        "bits = true\n"
+    )
+    overrides = {
+        "capacity": ["--samples", "10000"],
+        "scan": ["--format", "json"],
+        "ratio": ["--squeezing", "20"],
+    }
+    for command in ("capacity", "scan", "threshold", "breakeven", "ratio", "verify"):
+        argv = [command, "--config", str(cfg), *overrides.get(command, [])]
+        assert main(argv) in (0, 2), capsys.readouterr().err
+        assert capsys.readouterr().err == ""
+    with pytest.raises(CliConfigError, match="samples must be >= 10000"):
+        parse_args(["capacity", "--config", str(cfg)])
+    with pytest.raises(CliConfigError, match="format must be one of"):
+        parse_args(["scan", "--config", str(cfg)])
+    with pytest.raises(CliConfigError, match="ratio needs --squeezing >= 10"):
+        parse_args(["ratio", "--config", str(cfg)])
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nbar = 7\nout = scan.json\n")
+    first = parse_args(["scan", "--modes", "3", "--grid", "16", "--bits",
+                        "--format", "json", "--config", str(cfg)])
+    assert (first.bits, first.fmt, first.out) == (True, "json", "scan.json")
+    second = parse_args(["scan", "--modes", "3", "--nbar", "7", "--grid", "16"])
+    assert second == RunConfig(command="scan", modes=3, nbar=7.0, grid=16)
 
 
 def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
@@ -304,6 +353,17 @@ def test_checkpoint_records_are_self_consistent():
 
 # --- process-level smoke -----------------------------------------------------------
 
+def _subprocess_env():
+    """os.environ with the cvdcnet package imported here first on PYTHONPATH."""
+    src = str(Path(cvdcnet.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ,
+        PYTHONPATH=src + os.pathsep + path if path else src,
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "cvdcnet", "capacity", "--modes", "3",
@@ -311,6 +371,7 @@ def test_module_entry_point_subprocess():
         capture_output=True,
         text=True,
         timeout=120,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
@@ -340,13 +401,6 @@ def test_console_script_subprocess(tmp_path):
         "sys.argv[0] = 'cvdcnet'\n"
         "sys.exit(entry())\n"
     )
-    src = str(Path(cvdcnet.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        PYTHONPATH=src + os.pathsep + path if path else src,
-        PYTHONDONTWRITEBYTECODE="1",
-    )
     proc = subprocess.run(
         [sys.executable, "-c", wrapper,
          "ratio", "--modes", "4", "--tau", "0.5,0.5,0.5"],
@@ -354,7 +408,7 @@ def test_console_script_subprocess(tmp_path):
         text=True,
         timeout=120,
         cwd=tmp_path,
-        env=env,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["limit"] == pytest.approx(4 / 3)
