@@ -6,12 +6,12 @@ advantage delta(taus, nbar) = C_quantum - C_classical is negative at
 small nbar (squeezing photons are pure overhead there) and grows without
 bound, so each network has a threshold photon number where delta crosses
 zero, and for fixed nbar the set {taus : delta > 0} is a bounded region
-whose axis-aligned boundaries have closed forms for 3- and 4-mode chains.
+whose axis-aligned boundaries follow exactly from delta at two points of
+each slice, for any number of modes.
 
-All closed forms here are written against logs of the determinant
-factors. The textbook-style expanded expressions contain nbar^(2 nbar)
-powers that overflow beyond nbar ~ 75 even though every final result is
-modest; the log forms are algebraically identical and safe everywhere.
+Everything is computed from logs and delta differences, never from
+e^(2 C_classical) itself: that factor grows like nbar^(2 nbar) and
+overflows beyond nbar ~ 75 although every final result is modest.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .dc_protocol import (
     _grams,
     _quantum_rates,
-    _signal_gain,
     _validated_taus,
     capacity,
     optimal_params,
@@ -220,70 +219,47 @@ def _interval(lo: float, hi: float) -> TauInterval:
     return TauInterval(lo_c, hi_c, empty=False, clamped=clamped)
 
 
-def _degenerate_interval(n_modes: int, prefix: tuple[float, ...], nbar) -> TauInterval:
-    # the free tau has no effect here; the region slice is all or nothing
-    axis = len(prefix)
-    probe = prefix + (0.0,) * (n_modes - 1 - axis)
-    gram = _grams(n_modes, np.array([probe]))
-    if float(_delta_batch(n_modes, gram, nbar)[0]) > 0.0:
-        return TauInterval(0.0, 1.0, empty=False, clamped=False)
-    return TauInterval(np.nan, np.nan, empty=True, clamped=False)
-
-
 def tau_boundaries(
     n_modes: int, nbar: float, fixed_prefix: Sequence[float] = ()
 ) -> TauInterval:
-    """Closed-form extent of the advantage region along one tau axis.
+    """Exact extent of the advantage region along one tau axis.
 
     With the first len(fixed_prefix) transmissivities pinned, returns
     the interval of the next one for which some completion of the chain
     has delta > 0. Later transmissivities only ever shrink the
     advantage, so "some completion" means "the all-zeros completion",
     and the interval is exactly the region's projection onto this axis
-    through the prefix. Implemented for 3- and 4-mode chains.
+    through the prefix.
+
+    Along the slice (prefix, t, 0, ..., 0), L(t) = det(I + g Gram) is
+    affine in t on every axis after the first; on the first it is
+    (1 + 2gt)(1 + 2g(1 - t))(1 + 2g)^(n-2), symmetric about t = 1/2. So
+    delta at the slice's best point (t = 1/2 on the first axis, t = 0 on
+    the others) and at its edge fixes the interval exactly, for any n.
     """
-    if n_modes not in (3, 4):
-        raise ValueError("closed-form boundaries cover 3- and 4-mode chains only")
+    if n_modes < 2:
+        raise ValueError(f"need at least 2 modes, got {n_modes}")
     if not np.isfinite(nbar) or nbar <= 0.0:
         raise ValueError(f"nbar must be finite and > 0, got {nbar}")
-    prefix = tuple(float(t) for t in fixed_prefix)
-    if len(prefix) >= n_modes - 1:
-        raise ValueError("fixed_prefix pins every transmissivity; none left to bound")
-    for t in prefix:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-
-    g = _signal_gain(n_modes, nbar)
-    log_excess = 2.0 * classical_capacity(n_modes - 1, nbar)
-    # the receiver-side factor (1 + 2g) appears once for 3 modes, twice for 4
-    tail_logs = (n_modes - 2) * np.log1p(2.0 * g)
+    prefix = tuple(fixed_prefix)
     axis = len(prefix)
-
+    if axis >= n_modes - 1:
+        raise ValueError("fixed_prefix pins every transmissivity; none left to bound")
+    row = _validated_taus(n_modes, prefix + (0.0,) * (n_modes - 1 - axis))
+    probes = np.array([row, row])
+    probes[:, axis] = (0.5, 0.0) if axis == 0 else (0.0, 1.0)
+    d_best, d_edge = _delta_batch(n_modes, _grams(n_modes, probes), nbar)
+    if d_best <= 0.0:
+        return TauInterval(np.nan, np.nan, empty=True, clamped=False)
+    if axis > 0 and d_edge > 0.0:
+        return TauInterval(0.0, 1.0, empty=False, clamped=False)
+    # (L_best - e^(2 C_cl)) / (L_best - L_edge): the crossing's share of the
+    # way from best point to edge (of the squared distance on the first axis)
+    frac = np.expm1(-2.0 * d_best) / np.expm1(2.0 * (d_edge - d_best))
     if axis == 0:
-        # symmetric bounds 1/2 +- sqrt(disc)/(2g) around the balanced split
-        disc = (1.0 + g) ** 2 - np.exp(log_excess - tail_logs)
-        if disc < 0.0:
-            return TauInterval(np.nan, np.nan, empty=True, clamped=False)
-        half_width = np.sqrt(disc) / (2.0 * g)
+        half_width = 0.5 * np.sqrt(frac)
         return _interval(0.5 - half_width, 0.5 + half_width)
-
-    if axis == 1:
-        tau1 = prefix[0]
-        if g * tau1 == 0.0:
-            return _degenerate_interval(n_modes, prefix, nbar)
-        excess = np.exp(log_excess - tail_logs - np.log1p(2.0 * g * (1.0 - tau1)))
-        return _interval(0.0, 1.0 + (1.0 - excess) / (2.0 * g * tau1))
-
-    # axis == 2, four-mode chain
-    tau1, tau2 = prefix
-    shared = 1.0 + 2.0 * g * (1.0 - tau1)
-    slope = 2.0 * g * (shared - tau1 * (1.0 - tau2))
-    if slope <= 0.0:
-        return _degenerate_interval(n_modes, prefix, nbar)
-    excess = np.exp(
-        log_excess - np.log1p(2.0 * g) - np.log1p(2.0 * g * tau1 * (1.0 - tau2))
-    )
-    return _interval(0.0, (shared * (1.0 + 2.0 * g) - excess) / slope)
+    return _interval(0.0, frac)
 
 
 def break_even_squeezing(n_modes: int, taus: Sequence[float]) -> float:

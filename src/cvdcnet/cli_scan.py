@@ -159,6 +159,14 @@ def _to_bool(name: str, raw: str) -> bool:
     raise CliConfigError(f"{name} must be boolean, got '{raw}'")
 
 
+def _to_out_path(name: str, raw: str) -> str:
+    # fail before the computation, not after it
+    parent = Path(raw).parent
+    if not parent.is_dir():
+        raise CliConfigError(f"cannot write {raw}: no directory {parent}")
+    return raw
+
+
 @dataclass(frozen=True)
 class _Key:
     """A flag that a config file may also set, as 'name = value'."""
@@ -187,7 +195,7 @@ _KEYS = {
         switch=True,
     ),
     "squeezing": _Key("squeezing", _to_float, "squeezing strength r (>= 10)"),
-    "out": _Key("out", lambda name, raw: raw, "write output to this path"),
+    "out": _Key("out", _to_out_path, "write output to this path"),
 }
 
 
@@ -256,46 +264,50 @@ def parse_region(data: bytes) -> RegionScan:
     """Rebuild a RegionScan from serialize_region output (either format).
 
     Bits columns are converted back to nats; the advantage flags are
-    revalidated against the sign of delta on reconstruction.
+    revalidated against the sign of delta on reconstruction. Missing
+    metadata or records raise ValueError naming the missing key.
     """
     text = data.decode("utf-8")
-    if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-        meta = obj["meta"]
-        taus = np.array([rec["taus"] for rec in obj["records"]], dtype=float)
-        deltas = np.array([rec["delta"] for rec in obj["records"]], dtype=float)
-    else:
-        meta = {}
-        header: Optional[list[str]] = None
-        tau_rows: list[list[float]] = []
-        delta_col: list[float] = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            cells = line.split(",")
+    try:
+        if text.lstrip().startswith("{"):
+            obj = json.loads(text)
+            meta = obj["meta"]
+            taus = np.array([rec["taus"] for rec in obj["records"]], dtype=float)
+            deltas = np.array([rec["delta"] for rec in obj["records"]], dtype=float)
+        else:
+            meta = {}
+            header: Optional[list[str]] = None
+            tau_rows: list[list[float]] = []
+            delta_col: list[float] = []
+            for line in text.splitlines():
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    meta[key.strip()] = value.strip()
+                    continue
+                cells = line.split(",")
+                if header is None:
+                    header = cells
+                    continue
+                tau_rows.append([float(c) for c in cells[:-2]])
+                delta_col.append(float(cells[-2]))
             if header is None:
-                header = cells
-                continue
-            tau_rows.append([float(c) for c in cells[:-2]])
-            delta_col.append(float(cells[-2]))
-        if header is None:
-            raise ValueError("CSV region data has no header row")
-        taus = np.array(tau_rows, dtype=float)
-        deltas = np.array(delta_col, dtype=float)
-    if meta["units"] == "bits":
-        deltas = deltas * LN2
-    return RegionScan(
-        n_modes=int(meta["n_modes"]),
-        nbar=float(meta["nbar"]),
-        grid_resolution=int(meta["grid_resolution"]),
-        taus=taus,
-        deltas=deltas,
-        flags=deltas > 0,
-    )
+                raise ValueError("CSV region data has no header row")
+            taus = np.array(tau_rows, dtype=float)
+            deltas = np.array(delta_col, dtype=float)
+        if meta["units"] == "bits":
+            deltas = deltas * LN2
+        return RegionScan(
+            n_modes=int(meta["n_modes"]),
+            nbar=float(meta["nbar"]),
+            grid_resolution=int(meta["grid_resolution"]),
+            taus=taus,
+            deltas=deltas,
+            flags=deltas > 0,
+        )
+    except KeyError as exc:
+        raise ValueError(f"region data has no '{exc.args[0]}' entry") from None
 
 
 def _emit(config: RunConfig, data: bytes) -> None:

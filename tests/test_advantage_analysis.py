@@ -15,6 +15,7 @@ from cvdcnet.advantage_analysis import (
     tau_boundaries,
     threshold_energy,
 )
+from cvdcnet.dc_protocol import capacity
 
 from helpers import (
     BREAK_EVEN3,
@@ -261,6 +262,19 @@ def test_boundary_intervals_match_bisected_roots():
         (4, 15.0, (0.5,)),
         (4, 15.0, (0.5, 0.2)),
         (4, 25.0, (0.6, 0.4)),
+        (4, 1e3, (0.5, 0.2)),
+        (2, 3.0, ()),
+        (5, 30.0, ()),
+        (5, 30.0, (0.5,)),
+        (5, 30.0, (0.5, 0.2)),
+        (5, 40.0, (0.5, 0.2, 0.2)),
+        (8, 100.0, ()),
+        (8, 120.0, (0.5,)),
+        (8, 150.0, (0.5, 0.2)),
+        (8, 150.0, (0.5, 0.2, 0.2)),
+        (8, 200.0, (0.5, 0.2, 0.2, 0.2)),
+        (8, 200.0, (0.5, 0.2, 0.2, 0.2, 0.2)),
+        (8, 200.0, (0.5, 0.2, 0.2, 0.2, 0.2, 0.2)),
     ]
     for n, nbar, prefix in cases:
         interval = tau_boundaries(n, nbar, prefix)
@@ -283,6 +297,27 @@ def test_boundary_intervals_match_bisected_roots():
             assert delta_along(interval.lo) > 0
             root = bisect_root(delta_along, interval.lo, 1.0)
             assert interval.hi == pytest.approx(root, abs=1e-8)
+
+
+def test_boundary_slice_determinant_is_affine_or_symmetric_quadratic():
+    # L(t) = det(I + g Gram) = exp(2 C_q) along (prefix, t, 0, ..., 0): the
+    # two-probe boundary formulas in tau_boundaries rest on this shape
+    rng = np.random.default_rng(6)
+    t = np.linspace(0.0, 1.0, 9)
+    for n in range(3, 13):
+        for axis in range(n - 1):
+            prefix = tuple(rng.uniform(size=axis))
+            pad = (0.0,) * (n - 2 - axis)
+            for nbar in (7.0, 1e3):
+                big_l = np.array([
+                    np.exp(2.0 * capacity(n, prefix + (x,) + pad, nbar).c_quantum)
+                    for x in t
+                ])
+                degree = 2 if axis == 0 else 1
+                fit = np.polyval(np.polyfit(t, big_l, degree), t)
+                assert np.max(np.abs(fit - big_l)) <= 1e-12 * np.max(big_l)
+                if axis == 0:
+                    assert_allclose(big_l[::-1], big_l, rtol=1e-12, atol=0.0)
 
 
 def test_boundary_interval_consistent_with_sign_probes():
@@ -357,8 +392,8 @@ def test_boundary_region_projection_grows_with_budget():
 
 
 def test_boundary_input_validation():
-    with pytest.raises(ValueError, match="3- and 4-mode"):
-        tau_boundaries(5, 7.0)
+    with pytest.raises(ValueError, match="at least 2 modes"):
+        tau_boundaries(1, 7.0)
     with pytest.raises(ValueError, match="pins every"):
         tau_boundaries(3, 7.0, (0.5, 0.5))
     with pytest.raises(ValueError, match="nbar"):

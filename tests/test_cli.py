@@ -232,6 +232,16 @@ def test_serialize_region_rejects_bad_modes():
         serialize_region(scan, "csv", "decibans")
     with pytest.raises(ValueError, match="header"):
         parse_region(b"")
+    rows = b"tau1,tau2,delta_nats,advantage\n0.5,0.5,1,true\n"
+    with pytest.raises(ValueError, match="'units'"):
+        parse_region(rows)
+    with pytest.raises(ValueError, match="'n_modes'"):
+        parse_region(b"# units=nats\n" + rows)
+    good = json.loads(serialize_region(scan, "json"))
+    for key in ("meta", "records"):
+        partial = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_region(json.dumps(partial).encode())
 
 
 def test_scan_command_exit_codes_and_files(tmp_path):
@@ -246,6 +256,17 @@ def test_scan_command_exit_codes_and_files(tmp_path):
                  "--out", str(hits), "--format", "json"])
     assert code == 0
     assert parse_region(hits.read_bytes()).n_advantage > 0
+
+
+def test_out_into_missing_directory_fails_before_computing(tmp_path, monkeypatch, capsys):
+    def no_scan(*args):
+        raise AssertionError("region_scan ran before --out was checked")
+
+    monkeypatch.setattr("cvdcnet.cli_scan.region_scan", no_scan)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["scan", "--modes", "3", "--nbar", "7", "--grid", "16",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
 def test_scan_command_bits_header(tmp_path):
