@@ -255,10 +255,13 @@ def tau_boundaries(
         return TauInterval(0.0, 1.0, empty=False, clamped=False)
     # (L_best - e^(2 C_cl)) / (L_best - L_edge): the crossing's share of the
     # way from best point to edge (of the squared distance on the first axis)
-    frac = np.expm1(-2.0 * d_best) / np.expm1(2.0 * (d_edge - d_best))
+    span = np.expm1(2.0 * (d_edge - d_best))
+    frac = np.expm1(-2.0 * d_best) / span
     if axis == 0:
+        # lo = 1/2 - half_width, without the cancellation when lo is tiny
         half_width = 0.5 * np.sqrt(frac)
-        return _interval(0.5 - half_width, 0.5 + half_width)
+        one_minus_frac = np.exp(-2.0 * d_best) * np.expm1(2.0 * d_edge) / span
+        return _interval(0.25 * one_minus_frac / (0.5 + half_width), 0.5 + half_width)
     return _interval(0.0, frac)
 
 
@@ -277,7 +280,8 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     """
     if r_large < 10.0:
         raise ValueError("asymptotic regime starts at r_large >= 10")
-    nbar = (n_modes - 1) * np.expm1(2.0 * r_large) / 2.0
+    with np.errstate(over="ignore"):  # capacity rejects an infinite budget
+        nbar = float((n_modes - 1) * np.expm1(2.0 * r_large) / 2.0)
     report = capacity(n_modes, taus, nbar)
     return report.c_quantum / report.c_classical
 

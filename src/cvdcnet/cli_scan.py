@@ -1,10 +1,11 @@
 """Command-line front end and serialization.
 
 Subcommands: capacity, scan, threshold, breakeven, ratio, verify.
-Exit codes: 0 success, 1 invalid configuration (bad flags, bad config
-file), 2 analysis-negative outcomes (no advantage below the search cap,
-an empty scan region, failed verify checkpoints); a diagnostic record is
-still written in the exit-2 cases.
+Exit codes: 0 success, 1 invalid input (bad flags, a bad config file, or
+values the library rejects, such as an overflowing budget), 2
+analysis-negative outcomes (no advantage below the search cap, an empty
+scan region, failed verify checkpoints); a diagnostic record is still
+written in the exit-2 cases.
 
 Flags can also come from a config file (--config PATH, "key = value"
 lines, # comments); explicit flags override file values, and a subcommand
@@ -87,12 +88,8 @@ class RunConfig:
     squeezing: float = 20.0
 
 
-def _fmt12(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _round12(x: float) -> float:
-    return float(_fmt12(x))
+    return float("%.12g" % x)
 
 
 def _json_bytes(obj) -> bytes:
@@ -243,11 +240,10 @@ def serialize_region(scan: RegionScan, fmt: str = "csv", units: str = "nats") ->
     if fmt == "csv":
         lines = [f"# {key}={value}" for key, value in meta.items()]
         lines.append(",".join(tau_names + [f"delta_{units}", "advantage"]))
-        for row, delta, flag in zip(scan.taus, scan.deltas, scan.flags):
-            cells = [_fmt12(t) for t in row]
-            cells.append(_fmt12(delta * scale))
-            cells.append("true" if flag else "false")
-            lines.append(",".join(cells))
+        row = ",".join(["%.12g"] * scan.n_modes) + ",%s"
+        flags = np.where(scan.flags, "true", "false")
+        columns = (*scan.taus.T, scan.deltas * scale, flags)
+        lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns)))
         return ("\n".join(lines) + "\n").encode("utf-8")
     records = [
         {
@@ -264,8 +260,8 @@ def parse_region(data: bytes) -> RegionScan:
     """Rebuild a RegionScan from serialize_region output (either format).
 
     Bits columns are converted back to nats; the advantage flags are
-    revalidated against the sign of delta on reconstruction. Missing
-    metadata or records raise ValueError naming the missing key.
+    recomputed from the sign of delta. Malformed input, such as a ragged
+    CSV row or missing metadata (named in the message), raises ValueError.
     """
     text = data.decode("utf-8")
     try:
@@ -275,27 +271,22 @@ def parse_region(data: bytes) -> RegionScan:
             taus = np.array([rec["taus"] for rec in obj["records"]], dtype=float)
             deltas = np.array([rec["delta"] for rec in obj["records"]], dtype=float)
         else:
-            meta = {}
-            header: Optional[list[str]] = None
-            tau_rows: list[list[float]] = []
-            delta_col: list[float] = []
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
+            meta, lines = {}, text.splitlines()
+            for i, line in enumerate(lines):
                 if line.startswith("#"):
                     key, _, value = line[1:].strip().partition("=")
                     meta[key.strip()] = value.strip()
-                    continue
-                cells = line.split(",")
-                if header is None:
-                    header = cells
-                    continue
-                tau_rows.append([float(c) for c in cells[:-2]])
-                delta_col.append(float(cells[-2]))
-            if header is None:
+                elif line.strip():
+                    break  # the header row
+            else:
                 raise ValueError("CSV region data has no header row")
-            taus = np.array(tau_rows, dtype=float)
-            deltas = np.array(delta_col, dtype=float)
+            body = lines[i + 1:]
+            if not any(map(str.strip, body)):
+                raise ValueError("CSV region data has no data rows")
+            # read every column so ragged rows raise; the last (flags) reads as 1/0
+            rows = np.loadtxt(body, delimiter=",", ndmin=2,
+                              converters={line.count(","): "true".__eq__})
+            taus, deltas = rows[:, :-2], rows[:, -2]
         if meta["units"] == "bits":
             deltas = deltas * LN2
         return RegionScan(
@@ -602,7 +593,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_args(argv)
         return run(config)
-    except CliConfigError as exc:
+    except (CliConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

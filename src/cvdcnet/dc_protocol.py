@@ -317,16 +317,15 @@ def mutual_information_mc(
 
     rng = np.random.default_rng(seed)
     alpha = rng.standard_normal((n_samples, channel.n_messages)) @ msg_chol.T
-    xi = rng.standard_normal((n_samples, channel.n_outputs)) @ noise_chol.T
-    beta = alpha @ channel.matrix.T + xi
+    white_noise = rng.standard_normal((n_samples, channel.n_outputs))
+    beta = alpha @ channel.matrix.T + white_noise @ noise_chol.T
 
     marg_cov = channel.noise_cov + channel.matrix @ channel.msg_cov @ channel.matrix.T
     marg_chol = np.linalg.cholesky(marg_cov)
 
     # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
-    white_cond = solve_triangular(noise_chol, xi.T, lower=True)
     white_marg = solve_triangular(marg_chol, beta.T, lower=True)
-    quad = 0.5 * (np.sum(white_marg**2, axis=0) - np.sum(white_cond**2, axis=0))
+    quad = 0.5 * (np.sum(white_marg**2, axis=0) - np.sum(white_noise**2, axis=1))
     log_det_ratio = float(
         np.sum(np.log(np.diag(marg_chol))) - np.sum(np.log(np.diag(noise_chol)))
     )
@@ -470,7 +469,11 @@ def _grams(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
 
 def _quantum_rates(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
     """C_q = (1/2) ln det(I + g Gram) for stacked channel Grams at the
-    optimal working point; nbar is a scalar or one budget per Gram."""
-    gain = np.asarray(_signal_gain(n_modes, nbar), dtype=float)
-    _, logdet = np.linalg.slogdet(np.eye(n_modes) + gain[..., None, None] * grams)
+    optimal working point; nbar is a scalar or one budget per Gram. A
+    budget whose gain overflows (nbar beyond ~1e154) raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = np.asarray(_signal_gain(n_modes, nbar), dtype=float)
+        _, logdet = np.linalg.slogdet(np.eye(n_modes) + gain[..., None, None] * grams)
+    if not np.isfinite(logdet).all():
+        raise ValueError(f"photon budget {np.max(nbar):g} overflows the determinant")
     return 0.5 * logdet

@@ -253,3 +253,64 @@ def dense_decoding(n_modes, taus):
         s = s @ beam_splitter(n_modes, k, k + 1, float(tau)).matrix.T
     s[2:, :] *= -1.0
     return s
+
+
+# --- scan text oracles ---------------------------------------------------------
+
+def serialize_region_literal(scan, fmt="csv", units="nats"):
+    """serialize_region written cell by cell: one format(x, '.12g') per
+    float, one dict per JSON record."""
+    import json
+
+    from cvdcnet.resource_prep import CONVENTION_FINGERPRINT
+
+    def fmt12(x):
+        return format(float(x), ".12g")
+
+    scale = 1.0 / np.log(2.0) if units == "bits" else 1.0
+    meta = {
+        "n_modes": scan.n_modes,
+        "nbar": float(fmt12(scan.nbar)),
+        "grid_resolution": scan.grid_resolution,
+        "units": units,
+        "convention": CONVENTION_FINGERPRINT,
+    }
+    if fmt == "csv":
+        lines = [f"# {key}={value}" for key, value in meta.items()]
+        tau_names = [f"tau{i + 1}" for i in range(scan.n_modes - 1)]
+        lines.append(",".join(tau_names + [f"delta_{units}", "advantage"]))
+        for row, delta, flag in zip(scan.taus, scan.deltas, scan.flags):
+            cells = [fmt12(t) for t in row]
+            cells.append(fmt12(delta * scale))
+            cells.append("true" if flag else "false")
+            lines.append(",".join(cells))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    records = [
+        {
+            "taus": [float(fmt12(t)) for t in row],
+            "delta": float(fmt12(delta * scale)),
+            "advantage": bool(flag),
+        }
+        for row, delta, flag in zip(scan.taus, scan.deltas, scan.flags)
+    ]
+    return (json.dumps({"meta": meta, "records": records}, indent=2) + "\n").encode()
+
+
+def parse_region_csv_literal(data):
+    """CSV region text read line by line, one float() per cell; returns
+    (meta, taus, deltas) with deltas in the file's units."""
+    meta, header, tau_rows, delta_col = {}, None, [], []
+    for line in data.decode("utf-8").splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            meta[key.strip()] = value.strip()
+            continue
+        cells = line.split(",")
+        if header is None:
+            header = cells
+            continue
+        tau_rows.append([float(c) for c in cells[:-2]])
+        delta_col.append(float(cells[-2]))
+    return meta, np.array(tau_rows, dtype=float), np.array(delta_col, dtype=float)

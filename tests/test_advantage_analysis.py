@@ -231,6 +231,12 @@ def test_asymptotic_ratio_frozen_and_monotone():
     assert r4[0] < r4[1] < r4[2] < 4.0 / 3.0
     with pytest.raises(ValueError, match="r_large"):
         asymptotic_ratio(3, (0.5, 0.5), 9.0)
+    assert asymptotic_ratio(3, (0.5, 0.5), 170.0) == pytest.approx(1.49623, abs=1e-5)
+    # the budget overflows the channel determinant at r = 200, a double at 355
+    with pytest.raises(ValueError, match="overflows"):
+        asymptotic_ratio(3, (0.5, 0.5), 200.0)
+    with pytest.raises(ValueError, match="finite"):
+        asymptotic_ratio(3, (0.5, 0.5), 355.0)
 
 
 def test_advantage_grows_with_budget_past_the_thresholds():
@@ -329,6 +335,27 @@ def test_boundary_interval_consistent_with_sign_probes():
         if interval.hi < 1.0:
             past = prefix + (interval.hi + 1e-3,) + (0.0,) * pad
             assert quantum_advantage(n, past, nbar) < 0
+
+
+@pytest.mark.parametrize(
+    "n_modes, nbar", [(3, 5978.0), (3, 8829.0), (3, 1e6), (5, 2e4), (6, 7e3)]
+)
+def test_boundary_axis0_lo_keeps_relative_accuracy_at_large_budgets(n_modes, nbar):
+    # lo falls toward 1e-11 here; 1/2 - half_width would keep only ~1 ulp of 1/2
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        nb = mp.mpf(nbar)
+        g = 2 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
+        x = nb / (n_modes - 1)
+        c_cl = (n_modes - 1) * (x * mp.log1p(1 / x) + mp.log1p(x))
+
+        def delta(t):  # the line closed form, capacity_line_closed in 60 digits
+            c_q = mp.log1p(2 * g * t) + mp.log1p(2 * g * (1 - t))
+            return (c_q + (n_modes - 2) * mp.log1p(2 * g)) / 2 - c_cl
+
+        root = mp.findroot(delta, (mp.mpf(0), mp.mpf("0.5")), solver="anderson")
+    lo = tau_boundaries(n_modes, nbar).lo
+    assert abs(lo - root) <= 1e-13 * root
 
 
 def test_boundary_matches_literal_formulas_at_moderate_budgets():
@@ -445,6 +472,8 @@ def test_region_scan_validation_and_strict_flags():
         region_scan(3, 7.0, 4)
     with pytest.raises(ValueError, match="nbar"):
         region_scan(3, -1.0, 16)
+    with pytest.raises(ValueError, match="overflows"):
+        region_scan(3, 1e160, 8)
     good = region_scan(3, 7.0, 8)
     with pytest.raises(ValueError, match="flags"):
         RegionScan(

@@ -28,6 +28,8 @@ from helpers import (
     MIN_TH3,
     RATIO3_R20,
     TH3_BALANCED,
+    parse_region_csv_literal,
+    serialize_region_literal,
 )
 
 
@@ -61,6 +63,11 @@ def _json_out(capsys):
         ["threshold", "--modes", "3", "--format", "json"],
         ["verify", "--format", "json"],
         ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--out", "{missing}/r.json"],
+        # values the library rejects: zero message power, overflowing budgets
+        ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "0",
+         "--samples", "10000"],
+        ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "200"],
+        ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "355"],
     ],
 )
 def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
@@ -242,6 +249,38 @@ def test_serialize_region_rejects_bad_modes():
         partial = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_region(json.dumps(partial).encode())
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+@pytest.mark.parametrize(
+    "n_modes, nbar, grid", [(2, 3.0, 64), (3, 7.0, 16), (4, 15.0, 8), (5, 40.0, 8)]
+)
+def test_scan_text_matches_cell_by_cell_oracles(n_modes, nbar, grid, units):
+    scan = region_scan(n_modes, nbar, grid)
+    for fmt in ("csv", "json"):
+        assert serialize_region(scan, fmt, units) == serialize_region_literal(
+            scan, fmt, units
+        )
+    data = serialize_region(scan, "csv", units)
+    meta, taus, deltas = parse_region_csv_literal(data)
+    if units == "bits":
+        deltas = deltas * LN2
+    crlf_and_blank_lines = data.replace(b"\n", b"\r\n\r\n")
+    for text in (data, crlf_and_blank_lines):
+        back = parse_region(text)
+        assert back.n_modes == int(meta["n_modes"]) and back.nbar == float(meta["nbar"])
+        assert np.array_equal(back.taus, taus)
+        assert np.array_equal(back.deltas, deltas)
+        assert np.array_equal(back.flags, deltas > 0)
+
+    lines = data.split(b"\n")  # five '#' lines, the header, then the rows
+    with pytest.raises(ValueError, match="no data rows"):
+        parse_region(b"\n".join(lines[:6]) + b"\n\n")
+    for row in (6, len(lines) - 2):  # the first and the last data row
+        for cells in (lines[row] + b",0", lines[row].partition(b",")[2]):
+            ragged = lines[:row] + [cells] + lines[row + 1:]
+            with pytest.raises(ValueError, match="column"):
+                parse_region(b"\n".join(ragged))
 
 
 def test_scan_command_exit_codes_and_files(tmp_path):

@@ -394,6 +394,13 @@ def test_capacity_increases_with_budget():
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+def test_capacity_rejects_budgets_that_overflow():
+    # the signal gain overflows near nbar ~ 1e154; C_q used to read 0.0 past it
+    assert capacity(3, (0.5, 0.5), 1e150).c_quantum > 1000.0
+    with pytest.raises(ValueError, match="1e\\+160 overflows"):
+        capacity(3, (0.5, 0.5), 1e160)
+
+
 def test_capacity_symmetric_in_tau1_when_suffix_zero():
     for nbar in (2.0, 7.0, 20.0):
         for t1 in (0.1, 0.3, 0.45):
