@@ -23,6 +23,7 @@ import numpy as np
 
 from .dc_protocol import (
     _grams,
+    _half_log_dets,
     _quantum_rates,
     _validated_taus,
     capacity,
@@ -53,6 +54,8 @@ SEARCH_CAP_NBAR = 1e4     # photon budgets beyond this are treated as "never"
 BISECT_TOL = 1e-6         # absolute nbar tolerance for threshold roots
 COARSE_RESOLUTION = 64    # tau1-line points solved alongside the global minimum
 TIE_TOL = 1e-4            # line thresholds within this of the best line point are ties
+_SCAN_MAX_POINTS = 2**24  # region_scan refuses larger grids
+_SCAN_CHUNK_BYTES = 2**20  # (C, 2n, n) chain array per kernel chunk, sized to stay in cache
 
 
 class NoAdvantageError(RuntimeError):
@@ -77,11 +80,16 @@ def classical_capacity(n_senders: int, nbar):
     arr = np.asarray(nbar, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValueError("photon budgets must be finite and >= 0")
-    x = arr / n_senders
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = n_senders * (x * np.log1p(1.0 / x) + np.log1p(x))
-    val = np.where(x > 0, val, 0.0)
+        val = _classical_rates(n_senders, arr)
+    val = np.where(arr / n_senders > 0, val, 0.0)
     return float(val) if arr.ndim == 0 else val
+
+
+def _classical_rates(n_senders: int, nbar: np.ndarray) -> np.ndarray:
+    """classical_capacity, unchecked: right only for budgets > 0."""
+    x = nbar / n_senders
+    return n_senders * (x * np.log1p(1.0 / x) + np.log1p(x))
 
 
 def _delta_batch(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
@@ -107,13 +115,16 @@ def _thresholds(n_modes: int, grams: np.ndarray, tol: float) -> np.ndarray:
     nbar = 1e-6, while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5 there.
     """
     thresholds = np.full(grams.shape[0], np.inf)
+    # the cap is the largest budget tried and the floor is > 0: once delta at
+    # the cap is checked, every budget the bisection tries is valid unchecked
     alive = _delta_batch(n_modes, grams, SEARCH_CAP_NBAR) > 0.0
     g_alive = grams[alive]
     lo = np.full(g_alive.shape[0], 1e-6)
     hi = np.full(g_alive.shape[0], SEARCH_CAP_NBAR)
     while np.any(hi - lo > tol):
         mid = 0.5 * (lo + hi)
-        above = _delta_batch(n_modes, g_alive, mid) > 0.0
+        delta = _half_log_dets(n_modes, g_alive, mid) - _classical_rates(n_modes - 1, mid)
+        above = delta > 0.0
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     thresholds[alive] = 0.5 * (lo + hi)
@@ -280,8 +291,14 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     """
     if r_large < 10.0:
         raise ValueError("asymptotic regime starts at r_large >= 10")
-    with np.errstate(over="ignore"):  # capacity rejects an infinite budget
-        nbar = float((n_modes - 1) * np.expm1(2.0 * r_large) / 2.0)
+    half_senders = (n_modes - 1) / 2.0
+    with np.errstate(over="ignore"):
+        nbar = float(half_senders * np.expm1(2.0 * r_large))
+    if not np.isfinite(nbar):
+        r_max = 0.5 * np.log(np.finfo(float).max / max(half_senders, 1.0))
+        raise ValueError(
+            f"r = {r_large:g} overflows the photon budget, finite up to r = {r_max:.1f}"
+        )
     report = capacity(n_modes, taus, nbar)
     return report.c_quantum / report.c_classical
 
@@ -327,15 +344,31 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
 
     Rows are ordered with the first transmissivity slowest, matching
     sorted-tuple order, so serialized scans are directly comparable.
+    The kernel runs on consecutive chunks of grid points whose
+    (C, 2n, n) chain array fits _SCAN_CHUNK_BYTES; a grid of more than
+    _SCAN_MAX_POINTS points raises ValueError before anything is
+    allocated.
     """
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8")
     if not np.isfinite(nbar) or nbar < 0.0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    n_points = grid_resolution ** (n_modes - 1)
+    if n_points > _SCAN_MAX_POINTS:
+        # the taus and the deltas alone take 8 n bytes per point
+        raise ValueError(
+            f"a {n_modes}-mode scan at grid {grid_resolution} has {n_points:,} points "
+            f"(about {8 * n_modes * n_points / 1e9:.3g} GB), over the cap of "
+            f"{_SCAN_MAX_POINTS:,}"
+        )
     axes = [np.linspace(0.0, 1.0, grid_resolution)] * (n_modes - 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     taus_grid = np.stack([m.ravel() for m in mesh], axis=1)
-    deltas = _delta_batch(n_modes, _grams(n_modes, taus_grid), nbar)
+    chunk = _SCAN_CHUNK_BYTES // (16 * n_modes**2)
+    deltas = np.empty(n_points)
+    for start in range(0, n_points, chunk):
+        rows = slice(start, start + chunk)
+        deltas[rows] = _delta_batch(n_modes, _grams(n_modes, taus_grid[rows]), nbar)
     return RegionScan(
         n_modes=n_modes,
         nbar=nbar,

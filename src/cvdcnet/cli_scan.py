@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
 
 LN2 = float(np.log(2.0))
 _FORMATS = ("csv", "json")
+_ROWS_PER_CHUNK = 2**14  # scan rows rendered, and written, at a time
 
 
 class CliConfigError(Exception):
@@ -222,14 +223,44 @@ def serialize_region(scan: RegionScan, fmt: str = "csv", units: str = "nats") ->
     Floats carry 12 significant digits; rows follow the scan's
     lexicographic tau order. CSV starts with '# key=value' metadata
     comment lines, then the header row, then data. JSON is a single
-    object {"meta": ..., "records": [...]}.
+    object {"meta": ..., "records": [...]}, laid out as
+    json.dumps(indent=2) lays it out.
     """
+    return b"".join(_region_chunks(scan, fmt, units))
+
+
+def _column_strings(column: np.ndarray, render: Callable[[float], str]) -> list[str]:
+    """render(x) for each x in column, called once per distinct value;
+    values are told apart by their bits, so -0.0 keeps its own string."""
+    values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    strings = [render(x) for x in values.view(np.float64).tolist()]
+    return np.array(strings, dtype=object)[inverse].tolist()
+
+
+def _row_cells(
+    scan: RegionScan,
+    scale: float,
+    render_tau: Callable[[float], str],
+    render_deltas: Callable[[list[str]], list[str]],
+) -> Iterator[Iterator[tuple[str, ...]]]:
+    """For each chunk of _ROWS_PER_CHUNK rows, an iterator over the rows'
+    cells: tau strings from per-column tables, delta strings rendered per
+    chunk from the %.12g strings, and the flag."""
+    taus = [_column_strings(column, render_tau) for column in scan.taus.T]
+    flags = np.array(["false", "true"], dtype=object)[scan.flags.view(np.uint8)].tolist()
+    for start in range(0, scan.n_points, _ROWS_PER_CHUNK):
+        rows = slice(start, start + _ROWS_PER_CHUNK)
+        deltas = ["%.12g" % d for d in (scan.deltas[rows] * scale).tolist()]
+        yield zip(*(column[rows] for column in taus), render_deltas(deltas), flags[rows])
+
+
+def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
+    """serialize_region's bytes, one chunk of rows at a time."""
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got '{fmt}'")
     if units not in ("nats", "bits"):
         raise ValueError(f"units must be 'nats' or 'bits', got '{units}'")
     scale = 1.0 / LN2 if units == "bits" else 1.0
-    tau_names = [f"tau{i + 1}" for i in range(scan.n_modes - 1)]
     meta = {
         "n_modes": scan.n_modes,
         "nbar": _round12(scan.nbar),
@@ -238,22 +269,35 @@ def serialize_region(scan: RegionScan, fmt: str = "csv", units: str = "nats") ->
         "convention": CONVENTION_FINGERPRINT,
     }
     if fmt == "csv":
+        tau_names = [f"tau{i + 1}" for i in range(scan.n_modes - 1)]
         lines = [f"# {key}={value}" for key, value in meta.items()]
         lines.append(",".join(tau_names + [f"delta_{units}", "advantage"]))
-        row = ",".join(["%.12g"] * scan.n_modes) + ",%s"
-        flags = np.where(scan.flags, "true", "false")
-        columns = (*scan.taus.T, scan.deltas * scale, flags)
-        lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns)))
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    records = [
-        {
-            "taus": [_round12(t) for t in row],
-            "delta": _round12(delta * scale),
-            "advantage": bool(flag),
-        }
-        for row, delta, flag in zip(scan.taus, scan.deltas, scan.flags)
-    ]
-    return _json_bytes({"meta": meta, "records": records})
+        yield ("\n".join(lines) + "\n").encode("utf-8")
+        for cells in _row_cells(scan, scale, "%.12g".__mod__, lambda deltas: deltas):
+            yield ("\n".join(map(",".join, cells)) + "\n").encode("utf-8")
+        return
+    if scan.n_points == 0:
+        yield _json_bytes({"meta": meta, "records": []})
+        return
+    # cut the indent=2 document with one record of placeholder cells into the
+    # text before the records, a %s template of one record, and the rest
+    hole = "\0"
+    cells = {"taus": [hole] * (scan.n_modes - 1), "delta": hole, "advantage": hole}
+    doc = json.dumps({"meta": meta, "records": [cells]}, indent=2)
+    before, *inner, after = doc.split(json.dumps(hole))
+    cut, end = before.rindex("\n    {") + 1, after.index("}") + 1
+    record = "%s".join([before[cut:], *inner, after[:end]])
+    yield before[:cut].encode("utf-8")
+    chunks = _row_cells(
+        scan,
+        scale,
+        lambda tau: json.dumps(_round12(tau)),
+        # json's own spelling of each rounded delta, NaN and Infinity too
+        lambda deltas: json.dumps(list(map(float, deltas)))[1:-1].split(", "),
+    )
+    for i, cells in enumerate(chunks):
+        yield ((",\n" if i else "") + ",\n".join(map(record.__mod__, cells))).encode("utf-8")
+    yield (after[end:] + "\n").encode("utf-8")
 
 
 def parse_region(data: bytes) -> RegionScan:
@@ -301,14 +345,18 @@ def parse_region(data: bytes) -> RegionScan:
         raise ValueError(f"region data has no '{exc.args[0]}' entry") from None
 
 
-def _emit(config: RunConfig, data: bytes) -> None:
+def _emit(config: RunConfig, chunks: Iterable[bytes]) -> None:
+    """Write each chunk to --out, or else to stdout, as it is produced."""
     if config.out:
         try:
-            Path(config.out).write_bytes(data)
+            with open(config.out, "wb") as out:
+                for chunk in chunks:
+                    out.write(chunk)
         except OSError as exc:
             raise CliConfigError(f"cannot write {config.out}: {exc}") from exc
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("utf-8"))
 
 
 def _emit_json(config: RunConfig, **body) -> None:
@@ -317,7 +365,7 @@ def _emit_json(config: RunConfig, **body) -> None:
         "units": "bits" if config.bits else "nats",
         "convention": CONVENTION_FINGERPRINT,
     }
-    _emit(config, _json_bytes({"meta": meta, **body}))
+    _emit(config, [_json_bytes({"meta": meta, **body})])
 
 
 def _run_capacity(config: RunConfig) -> int:
@@ -355,7 +403,7 @@ def _run_capacity(config: RunConfig) -> int:
 def _run_scan(config: RunConfig) -> int:
     scan = region_scan(config.modes, config.nbar, config.grid)
     units = "bits" if config.bits else "nats"
-    _emit(config, serialize_region(scan, config.fmt, units))
+    _emit(config, _region_chunks(scan, config.fmt, units))
     return 0 if scan.n_advantage > 0 else 2
 
 
@@ -392,7 +440,11 @@ def _run_breakeven(config: RunConfig) -> int:
 
 
 def _run_ratio(config: RunConfig) -> int:
-    value = asymptotic_ratio(config.modes, config.taus, config.squeezing)
+    try:
+        value = asymptotic_ratio(config.modes, config.taus, config.squeezing)
+    except ValueError as exc:
+        # parse_args has checked every other value, and --squeezing's lower end
+        raise CliConfigError(f"--squeezing {config.squeezing:g} is too large: {exc}") from exc
     limit = config.modes / (config.modes - 1)
     result = {
         "n_modes": config.modes,
@@ -563,6 +615,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             raise CliConfigError(f"{ns.command} requires --{name}")
     if "squeezing" in fields and fields["squeezing"] < 10.0:
         raise CliConfigError(f"{ns.command} needs --squeezing >= 10")
+    if "samples" in fields and fields.get("nbar") == 0.0:
+        raise CliConfigError("a Monte Carlo cross-check (--samples) needs --nbar > 0")
     modes, taus = fields.get("modes"), fields.get("taus")
     if taus is not None and modes is not None and len(taus) != modes - 1:
         raise CliConfigError(

@@ -467,13 +467,19 @@ def _grams(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
     return np.einsum("gij,gkj->gik", m, m)
 
 
+def _half_log_dets(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
+    """(1/2) ln det(I + g Gram) for stacked channel Grams, unchecked: a
+    budget whose gain overflows gives inf or nan (and a RuntimeWarning)."""
+    gain = np.asarray(_signal_gain(n_modes, nbar), dtype=float)
+    return 0.5 * np.linalg.slogdet(np.eye(n_modes) + gain[..., None, None] * grams)[1]
+
+
 def _quantum_rates(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
     """C_q = (1/2) ln det(I + g Gram) for stacked channel Grams at the
     optimal working point; nbar is a scalar or one budget per Gram. A
     budget whose gain overflows (nbar beyond ~1e154) raises ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gain = np.asarray(_signal_gain(n_modes, nbar), dtype=float)
-        _, logdet = np.linalg.slogdet(np.eye(n_modes) + gain[..., None, None] * grams)
-    if not np.isfinite(logdet).all():
+        rates = _half_log_dets(n_modes, grams, nbar)
+    if not np.isfinite(rates).all():
         raise ValueError(f"photon budget {np.max(nbar):g} overflows the determinant")
-    return 0.5 * logdet
+    return rates

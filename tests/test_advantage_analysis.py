@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvdcnet.advantage_analysis import (
+    _SCAN_CHUNK_BYTES,
+    _delta_batch,
     SEARCH_CAP_NBAR,
     NoAdvantageError,
     RegionScan,
@@ -15,7 +17,7 @@ from cvdcnet.advantage_analysis import (
     tau_boundaries,
     threshold_energy,
 )
-from cvdcnet.dc_protocol import capacity
+from cvdcnet.dc_protocol import _grams, capacity
 
 from helpers import (
     BREAK_EVEN3,
@@ -484,6 +486,25 @@ def test_region_scan_validation_and_strict_flags():
             deltas=good.deltas.copy(),
             flags=~good.flags,
         )
+
+
+@pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])
+def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid):
+    scan = region_scan(n_modes, nbar, grid)
+    assert scan.n_points > 8 * _SCAN_CHUNK_BYTES // (16 * n_modes**2)  # many chunks
+    whole = _delta_batch(n_modes, _grams(n_modes, scan.taus), nbar)
+    assert np.array_equal(scan.deltas, whole)
+
+
+def test_region_scan_refuses_grids_over_the_point_cap(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the tau grid was built before the size check")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    with pytest.raises(ValueError, match=r"grid 64 has 1,073,741,824 points \(about 51.5 GB\)"):
+        region_scan(6, 7.0, 64)
+    with pytest.raises(ValueError, match="16,785,409 points"):
+        region_scan(3, 7.0, 4097)  # just over 2**24
 
 
 def test_region_scan_freezes_copies_not_caller_arrays():

@@ -9,8 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvdcnet
-from cvdcnet.advantage_analysis import region_scan, threshold_energy
+from cvdcnet.advantage_analysis import RegionScan, region_scan, threshold_energy
 from cvdcnet.cli_scan import (
+    _ROWS_PER_CHUNK,
     LN2,
     CliConfigError,
     RunConfig,
@@ -74,6 +75,24 @@ def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "0",
+          "--samples", "10000"],
+         "error: a Monte Carlo cross-check (--samples) needs --nbar > 0\n"),
+        (["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "200"],
+         "error: --squeezing 200 is too large: photon budget 5.22147e+173 overflows"),
+        (["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "355"],
+         "error: --squeezing 355 is too large: r = 355 overflows the photon budget, "
+         "finite up to r = 354.9\n"),
+    ],
+)
+def test_rejected_values_name_the_flags(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_config_file_merging_and_flag_override(tmp_path):
@@ -281,6 +300,55 @@ def test_scan_text_matches_cell_by_cell_oracles(n_modes, nbar, grid, units):
             ragged = lines[:row] + [cells] + lines[row + 1:]
             with pytest.raises(ValueError, match="column"):
                 parse_region(b"\n".join(ragged))
+
+
+def _hand_built_scan():
+    # unsorted, repeated taus with 0.0 beside -0.0; deltas at the edges of %.12g
+    taus = np.array([[0.5, -0.0], [0.0, 0.25], [0.5, 0.0], [-0.0, 1.0], [0.0, 0.25],
+                     [1e-300, 1 / 3]])
+    deltas = np.array([-0.0, 1e-5, 1.5e13, np.nan, np.inf, -1 / 3])
+    return RegionScan(3, 7.0, 8, taus, deltas, deltas > 0)
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "make_scan",
+    [
+        lambda: region_scan(3, 7.0, 300),
+        _hand_built_scan,
+        lambda: RegionScan(3, 7.0, 8, np.empty((0, 2)), np.empty(0), np.empty(0, bool)),
+    ],
+    ids=["several_chunks", "hand_built", "empty"],
+)
+def test_chunked_scan_text_matches_the_oracle(make_scan, fmt, units):
+    scan = make_scan()
+    if scan.n_points > 6:
+        assert scan.n_points > 5 * _ROWS_PER_CHUNK  # the grid scan spans several chunks
+    assert serialize_region(scan, fmt, units) == serialize_region_literal(scan, fmt, units)
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "json", "--bits"]])
+def test_scan_out_file_matches_stdout(extra, tmp_path, capsys):
+    argv = ["scan", "--modes", "3", "--nbar", "7", "--grid", "300", *extra]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "scan.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed
+    fmt, units = ("json", "bits") if extra else ("csv", "nats")
+    assert printed == serialize_region(region_scan(3, 7.0, 300), fmt, units)
+
+
+def test_scan_over_the_point_cap_fails_before_building_the_grid(monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the tau grid was built before the size check")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    assert main(["scan", "--modes", "6", "--nbar", "7", "--grid", "64"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: a 6-mode scan at grid 64 has 1,073,741,824 points (about 51.5 GB)"
+    )
 
 
 def test_scan_command_exit_codes_and_files(tmp_path):
