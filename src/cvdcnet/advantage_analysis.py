@@ -25,11 +25,11 @@ from .dc_protocol import (
     _grams,
     _half_log_dets,
     _quantum_rates,
-    _validated_taus,
     capacity,
     optimal_params,
 )
 from .phase_space import _frozen_array
+from .resource_prep import _validated_taus
 
 __all__ = [
     "SEARCH_CAP_NBAR",
@@ -55,7 +55,7 @@ BISECT_TOL = 1e-6         # absolute nbar tolerance for threshold roots
 COARSE_RESOLUTION = 64    # tau1-line points solved alongside the global minimum
 TIE_TOL = 1e-4            # line thresholds within this of the best line point are ties
 _SCAN_MAX_POINTS = 2**24  # region_scan refuses larger grids
-_SCAN_CHUNK_BYTES = 2**20  # (C, 2n, n) chain array per kernel chunk, sized to stay in cache
+_SCAN_CHUNK_BYTES = 2**19  # (C, n, n) chain array per kernel chunk, sized to stay in cache
 
 
 class NoAdvantageError(RuntimeError):
@@ -109,7 +109,8 @@ def _thresholds(n_modes: int, grams: np.ndarray, tol: float) -> np.ndarray:
     """Threshold budget for each stacked channel Gram; inf where delta
     never turns positive up to SEARCH_CAP_NBAR.
 
-    One shared bisection on [1e-6, SEARCH_CAP_NBAR] until hi - lo <= tol.
+    One shared bisection on [1e-6, SEARCH_CAP_NBAR] until hi - lo <= tol,
+    or until no bracket still wider than tol has a midpoint strictly inside.
     The floor never holds an advantage: the Gram's eigenvalues are at
     most 2, so C_q <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 at
     nbar = 1e-6, while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5 there.
@@ -121,13 +122,14 @@ def _thresholds(n_modes: int, grams: np.ndarray, tol: float) -> np.ndarray:
     g_alive = grams[alive]
     lo = np.full(g_alive.shape[0], 1e-6)
     hi = np.full(g_alive.shape[0], SEARCH_CAP_NBAR)
-    while np.any(hi - lo > tol):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while ((hi - lo > tol) & (lo < mid) & (mid < hi)).any():
         delta = _half_log_dets(n_modes, g_alive, mid) - _classical_rates(n_modes - 1, mid)
         above = delta > 0.0
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    thresholds[alive] = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    thresholds[alive] = mid
     return thresholds
 
 
@@ -139,9 +141,11 @@ def threshold_energy(
     Bisects inside [1e-6, SEARCH_CAP_NBAR] to absolute tolerance tol.
     delta is strictly increasing in nbar over the relevant range, so the
     root is unique. Raises NoAdvantageError if delta never turns
-    positive below the cap.
+    positive below the cap, and ValueError unless tol > 0.
     """
     taus = _validated_taus(n_modes, taus)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     nbar_th = float(_thresholds(n_modes, _grams(n_modes, np.array([taus])), tol)[0])
     if not np.isfinite(nbar_th):
         raise NoAdvantageError(
@@ -186,6 +190,8 @@ def min_threshold_energy(
     grid_resolution points of the tau1 line, which give the ties.
     Raises NoAdvantageError if delta never turns positive below the cap.
     """
+    if n_modes < 2:
+        raise ValueError(f"need at least 2 modes, got {n_modes}")
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8")
     line = np.zeros((grid_resolution + 1, n_modes - 1))
@@ -345,10 +351,12 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     Rows are ordered with the first transmissivity slowest, matching
     sorted-tuple order, so serialized scans are directly comparable.
     The kernel runs on consecutive chunks of grid points whose
-    (C, 2n, n) chain array fits _SCAN_CHUNK_BYTES; a grid of more than
+    (C, n, n) chain array fits _SCAN_CHUNK_BYTES; a grid of more than
     _SCAN_MAX_POINTS points raises ValueError before anything is
     allocated.
     """
+    if n_modes < 2:
+        raise ValueError(f"need at least 2 modes, got {n_modes}")
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8")
     if not np.isfinite(nbar) or nbar < 0.0:
@@ -364,7 +372,7 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     axes = [np.linspace(0.0, 1.0, grid_resolution)] * (n_modes - 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     taus_grid = np.stack([m.ravel() for m in mesh], axis=1)
-    chunk = _SCAN_CHUNK_BYTES // (16 * n_modes**2)
+    chunk = _SCAN_CHUNK_BYTES // (8 * n_modes**2)
     deltas = np.empty(n_points)
     for start in range(0, n_points, chunk):
         rows = slice(start, start + chunk)

@@ -159,6 +159,8 @@ def _to_bool(name: str, raw: str) -> bool:
 
 def _to_out_path(name: str, raw: str) -> str:
     # fail before the computation, not after it
+    if raw and Path(raw).is_dir():  # an empty --out means stdout
+        raise CliConfigError(f"cannot write {raw}: it is a directory")
     parent = Path(raw).parent
     if not parent.is_dir():
         raise CliConfigError(f"cannot write {raw}: no directory {parent}")
@@ -279,15 +281,13 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
     if scan.n_points == 0:
         yield _json_bytes({"meta": meta, "records": []})
         return
-    # cut the indent=2 document with one record of placeholder cells into the
-    # text before the records, a %s template of one record, and the rest
-    hole = "\0"
-    cells = {"taus": [hole] * (scan.n_modes - 1), "delta": hole, "advantage": hole}
-    doc = json.dumps({"meta": meta, "records": [cells]}, indent=2)
-    before, *inner, after = doc.split(json.dumps(hole))
-    cut, end = before.rindex("\n    {") + 1, after.index("}") + 1
-    record = "%s".join([before[cut:], *inner, after[:end]])
-    yield before[:cut].encode("utf-8")
+    # the indent=2 layout of the document, written out: head, records, tail
+    record = (
+        '    {\n      "taus": [\n'
+        + ",\n".join(["        %s"] * (scan.n_modes - 1))
+        + '\n      ],\n      "delta": %s,\n      "advantage": %s\n    }'
+    )
+    yield (json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "records": [\n').encode("utf-8")
     chunks = _row_cells(
         scan,
         scale,
@@ -297,7 +297,7 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
     )
     for i, cells in enumerate(chunks):
         yield ((",\n" if i else "") + ",\n".join(map(record.__mod__, cells))).encode("utf-8")
-    yield (after[end:] + "\n").encode("utf-8")
+    yield b"\n  ]\n}\n"
 
 
 def parse_region(data: bytes) -> RegionScan:
@@ -327,9 +327,9 @@ def parse_region(data: bytes) -> RegionScan:
             body = lines[i + 1:]
             if not any(map(str.strip, body)):
                 raise ValueError("CSV region data has no data rows")
-            # read every column so ragged rows raise; the last (flags) reads as 1/0
-            rows = np.loadtxt(body, delimiter=",", ndmin=2,
-                              converters={line.count(","): "true".__eq__})
+            # read every column so ragged rows and bad flags raise; flags read as 1/0
+            flag = {"true": 1.0, "false": 0.0}.__getitem__
+            rows = np.loadtxt(body, delimiter=",", ndmin=2, converters={line.count(","): flag})
             taus, deltas = rows[:, :-2], rows[:, -2]
         if meta["units"] == "bits":
             deltas = deltas * LN2

@@ -35,7 +35,7 @@ from .phase_space import (
     _symmetrized,
     apply_symplectic,
 )
-from .resource_prep import ResourceSpec, _chain_adjoint, alternating_pattern
+from .resource_prep import ResourceSpec, _chain_adjoint, _validated_taus, alternating_pattern
 
 __all__ = [
     "EncodingPlan",
@@ -168,8 +168,8 @@ def decoding_symplectic(n_modes: int, taus: Sequence[float]) -> SymplecticTransf
     message component appears with a positive coefficient. It negates
     whole rows of the channel matrix, so capacities do not depend on it.
     """
-    taus = _validated_taus(n_modes, taus)
-    s = _chain_adjoint(np.array([taus]), np.eye(2 * n_modes)[None])[0]
+    chain = _chain_adjoint(np.array([_validated_taus(n_modes, taus)]), np.eye(n_modes)[None])
+    s = np.kron(chain[0], np.eye(2))
     s[2:, :] *= -1.0
     return SymplecticTransform(n_modes, s)
 
@@ -436,29 +436,15 @@ def channel_matrix_batch(n_modes: int, taus_grid) -> np.ndarray:
     taus = np.asarray(taus_grid, dtype=float)
     if taus.ndim != 2 or taus.shape[1] != n_modes - 1:
         raise ValueError(f"taus_grid shape {taus.shape}, expected (G, {n_modes - 1})")
-    plan = EncodingPlan.standard(n_modes, 1.0)  # sigma is irrelevant to the matrix
-    e = encoding_matrix(plan)
-    x = _chain_adjoint(taus, np.broadcast_to(e, (taus.shape[0],) + e.shape).copy())
-    x[:, 2:, :] *= -1.0  # the decoding flip, as in decoding_symplectic
-    return x[:, alternating_pattern(n_modes).flat_indices(), :]
-
-
-def _validated_taus(n_modes: int, taus) -> tuple[float, ...]:
-    out = tuple(float(t) for t in taus)
-    if len(out) != n_modes - 1:
-        raise ValueError(f"{n_modes}-mode chain needs {n_modes - 1} transmissivities")
-    for t in out:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-    return out
-
-
-def _signal_gain(n_modes: int, nbar):
-    """e^{2r} sigma^2 at the optimal working point: the single scalar the
-    channel determinant depends on besides the transmissivities."""
-    nb = np.asarray(nbar, dtype=float)
-    gain = 2.0 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
-    return float(gain) if nb.ndim == 0 else gain
+    e = encoding_matrix(EncodingPlan.standard(n_modes, 1.0))  # sigma is irrelevant
+    # chain the slots' modes (sqrt 2 at each), laid out (n, G, n) in memory so chain
+    # steps and the Gram run on contiguous blocks; flip as in decoding_symplectic,
+    # then keep the entries whose mode measures the slot's quadrature
+    rows = np.tile((e[0::2] + e[1::2])[:, None], (1, len(taus), 1)).transpose(1, 0, 2)
+    x = _chain_adjoint(taus, rows)
+    x[:, 1:] *= -1.0
+    measured_p = alternating_pattern(n_modes).flat_indices()[:, None] % 2 == 1
+    return x * (measured_p == e[1::2].any(axis=0))
 
 
 def _grams(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
@@ -468,9 +454,11 @@ def _grams(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
 
 
 def _half_log_dets(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
-    """(1/2) ln det(I + g Gram) for stacked channel Grams, unchecked: a
-    budget whose gain overflows gives inf or nan (and a RuntimeWarning)."""
-    gain = np.asarray(_signal_gain(n_modes, nbar), dtype=float)
+    """(1/2) ln det(I + g Gram) for stacked channel Grams, g = e^{2r} sigma^2
+    at the optimal working point; unchecked: a budget whose gain overflows
+    gives inf or nan (and a RuntimeWarning)."""
+    nb = np.asarray(nbar, dtype=float)
+    gain = 2.0 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
     return 0.5 * np.linalg.slogdet(np.eye(n_modes) + gain[..., None, None] * grams)[1]
 
 

@@ -60,14 +60,7 @@ class ResourceSpec:
         n = int(self.n_modes)
         if n < 2:
             raise ValueError(f"need at least two modes, got {n}")
-        taus = tuple(float(t) for t in self.taus)
-        if len(taus) != n - 1:
-            raise ValueError(
-                f"{n}-mode chain needs {n - 1} transmissivities, got {len(taus)}"
-            )
-        for t in taus:
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
+        taus = _validated_taus(n, self.taus)
         r = float(self.r)
         if not np.isfinite(r) or r < 0.0:
             raise ValueError(f"squeezing strength must be finite and >= 0, got {r}")
@@ -89,17 +82,27 @@ def alternating_pattern(n_modes: int) -> QuadratureSelection:
     )
 
 
+def _validated_taus(n: int, taus) -> tuple[float, ...]:
+    """taus as a tuple of floats, checked: n - 1 of them, each in [0, 1]."""
+    out = tuple(float(t) for t in taus)
+    if len(out) != n - 1:
+        raise ValueError(f"{n}-mode chain needs {n - 1} transmissivities, got {len(out)}")
+    for t in out:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
+    return out
+
+
 def _chain_adjoint(taus: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Apply C^T, C = BS_{n-2} ... BS_0, in place to (G, 2n, k) rows and
+    """Apply O^T, O = BS_{n-2} ... BS_0, in place to (G, n, k) mode rows and
     return them; row block g gets the chain of taus[g], taus (G, n - 1).
-    BS_k is beam_splitter on modes (k, k+1); its adjoint is applied as
-    the 2x2 block update [[t, rfl], [-rfl, t]], last splitter first."""
+    BS_k mixes modes (k, k+1) alike on q and p, so on quadratures the chain
+    is O (x) I_2; its adjoint is the row update [[t, rfl], [-rfl, t]]."""
     if not np.all((taus >= 0.0) & (taus <= 1.0)):
         raise ValueError("transmissivities must lie in [0, 1]")
+    ts, rfls = np.sqrt(taus)[:, :, None], np.sqrt(1.0 - taus)[:, :, None]
     for k in reversed(range(taus.shape[1])):
-        t = np.sqrt(taus[:, k])[:, None, None]
-        rfl = np.sqrt(1.0 - taus[:, k])[:, None, None]
-        upper, lower = rows[:, 2 * k : 2 * k + 2], rows[:, 2 * k + 2 : 2 * k + 4]
+        t, rfl, upper, lower = ts[:, k], rfls[:, k], rows[:, k], rows[:, k + 1]
         upper[...], lower[...] = t * upper + rfl * lower, -rfl * upper + t * lower
     return rows
 
@@ -108,7 +111,7 @@ def preparation_transform(spec: ResourceSpec) -> SymplecticTransform:
     """Symplectic map taking the vacuum to the resource state: the
     squeezers, then the chain, S = C diag(squeeze)."""
     n = spec.n_modes
-    chain = _chain_adjoint(np.array([spec.taus]), np.eye(2 * n)[None])[0].T
+    chain = np.kron(_chain_adjoint(np.array([spec.taus]), np.eye(n)[None])[0].T, np.eye(2))
     squeeze = np.full(2 * n, np.exp(spec.r))
     squeeze[alternating_pattern(n).flat_indices()] = np.exp(-spec.r)
     return SymplecticTransform(n, chain * squeeze)

@@ -129,6 +129,12 @@ def test_threshold_energy_input_validation():
         threshold_energy(3, (0.5,))
     with pytest.raises(ValueError, match="lie in"):
         threshold_energy(3, (0.5, 1.2))
+    for tol in (float("nan"), 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            threshold_energy(3, (0.5, 0.5), tol=tol)
+    # a tolerance below float resolution stops once the midpoint stops moving
+    finest = threshold_energy(3, (0.5, 0.5), tol=5e-324)
+    assert finest == pytest.approx(threshold_energy(3, (0.5, 0.5), tol=1e-12), abs=1e-12)
 
 
 def test_min_threshold_three_modes():
@@ -213,6 +219,9 @@ def test_min_threshold_longer_chains():
 def test_min_threshold_rejects_tiny_grids():
     with pytest.raises(ValueError, match="grid_resolution"):
         min_threshold_energy(3, grid_resolution=4)
+    for n_modes in (1, 0):
+        with pytest.raises(ValueError, match="need at least 2 modes"):
+            min_threshold_energy(n_modes)
 
 
 def test_break_even_squeezing_frozen_values():
@@ -476,6 +485,9 @@ def test_region_scan_validation_and_strict_flags():
         region_scan(3, -1.0, 16)
     with pytest.raises(ValueError, match="overflows"):
         region_scan(3, 1e160, 8)
+    for n_modes in (1, 0):
+        with pytest.raises(ValueError, match="need at least 2 modes"):
+            region_scan(n_modes, 7.0, 8)
     good = region_scan(3, 7.0, 8)
     with pytest.raises(ValueError, match="flags"):
         RegionScan(
@@ -491,7 +503,7 @@ def test_region_scan_validation_and_strict_flags():
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])
 def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid):
     scan = region_scan(n_modes, nbar, grid)
-    assert scan.n_points > 8 * _SCAN_CHUNK_BYTES // (16 * n_modes**2)  # many chunks
+    assert scan.n_points > 8 * _SCAN_CHUNK_BYTES // (8 * n_modes**2)  # many chunks
     whole = _delta_batch(n_modes, _grams(n_modes, scan.taus), nbar)
     assert np.array_equal(scan.deltas, whole)
 

@@ -263,6 +263,9 @@ def test_serialize_region_rejects_bad_modes():
         parse_region(rows)
     with pytest.raises(ValueError, match="'n_modes'"):
         parse_region(b"# units=nats\n" + rows)
+    meta = b"# n_modes=3\n# nbar=7\n# grid_resolution=8\n# units=nats\n"
+    with pytest.raises(ValueError, match="'maybe'"):
+        parse_region(meta + rows.replace(b"true", b"maybe"))
     good = json.loads(serialize_region(scan, "json"))
     for key in ("meta", "records"):
         partial = {k: v for k, v in good.items() if k != key}
@@ -374,6 +377,9 @@ def test_out_into_missing_directory_fails_before_computing(tmp_path, monkeypatch
     assert main(["scan", "--modes", "3", "--nbar", "7", "--grid", "16",
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert main(["scan", "--modes", "3", "--nbar", "7", "--grid", "16",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: it is a directory\n"
 
 
 def test_scan_command_bits_header(tmp_path):
