@@ -35,7 +35,13 @@ from .phase_space import (
     _symmetrized,
     apply_symplectic,
 )
-from .resource_prep import ResourceSpec, _chain_adjoint, _validated_taus, alternating_pattern
+from .resource_prep import (
+    ResourceSpec,
+    _chain_adjoint,
+    _quadrature_lift,
+    _validated_taus,
+    alternating_pattern,
+)
 
 __all__ = [
     "EncodingPlan",
@@ -59,6 +65,8 @@ __all__ = [
 ]
 
 MC_MIN_SAMPLES = 10_000
+MC_MAX_SAMPLES = 2**27  # 8 B of values per sample: at most 1 GiB
+_MC_CHUNK_BYTES = 2**18  # each (chunk, k) sample array, sized to stay in cache
 
 
 @dataclass(frozen=True)
@@ -169,7 +177,7 @@ def decoding_symplectic(n_modes: int, taus: Sequence[float]) -> SymplecticTransf
     whole rows of the channel matrix, so capacities do not depend on it.
     """
     chain = _chain_adjoint(np.array([_validated_taus(n_modes, taus)]), np.eye(n_modes)[None])
-    s = np.kron(chain[0], np.eye(2))
+    s = _quadrature_lift(chain[0])
     s[2:, :] *= -1.0
     return SymplecticTransform(n_modes, s)
 
@@ -306,30 +314,54 @@ def mutual_information_mc(
     order is fixed (all messages first, then all noise, one PCG64 stream
     seeded with `seed`) so results are reproducible bit for bit across
     runs for the same channel, sample count and seed.
+
+    Samples are processed in chunks whose arrays fit _MC_CHUNK_BYTES, so
+    memory is 8 bytes per sample (the per-sample values, kept for the
+    standard error; np.std copies them once more) plus a fixed chunk.
+    More than MC_MAX_SAMPLES samples (1 GiB of values) raise ValueError
+    before any work.
     """
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
+    if n_samples > MC_MAX_SAMPLES:
+        raise ValueError(
+            f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: "
+            f"their values alone would take {8 * n_samples / 2**30:.1f} GiB"
+        )
     try:
         msg_chol = np.linalg.cholesky(channel.msg_cov)
     except LinAlgError as exc:
         raise ValueError("msg_cov must be positive definite to sample from") from exc
     noise_chol = np.linalg.cholesky(channel.noise_cov)
-
-    rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal((n_samples, channel.n_messages)) @ msg_chol.T
-    white_noise = rng.standard_normal((n_samples, channel.n_outputs))
-    beta = alpha @ channel.matrix.T + white_noise @ noise_chol.T
-
     marg_cov = channel.noise_cov + channel.matrix @ channel.msg_cov @ channel.matrix.T
     marg_chol = np.linalg.cholesky(marg_cov)
-
-    # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
-    white_marg = solve_triangular(marg_chol, beta.T, lower=True)
-    quad = 0.5 * (np.sum(white_marg**2, axis=0) - np.sum(white_noise**2, axis=1))
     log_det_ratio = float(
         np.sum(np.log(np.diag(marg_chol))) - np.sum(np.log(np.diag(noise_chol)))
     )
-    values = quad + log_det_ratio
+
+    # One chunk shape for every step, the last one included (its tail rows are
+    # stale and dropped), so each sample meets the same BLAS kernels as in one
+    # whole-array pass and the values match it bit for bit.
+    width = max(channel.n_messages, channel.n_outputs)
+    chunk = min(n_samples, max(1, _MC_CHUNK_BYTES // (8 * width)))
+    z = np.empty((chunk, channel.n_messages))
+    white_noise = np.empty((chunk, channel.n_outputs))
+    # The noise follows all n_samples x n_messages message normals in the stream:
+    # a second generator skips past them, then the two draw chunk by chunk.
+    msg_rng, noise_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for start in range(0, n_samples, chunk):
+        noise_rng.standard_normal(out=z[: min(chunk, n_samples - start)])
+    values = np.empty(n_samples)
+    for start in range(0, n_samples, chunk):
+        m = min(chunk, n_samples - start)
+        msg_rng.standard_normal(out=z[:m])
+        noise_rng.standard_normal(out=white_noise[:m])
+        alpha = z @ msg_chol.T
+        beta = alpha @ channel.matrix.T + white_noise @ noise_chol.T
+        # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
+        white_marg = solve_triangular(marg_chol, beta.T, lower=True)
+        quad = 0.5 * (np.sum(white_marg**2, axis=0) - np.sum(white_noise**2, axis=1))
+        values[start : start + m] = (quad + log_det_ratio)[:m]
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples))
     return MCEstimate(estimate, std_error)

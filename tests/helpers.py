@@ -255,6 +255,45 @@ def dense_decoding(n_modes, taus):
     return s
 
 
+# --- Monte Carlo oracle -------------------------------------------------------
+
+def mutual_information_mc_literal(channel, n_samples, seed):
+    """mutual_information_mc as one whole-array pass: every message, noise
+    and whitened sample held at once (about six n_samples x n arrays). The
+    chunked library routine must match it bit for bit."""
+    from numpy.linalg import LinAlgError
+    from scipy.linalg import solve_triangular
+
+    from cvdcnet.dc_protocol import MC_MIN_SAMPLES, MCEstimate
+
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
+    try:
+        msg_chol = np.linalg.cholesky(channel.msg_cov)
+    except LinAlgError as exc:
+        raise ValueError("msg_cov must be positive definite to sample from") from exc
+    noise_chol = np.linalg.cholesky(channel.noise_cov)
+
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal((n_samples, channel.n_messages)) @ msg_chol.T
+    white_noise = rng.standard_normal((n_samples, channel.n_outputs))
+    beta = alpha @ channel.matrix.T + white_noise @ noise_chol.T
+
+    marg_cov = channel.noise_cov + channel.matrix @ channel.msg_cov @ channel.matrix.T
+    marg_chol = np.linalg.cholesky(marg_cov)
+
+    # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
+    white_marg = solve_triangular(marg_chol, beta.T, lower=True)
+    quad = 0.5 * (np.sum(white_marg**2, axis=0) - np.sum(white_noise**2, axis=1))
+    log_det_ratio = float(
+        np.sum(np.log(np.diag(marg_chol))) - np.sum(np.log(np.diag(noise_chol)))
+    )
+    values = quad + log_det_ratio
+    estimate = float(np.mean(values))
+    std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples))
+    return MCEstimate(estimate, std_error)
+
+
 # --- scan text oracles ---------------------------------------------------------
 
 def serialize_region_literal(scan, fmt="csv", units="nats"):

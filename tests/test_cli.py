@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvdcnet
+from cvdcnet import dc_protocol
 from cvdcnet.advantage_analysis import RegionScan, region_scan, threshold_energy
 from cvdcnet.cli_scan import (
     _ROWS_PER_CHUNK,
@@ -21,6 +22,7 @@ from cvdcnet.cli_scan import (
     run_checkpoints,
     serialize_region,
 )
+from cvdcnet.dc_protocol import MC_MAX_SAMPLES
 from cvdcnet.resource_prep import CONVENTION_FINGERPRINT
 
 from helpers import (
@@ -93,6 +95,21 @@ def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
 def test_rejected_values_name_the_flags(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_capacity_rejects_samples_over_the_cap_before_drawing(monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples past the cap")
+
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", no_draws)
+    over = MC_MAX_SAMPLES + 1
+    argv = ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8",
+            "--samples", str(over)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {over} samples exceed the cap of {MC_MAX_SAMPLES}")
+    assert err.count("\n") == 1 and "GiB" in err
 
 
 def test_config_file_merging_and_flag_override(tmp_path):

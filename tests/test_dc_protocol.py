@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+from cvdcnet import dc_protocol
 from cvdcnet.dc_protocol import (
+    _MC_CHUNK_BYTES,
+    MC_MAX_SAMPLES,
+    MC_MIN_SAMPLES,
     EncodingPlan,
     LinearGaussianChannel,
     build_channel,
@@ -21,7 +27,12 @@ from cvdcnet.dc_protocol import (
     photon_constraint,
 )
 from cvdcnet.phase_space import Quadrature, displace, symplectic_form
-from cvdcnet.resource_prep import ResourceSpec, prepare_resource, preparation_transform
+from cvdcnet.resource_prep import (
+    ResourceSpec,
+    _chain_adjoint,
+    prepare_resource,
+    preparation_transform,
+)
 
 from helpers import (
     CAP3_BALANCED_815,
@@ -35,6 +46,7 @@ from helpers import (
     decoded_mean_three,
     decoded_measured_mean_four,
     dense_decoding,
+    mutual_information_mc_literal,
     signal_gain,
 )
 
@@ -128,6 +140,18 @@ def test_decoding_symplectic_matches_dense_product():
             taus[rng.uniform(size=n - 1) < 0.3] = 1.0
             s = decoding_symplectic(n, tuple(taus))
             assert_allclose(s.matrix, dense_decoding(n, taus), rtol=0, atol=1e-14)
+
+
+def test_decoding_symplectic_bytes_match_kron_lift():
+    # the quadrature lift is np.kron(O^T, I_2) byte for byte, signed zeros included
+    rng = np.random.default_rng(74)
+    for n in range(2, 17):
+        taus = rng.uniform(size=n - 1)
+        taus[rng.uniform(size=n - 1) < 0.3] = 0.0
+        taus[rng.uniform(size=n - 1) < 0.3] = 1.0
+        expected = np.kron(_chain_adjoint(taus[None], np.eye(n)[None])[0], np.eye(2))
+        expected[2:, :] *= -1.0
+        assert decoding_symplectic(n, tuple(taus)).matrix.tobytes() == expected.tobytes()
 
 
 def test_decoded_displacement_three_modes_sign_exact():
@@ -289,6 +313,60 @@ def test_mc_rejects_small_sample_counts():
     ch = build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0))
     with pytest.raises(ValueError, match="samples"):
         mutual_information_mc(ch, 9_999, seed=0)
+
+
+def _mc_sample_counts(width):
+    """10,000, the first chunk boundary at or above the minimum count, one
+    sample past it, and a count that ends on a short chunk."""
+    chunk = _MC_CHUNK_BYTES // (8 * width)
+    aligned = chunk * -(-MC_MIN_SAMPLES // chunk)
+    return (MC_MIN_SAMPLES, aligned, aligned + 1, 100_003)
+
+
+def test_mc_matches_whole_array_pass_bit_for_bit():
+    rng = np.random.default_rng(51)
+    channels = []
+    for n in range(2, 7):
+        taus = tuple(rng.uniform(0.05, 0.95, size=n - 1))
+        spec = ResourceSpec(n, float(rng.uniform(0.1, 1.5)), taus)
+        channels.append(build_channel(spec, EncodingPlan.standard(n, float(rng.uniform(0.3, 2.0)))))
+    # rectangular, with correlated noise and correlated messages
+    a, b = rng.normal(size=(4, 4)), rng.normal(size=(3, 3))
+    channels.append(
+        LinearGaussianChannel(rng.normal(size=(4, 3)), a @ a.T + 0.1 * np.eye(4),
+                              b @ b.T + 0.2 * np.eye(3))
+    )
+    for ch in channels:
+        for n_samples in _mc_sample_counts(max(ch.matrix.shape)):
+            seed = int(rng.integers(2**32))
+            got = mutual_information_mc(ch, n_samples, seed)
+            want = mutual_information_mc_literal(ch, n_samples, seed)
+            assert got.estimate == want.estimate, (ch.matrix.shape, n_samples)
+            assert got.std_error == want.std_error, (ch.matrix.shape, n_samples)
+
+
+def test_mc_memory_is_eight_bytes_per_sample_plus_a_chunk():
+    # one 1e6-sample call at n = 5: the whole-array pass peaks near 216 MB
+    ch = build_channel(ResourceSpec(5, 0.7, (0.5, 0.3, 0.6, 0.2)), EncodingPlan.standard(5, 1.3))
+    tracemalloc.start()
+    try:
+        mutual_information_mc(ch, 1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 1_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_mc_rejects_sample_counts_over_the_cap_before_any_work(monkeypatch):
+    assert 8 * MC_MAX_SAMPLES <= 2**30  # the per-sample values fit 1 GiB
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples past the cap")
+
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", no_draws)
+    ch = build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0))
+    with pytest.raises(ValueError, match=rf"{MC_MAX_SAMPLES + 1} samples exceed .* GiB"):
+        mutual_information_mc(ch, MC_MAX_SAMPLES + 1, seed=0)
 
 
 # --- working point ------------------------------------------------------------

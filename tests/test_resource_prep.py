@@ -11,6 +11,7 @@ from cvdcnet.phase_space import (
 from cvdcnet.resource_prep import (
     CONVENTION_FINGERPRINT,
     ResourceSpec,
+    _chain_adjoint,
     alternating_pattern,
     preparation_transform,
     prepare_resource,
@@ -127,3 +128,18 @@ def test_preparation_transform_matches_dense_product():
             r = float(rng.uniform(0.0, 2.0))
             s = preparation_transform(ResourceSpec(n, r, tuple(taus)))
             assert_allclose(s.matrix, dense_preparation(n, r, taus), rtol=0, atol=1e-13)
+
+
+def test_preparation_transform_bytes_match_kron_lift():
+    # the quadrature lift is np.kron(O, I_2) byte for byte, signed zeros included
+    rng = np.random.default_rng(73)
+    for n in range(2, 17):
+        taus = rng.uniform(size=n - 1)
+        taus[rng.uniform(size=n - 1) < 0.3] = 0.0
+        taus[rng.uniform(size=n - 1) < 0.3] = 1.0
+        spec = ResourceSpec(n, float(rng.uniform(0.0, 2.0)), tuple(taus))
+        squeeze = np.full(2 * n, np.exp(spec.r))
+        squeeze[alternating_pattern(n).flat_indices()] = np.exp(-spec.r)
+        o = _chain_adjoint(taus[None], np.eye(n)[None])[0].T
+        expected = np.kron(o, np.eye(2)) * squeeze
+        assert preparation_transform(spec).matrix.tobytes() == expected.tobytes()
