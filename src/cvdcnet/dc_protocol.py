@@ -305,6 +305,17 @@ class MCEstimate(NamedTuple):
     std_error: float
 
 
+def _check_sample_count(n_samples: int) -> None:
+    """ValueError unless MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES."""
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
+    if n_samples > MC_MAX_SAMPLES:
+        raise ValueError(
+            f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: "
+            f"their values alone would take {8 * n_samples / 2**30:.1f} GiB"
+        )
+
+
 def mutual_information_mc(
     channel: LinearGaussianChannel, n_samples: int, seed: int
 ) -> MCEstimate:
@@ -321,13 +332,7 @@ def mutual_information_mc(
     More than MC_MAX_SAMPLES samples (1 GiB of values) raise ValueError
     before any work.
     """
-    if n_samples < MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
-    if n_samples > MC_MAX_SAMPLES:
-        raise ValueError(
-            f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: "
-            f"their values alone would take {8 * n_samples / 2**30:.1f} GiB"
-        )
+    _check_sample_count(n_samples)
     try:
         msg_chol = np.linalg.cholesky(channel.msg_cov)
     except LinAlgError as exc:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvdcnet
-from cvdcnet import dc_protocol
+from cvdcnet import cli_scan, dc_protocol
 from cvdcnet.advantage_analysis import RegionScan, region_scan, threshold_energy
 from cvdcnet.cli_scan import (
     _ROWS_PER_CHUNK,
@@ -110,6 +112,21 @@ def test_capacity_rejects_samples_over_the_cap_before_drawing(monkeypatch, capsy
     assert out == ""
     assert err.startswith(f"error: {over} samples exceed the cap of {MC_MAX_SAMPLES}")
     assert err.count("\n") == 1 and "GiB" in err
+
+
+def test_samples_over_the_cap_are_refused_with_the_flags(monkeypatch, capsys):
+    def no_channel(*args, **kwargs):
+        raise AssertionError("built a channel before checking --samples")
+
+    monkeypatch.setattr(cli_scan, "capacity", no_channel)
+    monkeypatch.setattr(cli_scan, "build_channel", no_channel)
+    argv = ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--samples"]
+    over = str(MC_MAX_SAMPLES + 1)
+    with pytest.raises(CliConfigError, match=f"{over} samples exceed the cap"):
+        parse_args(argv + [over])
+    assert main(argv + [over]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {over} samples exceed the cap")
+    assert parse_args(argv + [str(MC_MAX_SAMPLES)]).samples == MC_MAX_SAMPLES
 
 
 def test_config_file_merging_and_flag_override(tmp_path):
@@ -283,11 +300,52 @@ def test_serialize_region_rejects_bad_modes():
     meta = b"# n_modes=3\n# nbar=7\n# grid_resolution=8\n# units=nats\n"
     with pytest.raises(ValueError, match="'maybe'"):
         parse_region(meta + rows.replace(b"true", b"maybe"))
+    with pytest.raises(ValueError, match="column"):  # a header with one column
+        parse_region(meta + b"advantage\ntrue\n")
     good = json.loads(serialize_region(scan, "json"))
     for key in ("meta", "records"):
         partial = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_region(json.dumps(partial).encode())
+
+
+@pytest.mark.parametrize("cell", ["falsey", "truex", "TRUE", ""])
+def test_parse_region_names_a_bad_flag_cell(cell):
+    lines = serialize_region(region_scan(3, 7.0, 8)).split(b"\n")
+    lines[9] = lines[9].rpartition(b",")[0] + b"," + cell.encode()  # the fourth data row
+    with pytest.raises(ValueError, match=f"data row 4: flag '{cell}'"):
+        parse_region(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("body", [b"", b"\n\n", b"# a comment\n"])
+def test_parse_region_without_data_rows_raises_and_does_not_warn(body):
+    head = serialize_region(region_scan(3, 7.0, 8)).split(b"\n")[:6]  # '#' lines, header
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="no data rows"):
+            parse_region(b"\n".join(head) + b"\n" + body)
+    assert caught == []
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_text_memory_stays_near_its_arrays_and_bytes():
+    scan = region_scan(3, 7.0, 448)  # 200,704 rows, 13 chunks
+    data, write_peak = _traced_peak(lambda: serialize_region(scan))
+    # one chunk's strings beside the output (1.4 times it here), not a list
+    # of strings per column (2.0 times)
+    assert write_peak < 1.6 * len(data), f"writer peak {write_peak / 1e6:.1f} MB"
+    back, read_peak = _traced_peak(lambda: parse_region(data))
+    arrays = back.taus.nbytes + back.deltas.nbytes + back.flags.nbytes
+    # no Python string per row (2.3 times here); a list of lines, 9 times
+    assert read_peak < 3 * arrays, f"reader peak {read_peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("units", ["nats", "bits"])
