@@ -318,8 +318,8 @@ def parse_region(data: bytes) -> RegionScan:
     recomputed from the sign of delta. CSV is read in one streaming pass,
     with no Python string per row, in about 2.3 times the memory of the
     returned arrays. Malformed input raises ValueError: a ragged CSV row
-    (the message names the columns), an advantage cell other than true or
-    false, or missing metadata (each named in the message).
+    (the message names the columns), a flag other than true or false,
+    missing metadata (each named) or a JSON value of the wrong kind.
     """
     try:
         if re.match(rb"\s*\{", data):
@@ -364,6 +364,8 @@ def parse_region(data: bytes) -> RegionScan:
         )
     except KeyError as exc:
         raise ValueError(f"region data has no '{exc.args[0]}' entry") from None
+    except TypeError as exc:  # JSON meta, records or a record of the wrong kind
+        raise ValueError(f"region data is malformed: {exc}") from None
 
 
 def _emit(config: RunConfig, chunks: Iterable[bytes]) -> None:

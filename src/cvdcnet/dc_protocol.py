@@ -24,7 +24,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import solve_triangular
 
 from .phase_space import (
     GaussianState,
@@ -217,6 +216,8 @@ class LinearGaussianChannel:
         n_out, n_msg = m.shape
         noise = np.asarray(self.noise_cov, dtype=float)
         msg = np.asarray(self.msg_cov, dtype=float)
+        if not all(np.isfinite(x).all() for x in (m, noise, msg)):
+            raise ValueError("channel matrix and covariances must be finite")
         if noise.shape != (n_out, n_out):
             raise ValueError(f"noise_cov shape {noise.shape}, expected {(n_out, n_out)}")
         if msg.shape != (n_msg, n_msg):
@@ -289,12 +290,10 @@ def mutual_information(channel: LinearGaussianChannel) -> float:
     well-scaled even when noise and signal differ by many orders of
     magnitude. Zero message power gives exactly 0.
     """
-    chol = np.linalg.cholesky(channel.noise_cov)
-    k = solve_triangular(chol, channel.matrix, lower=True)
-    a = k @ channel.msg_cov @ k.T
-    sign, logdet = np.linalg.slogdet(np.eye(channel.n_outputs) + a)
-    if sign <= 0:
-        raise ArithmeticError("information determinant lost positivity")
+    k = np.linalg.solve(np.linalg.cholesky(channel.noise_cov), channel.matrix)
+    sign, logdet = np.linalg.slogdet(np.eye(channel.n_outputs) + k @ channel.msg_cov @ k.T)
+    if not (sign > 0 and np.isfinite(logdet)):  # lost positivity, or overflowed
+        raise ArithmeticError(f"information determinant: sign {sign}, log {logdet}")
     return max(0.0, 0.5 * logdet)
 
 
@@ -340,9 +339,10 @@ def mutual_information_mc(
     noise_chol = np.linalg.cholesky(channel.noise_cov)
     marg_cov = channel.noise_cov + channel.matrix @ channel.msg_cov @ channel.matrix.T
     marg_chol = np.linalg.cholesky(marg_cov)
-    log_det_ratio = float(
-        np.sum(np.log(np.diag(marg_chol))) - np.sum(np.log(np.diag(noise_chol)))
-    )
+    log_det_ratio = float(np.sum(np.log(np.diag(marg_chol) / np.diag(noise_chol))))
+    # beta = M L_msg z + L_noise w whitened: L_marg^-1 beta = A z + B w, solved once
+    ab = np.linalg.solve(marg_chol, np.hstack([channel.matrix @ msg_chol, noise_chol]))
+    a_t, b_t = ab[:, : channel.n_messages].T, ab[:, channel.n_messages :].T
 
     # One chunk shape for every step, the last one included (its tail rows are
     # stale and dropped), so each sample meets the same BLAS kernels as in one
@@ -361,11 +361,9 @@ def mutual_information_mc(
         m = min(chunk, n_samples - start)
         msg_rng.standard_normal(out=z[:m])
         noise_rng.standard_normal(out=white_noise[:m])
-        alpha = z @ msg_chol.T
-        beta = alpha @ channel.matrix.T + white_noise @ noise_chol.T
+        white_marg = z @ a_t + white_noise @ b_t
         # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
-        white_marg = solve_triangular(marg_chol, beta.T, lower=True)
-        quad = 0.5 * (np.sum(white_marg**2, axis=0) - np.sum(white_noise**2, axis=1))
+        quad = 0.5 * (np.sum(white_marg**2, axis=1) - np.sum(white_noise**2, axis=1))
         values[start : start + m] = (quad + log_det_ratio)[:m]
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples))

@@ -327,6 +327,21 @@ def test_parse_region_without_data_rows_raises_and_does_not_warn(body):
     assert caught == []
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda obj: {**obj, "meta": 7},
+        lambda obj: {**obj, "records": [7] + obj["records"]},
+        lambda obj: {**obj, "records": obj["records"][0]},
+    ],
+    ids=["meta-not-an-object", "record-not-an-object", "records-an-object"],
+)
+def test_parse_region_rejects_json_of_the_wrong_kind(mangle):
+    good = json.loads(serialize_region(region_scan(3, 7.0, 8), "json"))
+    with pytest.raises(ValueError, match="region data is malformed"):
+        parse_region(json.dumps(mangle(good)).encode())
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -585,6 +600,44 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["result"]["c_quantum"] > 0
+
+
+def test_cli_loads_no_distribution_but_numpy():
+    # NumPy is the only runtime dependency: a fresh interpreter that runs the
+    # Monte Carlo, scan, threshold and verify paths imports no module of any
+    # other installed distribution (SciPy included)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from importlib.metadata import packages_distributions\n"
+        "before = set(sys.modules)\n"
+        "import cvdcnet\n"
+        "from cvdcnet import cli_scan\n"
+        "codes = []\n"
+        "for argv in (\n"
+        "    ['capacity', '--modes', '3', '--tau', '0.5,0.5', '--nbar', '2',"
+        " '--samples', '10000'],\n"
+        "    ['scan', '--modes', '3', '--nbar', '7', '--grid', '8'],\n"
+        "    ['threshold', '--modes', '3'],\n"
+        "    ['verify'],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli_scan.main(argv))\n"
+        "owners = packages_distributions()\n"
+        "names = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "dists = sorted({d for name in names for d in owners.get(name, ())})\n"
+        "print(json.dumps({'codes': codes, 'distributions': dists}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["codes"][:3] == [0, 0, 0] and obj["codes"][3] in (0, 2)  # verify: 2 on a FAIL
+    assert set(obj["distributions"]) - {"cvdcnet"} == {"numpy"}
 
 
 def _declared_console_script():

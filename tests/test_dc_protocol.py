@@ -291,6 +291,24 @@ def test_mutual_information_vanishing_message_power():
     assert mutual_information(ch) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["matrix", "noise_cov", "msg_cov"])
+def test_channel_rejects_non_finite_entries(field, bad):
+    args = {"matrix": np.eye(2), "noise_cov": np.eye(2), "msg_cov": np.eye(2)}
+    args[field] = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        LinearGaussianChannel(**args)
+
+
+@pytest.mark.parametrize("m", [[[1e200, 1e200], [1e200, -1e200]], [[1e200, 0.0], [0.0, 1.0]]])
+def test_mutual_information_raises_when_the_determinant_overflows(m):
+    # the whitened product overflows to nan (which max(0.0, .) would read as
+    # 0.0) or to inf: neither is the information of this finite channel
+    ch = LinearGaussianChannel(m, np.eye(2), np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError):
+        mutual_information(ch)
+
+
 def test_mc_estimate_within_three_sigma_and_reproducible():
     rng = np.random.default_rng(50)
     for _ in range(3):
@@ -307,6 +325,17 @@ def test_mc_estimate_within_three_sigma_and_reproducible():
         assert again.estimate == est.estimate  # same stream, same value
         other = mutual_information_mc(ch, 100_000, seed=100)
         assert other.estimate != est.estimate
+
+
+@pytest.mark.parametrize("n, nbar", [(3, 1e4), (4, 1e6), (4, 1e10), (5, 1e12), (6, 1e14)])
+def test_mc_estimate_at_high_squeezing(n, nbar):
+    # the optimal working point, r from 4.6 up to 15.7: the measured noise
+    # variances e^{-2r}/2 sit up to 27 orders of magnitude below the signal's
+    r, sigma_sq = optimal_params(n, nbar)
+    spec = ResourceSpec(n, r, (0.5,) * (n - 1))
+    ch = build_channel(spec, EncodingPlan.standard(n, np.sqrt(sigma_sq)))
+    est = mutual_information_mc(ch, 200_000, seed=61)
+    assert abs(est.estimate - mutual_information(ch)) <= 5 * est.std_error
 
 
 def test_mc_rejects_small_sample_counts():
