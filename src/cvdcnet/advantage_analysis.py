@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dc_protocol import (
-    _grams,
+    _exit_log_weights,
     _half_log_dets,
     _quantum_rates,
     capacity,
@@ -55,7 +55,7 @@ BISECT_TOL = 1e-6         # absolute nbar tolerance for threshold roots
 COARSE_RESOLUTION = 64    # tau1-line points solved alongside the global minimum
 TIE_TOL = 1e-4            # line thresholds within this of the best line point are ties
 _SCAN_MAX_POINTS = 2**24  # region_scan refuses larger grids
-_SCAN_CHUNK_BYTES = 2**19  # (C, n, n) chain array per kernel chunk, sized to stay in cache
+_SCAN_CHUNK_BYTES = 2**18  # (n + 1, C) exit weights per kernel chunk, sized to stay in cache
 
 
 class NoAdvantageError(RuntimeError):
@@ -92,12 +92,10 @@ def _classical_rates(n_senders: int, nbar: np.ndarray) -> np.ndarray:
     return n_senders * (x * np.log1p(1.0 / x) + np.log1p(x))
 
 
-def _delta_batch(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
-    """delta = C_quantum - C_classical for stacked channel Grams.
-
-    nbar may be a scalar (shared budget) or one budget per Gram.
-    """
-    return _quantum_rates(n_modes, grams, nbar) - classical_capacity(n_modes - 1, nbar)
+def _delta_batch(n_modes: int, log_weights: np.ndarray, nbar) -> np.ndarray:
+    """delta = C_quantum - C_classical per point of _exit_log_weights; nbar is
+    a scalar (shared budget) or one budget per point."""
+    return _quantum_rates(n_modes, log_weights, nbar) - classical_capacity(n_modes - 1, nbar)
 
 
 def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float:
@@ -105,26 +103,26 @@ def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float
     return capacity(n_modes, taus, nbar).delta
 
 
-def _thresholds(n_modes: int, grams: np.ndarray, tol: float) -> np.ndarray:
-    """Threshold budget for each stacked channel Gram; inf where delta
-    never turns positive up to SEARCH_CAP_NBAR.
+def _thresholds(n_modes: int, log_weights: np.ndarray, tol: float) -> np.ndarray:
+    """Threshold budget for each point of _exit_log_weights; inf where
+    delta never turns positive up to SEARCH_CAP_NBAR.
 
     One shared bisection on [1e-6, SEARCH_CAP_NBAR] until hi - lo <= tol,
     or until no bracket still wider than tol has a midpoint strictly inside.
-    The floor never holds an advantage: the Gram's eigenvalues are at
-    most 2, so C_q <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 at
+    The floor never holds an advantage: the exit weights sum to 1, so
+    C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 at
     nbar = 1e-6, while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5 there.
     """
-    thresholds = np.full(grams.shape[0], np.inf)
+    thresholds = np.full(log_weights.shape[1], np.inf)
     # the cap is the largest budget tried and the floor is > 0: once delta at
     # the cap is checked, every budget the bisection tries is valid unchecked
-    alive = _delta_batch(n_modes, grams, SEARCH_CAP_NBAR) > 0.0
-    g_alive = grams[alive]
-    lo = np.full(g_alive.shape[0], 1e-6)
-    hi = np.full(g_alive.shape[0], SEARCH_CAP_NBAR)
+    alive = _delta_batch(n_modes, log_weights, SEARCH_CAP_NBAR) > 0.0
+    w_alive = log_weights[:, alive]
+    lo = np.full(w_alive.shape[1], 1e-6)
+    hi = np.full(w_alive.shape[1], SEARCH_CAP_NBAR)
     mid = 0.5 * (lo + hi)
     while ((hi - lo > tol) & (lo < mid) & (mid < hi)).any():
-        delta = _half_log_dets(n_modes, g_alive, mid) - _classical_rates(n_modes - 1, mid)
+        delta = _half_log_dets(n_modes, w_alive, mid) - _classical_rates(n_modes - 1, mid)
         above = delta > 0.0
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
@@ -146,7 +144,7 @@ def threshold_energy(
     taus = _validated_taus(n_modes, taus)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    nbar_th = float(_thresholds(n_modes, _grams(n_modes, np.array([taus])), tol)[0])
+    nbar_th = float(_thresholds(n_modes, _exit_log_weights(n_modes, np.array([taus])), tol)[0])
     if not np.isfinite(nbar_th):
         raise NoAdvantageError(
             f"no quantum advantage up to nbar = {SEARCH_CAP_NBAR:g} "
@@ -197,7 +195,7 @@ def min_threshold_energy(
     line = np.zeros((grid_resolution + 1, n_modes - 1))
     line[:-1, 0] = np.linspace(0.0, 1.0, grid_resolution)
     line[-1, 0] = 0.5
-    thresholds = _thresholds(n_modes, _grams(n_modes, line), tol=1e-9)
+    thresholds = _thresholds(n_modes, _exit_log_weights(n_modes, line), tol=1e-9)
     nbar_th = float(thresholds[-1])
     if not np.isfinite(nbar_th):
         raise NoAdvantageError(
@@ -248,7 +246,7 @@ def tau_boundaries(
     and the interval is exactly the region's projection onto this axis
     through the prefix.
 
-    Along the slice (prefix, t, 0, ..., 0), L(t) = det(I + g Gram) is
+    Along the slice (prefix, t, 0, ..., 0), L(t) = det(I + g M M^T) is
     affine in t on every axis after the first; on the first it is
     (1 + 2gt)(1 + 2g(1 - t))(1 + 2g)^(n-2), symmetric about t = 1/2. So
     delta at the slice's best point (t = 1/2 on the first axis, t = 0 on
@@ -265,7 +263,7 @@ def tau_boundaries(
     row = _validated_taus(n_modes, prefix + (0.0,) * (n_modes - 1 - axis))
     probes = np.array([row, row])
     probes[:, axis] = (0.5, 0.0) if axis == 0 else (0.0, 1.0)
-    d_best, d_edge = _delta_batch(n_modes, _grams(n_modes, probes), nbar)
+    d_best, d_edge = _delta_batch(n_modes, _exit_log_weights(n_modes, probes), nbar)
     if d_best <= 0.0:
         return TauInterval(np.nan, np.nan, empty=True, clamped=False)
     if axis > 0 and d_edge > 0.0:
@@ -351,7 +349,7 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     Rows are ordered with the first transmissivity slowest, matching
     sorted-tuple order, so serialized scans are directly comparable.
     The kernel runs on consecutive chunks of grid points whose
-    (C, n, n) chain array fits _SCAN_CHUNK_BYTES; a grid of more than
+    (n + 1, C) exit-weight array fits _SCAN_CHUNK_BYTES; a grid of more than
     _SCAN_MAX_POINTS points raises ValueError before anything is
     allocated.
     """
@@ -372,11 +370,11 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     axes = [np.linspace(0.0, 1.0, grid_resolution)] * (n_modes - 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     taus_grid = np.stack([m.ravel() for m in mesh], axis=1)
-    chunk = _SCAN_CHUNK_BYTES // (8 * n_modes**2)
+    chunk = _SCAN_CHUNK_BYTES // (8 * (n_modes + 1))
     deltas = np.empty(n_points)
     for start in range(0, n_points, chunk):
         rows = slice(start, start + chunk)
-        deltas[rows] = _delta_batch(n_modes, _grams(n_modes, taus_grid[rows]), nbar)
+        deltas[rows] = _delta_batch(n_modes, _exit_log_weights(n_modes, taus_grid[rows]), nbar)
     return RegionScan(
         n_modes=n_modes,
         nbar=nbar,

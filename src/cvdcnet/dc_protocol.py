@@ -436,7 +436,7 @@ class CapacityReport:
 def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport:
     """Network capacity at photon budget nbar with optimal (r, sigma^2).
 
-    C_q = (1/2) ln det(I + g Gram) of the standard-plan channel, with
+    C_q = (1/2) ln det(I + g M M^T) of the standard-plan channel, with
     g = e^{2r} sigma^2 in closed form; the classical benchmark for the
     same number of senders and budget rides along in the report.
     """
@@ -444,8 +444,8 @@ def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport
 
     taus = _validated_taus(n_modes, taus)
     r, sigma_sq = optimal_params(n_modes, nbar)
-    grams = _grams(n_modes, np.array([taus]))
-    c_q = max(0.0, float(_quantum_rates(n_modes, grams, nbar)[0]))
+    log_weights = _exit_log_weights(n_modes, np.array([taus]))
+    c_q = max(0.0, float(_quantum_rates(n_modes, log_weights, nbar)[0]))
     c_cl = classical_capacity(n_modes - 1, nbar)
     return CapacityReport(
         n_modes=n_modes,
@@ -460,49 +460,54 @@ def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport
 
 
 def channel_matrix_batch(n_modes: int, taus_grid) -> np.ndarray:
-    """Channel matrices for a whole grid of chain transmissivities.
-
-    taus_grid has shape (G, n_modes - 1); the result has shape
-    (G, n_modes, n_modes) and row g equals the matrix of
-    build_channel(ResourceSpec(n_modes, r, taus_grid[g]), standard plan)
-    for any r > 0. Used by the advantage scans, where building states
-    point by point would dominate the runtime.
-    """
+    """(G, n_modes, n_modes) channel matrices for a (G, n_modes - 1) grid of taus: row g
+    is the matrix of build_channel(ResourceSpec(n_modes, r, taus_grid[g]), standard plan)."""
     taus = np.asarray(taus_grid, dtype=float)
     if taus.ndim != 2 or taus.shape[1] != n_modes - 1:
         raise ValueError(f"taus_grid shape {taus.shape}, expected (G, {n_modes - 1})")
-    e = encoding_matrix(EncodingPlan.standard(n_modes, 1.0))  # sigma is irrelevant
-    # chain the slots' modes (sqrt 2 at each), laid out (n, G, n) in memory so chain
-    # steps and the Gram run on contiguous blocks; flip as in decoding_symplectic,
-    # then keep the entries whose mode measures the slot's quadrature
-    rows = np.tile((e[0::2] + e[1::2])[:, None], (1, len(taus), 1)).transpose(1, 0, 2)
-    x = _chain_adjoint(taus, rows)
-    x[:, 1:] *= -1.0
-    measured_p = alternating_pattern(n_modes).flat_indices()[:, None] % 2 == 1
-    return x * (measured_p == e[1::2].any(axis=0))
+    plan = EncodingPlan.standard(n_modes, 1.0)  # sigma is irrelevant
+    matrices = [build_channel(ResourceSpec(n_modes, 1.0, row), plan).matrix for row in taus]
+    return np.array(matrices).reshape(len(taus), n_modes, n_modes)
 
 
-def _grams(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
-    """Channel Grams M M^T for a (G, n_modes - 1) grid of taus."""
-    m = channel_matrix_batch(n_modes, taus_grid)
-    return np.einsum("gij,gkj->gik", m, m)
+def _exit_log_weights(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
+    """ln c_j, shape (n_modes + 1, G), for a (G, n_modes - 1) grid of taus:
+    det(I + g M M^T) = sum_j c_j (1 + 2g)^j, where c_j is the chance that j
+    fermions leave the chain through slot modes (README, Numerical notes)."""
+    t = np.asarray(taus_grid, dtype=float).T
+    r = 1.0 - t
+    weights = np.zeros((n_modes + 1, t.shape[1]))
+    weights[0] = 1.0
+    for block in (0, 1):  # modes measured in p (0, 2, ...), then in q (1, 3, ...)
+        in_0, in_1 = (t[0], r[0]) if block == 0 else (r[0], t[0])  # after BS_0; 0 is a slot
+        empty, full = np.zeros_like(weights), in_1 * weights  # mode k + 1 empty/full
+        empty[1:] = in_0 * weights[:-1]
+        for k, (tk, rk) in enumerate(zip(t[1:], r[1:]), start=1):
+            if (k + 1) % 2 == block:  # mode k + 1 starts full, mode k is a slot
+                full[1:], full[0] = full[:-1] + tk * empty[1:], tk * empty[0]
+                empty[1:], empty[0] = rk * empty[:-1], 0.0
+            else:  # mode k + 1 starts empty, mode k is no slot
+                empty += tk * full
+                full *= rk
+        weights = empty + full  # the q block starts from the p block's exits
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
 
 
-def _half_log_dets(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
-    """(1/2) ln det(I + g Gram) for stacked channel Grams, g = e^{2r} sigma^2
-    at the optimal working point; unchecked: a budget whose gain overflows
-    gives inf or nan (and a RuntimeWarning)."""
+def _half_log_dets(n_modes: int, log_weights: np.ndarray, nbar) -> np.ndarray:
+    """_quantum_rates without its checks: an overflowing gain gives nan."""
     nb = np.asarray(nbar, dtype=float)
     gain = 2.0 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
-    return 0.5 * np.linalg.slogdet(np.eye(n_modes) + gain[..., None, None] * grams)[1]
+    exits = np.arange(n_modes + 1)[:, None]
+    return 0.5 * np.logaddexp.reduce(log_weights + exits * np.log1p(2.0 * gain), axis=0)
 
 
-def _quantum_rates(n_modes: int, grams: np.ndarray, nbar) -> np.ndarray:
-    """C_q = (1/2) ln det(I + g Gram) for stacked channel Grams at the
-    optimal working point; nbar is a scalar or one budget per Gram. A
-    budget whose gain overflows (nbar beyond ~1e154) raises ValueError."""
+def _quantum_rates(n_modes: int, log_weights: np.ndarray, nbar) -> np.ndarray:
+    """C_q = (1/2) ln sum_j c_j (1 + 2g)^j per point of _exit_log_weights, g =
+    e^{2r} sigma^2 at the optimal working point, exactly 0 at nbar = 0; nbar is
+    a scalar or one budget per point. nbar beyond ~1e154 raises ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = _half_log_dets(n_modes, grams, nbar)
+        rates = _half_log_dets(n_modes, log_weights, nbar)
     if not np.isfinite(rates).all():
         raise ValueError(f"photon budget {np.max(nbar):g} overflows the determinant")
-    return rates
+    return np.where(np.asarray(nbar) > 0.0, rates, 0.0)

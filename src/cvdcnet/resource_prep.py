@@ -6,8 +6,7 @@ mode 1 position-squeezed, and so on), chained through N-1 beam splitters:
 modes (0,1) first with transmissivity taus[0], then (1,2) with taus[1],
 continuing down the line. The receiver holds the last mode.
 
-The chain is written once, in _chain_adjoint: preparation, decoding and
-the batched channel matrices all run it.
+The chain is written once, in _chain_adjoint, for preparation and decoding.
 
 All senders share one squeezing strength r. For the three-mode family the
 resulting covariance has a closed form, three_mode_reference_cov, computed
@@ -98,8 +97,6 @@ def _chain_adjoint(taus: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return them; row block g gets the chain of taus[g], taus (G, n - 1).
     BS_k mixes modes (k, k+1) alike on q and p, so on quadratures the chain
     is O (x) I_2; its adjoint is the row update [[t, rfl], [-rfl, t]]."""
-    if not np.all((taus >= 0.0) & (taus <= 1.0)):
-        raise ValueError("transmissivities must lie in [0, 1]")
     ts, rfls = np.sqrt(taus)[:, :, None], np.sqrt(1.0 - taus)[:, :, None]
     for k in reversed(range(taus.shape[1])):
         t, rfl, upper, lower = ts[:, k], rfls[:, k], rows[:, k], rows[:, k + 1]

@@ -32,6 +32,14 @@ CLASSICAL_3_AT_3 = 6.0 * np.log(2.0)     # three senders, nbar=3: exactly 6 ln 2
 # balanced-vs-(1/3, 1/2) capacity ordering flips below this budget
 ORDERING_CROSSOVER3 = np.sqrt(10.0) - 1.0
 
+# C_q of singular chains (a transmissivity exactly 0 or 1) at large budgets,
+# from an 80-digit mpmath determinant of the chain (capacity_mp); the Gram
+# route lost the third digit on the first two and overflowed on the third
+CAP4_SINGULAR_1E8 = 53.614123843854931654      # taus (1, 0, 1/4), nbar = 1e8
+CAP7_SINGULAR_1E8 = 86.081124690627240979      # taus (0, 1/4, 0, 1/4, 1, 1/4), 1e8
+CAP3_SINGULAR_1E12 = 54.856577123750932034     # taus (0, 1/2), nbar = 1e12
+RATIO3_SINGULAR_R30 = 0.99155012490836081488   # taus (0, 1/2), r = 30
+
 
 # --- closed-form capacity oracles --------------------------------------------
 
@@ -90,6 +98,28 @@ def capacity4_mixed_closed(nbar):
     b = nbar * (nbar + 3.0)
     return 0.5 * np.log((b + 3) * (b + 12) * (2 * b * (b + 24) + 135)) \
         - np.log(18.0 * np.sqrt(15.0))
+
+
+def capacity_mp(mp, n_modes, taus, nbar):
+    """C_q = (1/2) ln det(I + g M M^T) in mpmath at its working precision,
+    M built entry by entry: the adjoint chain on the identity, sqrt 2 where
+    mode k measures the quadrature a message slot is carried in (p on even
+    modes, q on odd ones). Row signs are left out; they cancel in M M^T."""
+    o_t = mp.eye(n_modes)
+    for k in reversed(range(n_modes - 1)):
+        t, rfl = mp.sqrt(mp.mpf(taus[k])), mp.sqrt(1 - mp.mpf(taus[k]))
+        for col in range(n_modes):
+            upper, lower = o_t[k, col], o_t[k + 1, col]
+            o_t[k, col], o_t[k + 1, col] = t * upper + rfl * lower, -rfl * upper + t * lower
+    slots = [(0, "q"), (0, "p")] + [(k, "qp"[k % 2]) for k in range(1, n_modes - 1)]
+    m = mp.matrix(n_modes, n_modes)
+    for k in range(n_modes):
+        for col, (mode, quad) in enumerate(slots):
+            if quad == "pq"[k % 2]:
+                m[k, col] = mp.sqrt(2) * o_t[k, mode]
+    nb = mp.mpf(nbar)
+    g = 2 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
+    return mp.log(mp.det(mp.eye(n_modes) + g * m * m.T)) / 2
 
 
 def classical_stable(n_senders, nbar):

@@ -17,7 +17,8 @@ from cvdcnet.advantage_analysis import (
     tau_boundaries,
     threshold_energy,
 )
-from cvdcnet.dc_protocol import _grams, capacity
+from cvdcnet import dc_protocol
+from cvdcnet.dc_protocol import _exit_log_weights, capacity
 
 from helpers import (
     BREAK_EVEN3,
@@ -28,6 +29,7 @@ from helpers import (
     MIN_TH3,
     MIN_TH4,
     RATIO3_R20,
+    RATIO3_SINGULAR_R30,
     RATIO4_R20,
     TH3_BALANCED,
     TH4_BALANCED,
@@ -229,6 +231,33 @@ def test_break_even_squeezing_frozen_values():
     assert break_even_squeezing(4, (0.5, 0.5, 0.5)) == pytest.approx(
         BREAK_EVEN4, abs=2e-7
     )
+
+
+def test_asymptotic_ratio_of_a_singular_chain():
+    # tau1 = 0 leaves the Gram singular; at r = 30 its rounding read 1.3306
+    assert asymptotic_ratio(3, (0.0, 0.5), 30.0) == pytest.approx(
+        RATIO3_SINGULAR_R30, rel=1e-12
+    )
+
+
+def test_rates_need_no_dense_determinant_nor_channel_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("C_q went through a dense determinant or a channel matrix")
+
+    for owner, name in (
+        (np.linalg, "slogdet"),
+        (np.linalg, "det"),
+        (np, "einsum"),
+        (dc_protocol, "channel_matrix_batch"),
+    ):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert capacity(4, (0.5, 0.5, 0.5), 30.0).c_quantum > 0.0
+    assert threshold_energy(3, (0.5, 0.5)) == pytest.approx(TH3_BALANCED, abs=2e-6)
+    assert break_even_squeezing(3, (0.5, 0.5)) == pytest.approx(BREAK_EVEN3, abs=2e-7)
+    assert min_threshold_energy(3).nbar_th == pytest.approx(MIN_TH3, abs=1e-6)
+    assert not tau_boundaries(4, 20.0, (0.5,)).empty
+    assert region_scan(3, 7.0, 16).n_advantage > 0
+    assert asymptotic_ratio(3, (0.5, 0.5), 20.0) == pytest.approx(RATIO3_R20, rel=1e-12)
 
 
 def test_asymptotic_ratio_frozen_and_monotone():
@@ -504,7 +533,7 @@ def test_region_scan_validation_and_strict_flags():
 def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid):
     scan = region_scan(n_modes, nbar, grid)
     assert scan.n_points > 8 * _SCAN_CHUNK_BYTES // (8 * n_modes**2)  # many chunks
-    whole = _delta_batch(n_modes, _grams(n_modes, scan.taus), nbar)
+    whole = _delta_batch(n_modes, _exit_log_weights(n_modes, scan.taus), nbar)
     assert np.array_equal(scan.deltas, whole)
 
 

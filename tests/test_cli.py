@@ -30,6 +30,7 @@ from cvdcnet.resource_prep import CONVENTION_FINGERPRINT
 from helpers import (
     BREAK_EVEN3,
     CAP3_BALANCED_815,
+    CAP3_SINGULAR_1E12,
     MIN_TH3,
     RATIO3_R20,
     TH3_BALANCED,
@@ -223,6 +224,13 @@ def test_capacity_command_reports_frozen_point(capsys):
     assert result["delta"] == pytest.approx(
         result["c_quantum"] - result["c_classical"], abs=1e-9
     )
+
+
+def test_capacity_command_singular_chain_at_a_large_budget(capsys):
+    # a singular Gram used to fail here with a false overflow of the determinant
+    assert main(["capacity", "--modes", "3", "--tau", "0,0.5", "--nbar", "1e12"]) == 0
+    result = _json_out(capsys)["result"]
+    assert result["c_quantum"] == pytest.approx(CAP3_SINGULAR_1E12, rel=1e-11)
 
 
 def test_capacity_command_bits_scaling(capsys):

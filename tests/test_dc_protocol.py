@@ -13,6 +13,7 @@ from cvdcnet.dc_protocol import (
     EncodingPlan,
     LinearGaussianChannel,
     build_channel,
+    _exit_log_weights,
     capacity,
     channel_matrix_batch,
     decode_transform,
@@ -36,8 +37,12 @@ from cvdcnet.resource_prep import (
 
 from helpers import (
     CAP3_BALANCED_815,
+    CAP3_SINGULAR_1E12,
+    CAP4_SINGULAR_1E8,
+    CAP7_SINGULAR_1E8,
     CLASSICAL_2_815,
     ORDERING_CROSSOVER3,
+    capacity_mp,
     capacity3_balanced_closed,
     capacity3_closed,
     capacity4_balanced_closed,
@@ -441,7 +446,7 @@ def test_capacity_zero_budget_is_zero():
 
 
 def test_capacity_matches_dense_channel_information():
-    # capacity's Gram log-det against mutual_information of the channel
+    # capacity's exit-count kernel against mutual_information of the channel
     # that build_channel assembles at the optimal (r, sigma^2)
     rng = np.random.default_rng(73)
     for n in range(2, 33):
@@ -506,6 +511,84 @@ def test_capacity_rejects_budgets_that_overflow():
     assert capacity(3, (0.5, 0.5), 1e150).c_quantum > 1000.0
     with pytest.raises(ValueError, match="1e\\+160 overflows"):
         capacity(3, (0.5, 0.5), 1e160)
+
+
+@pytest.mark.parametrize(
+    "n_modes, taus, nbar, expected",
+    [
+        (4, (1.0, 0.0, 0.25), 1e8, CAP4_SINGULAR_1E8),
+        (7, (0.0, 0.25, 0.0, 0.25, 1.0, 0.25), 1e8, CAP7_SINGULAR_1E8),
+        (3, (0.0, 0.5), 1e12, CAP3_SINGULAR_1E12),
+    ],
+)
+def test_capacity_exact_for_singular_chains_at_large_budgets(n_modes, taus, nbar, expected):
+    assert capacity(n_modes, taus, nbar).c_quantum == pytest.approx(expected, rel=1e-12)
+
+
+def test_capacity_matches_60_digit_chain_for_2_to_64_modes():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2064)
+    cases = [(n, nbar) for n in range(2, 13) for nbar in (0.37, 40.0, 1e12)]
+    cases += [(24, 7.0), (24, 1e8), (40, 1e4), (64, 0.37), (64, 1e12)]
+    for n, nbar in cases:
+        taus = rng.uniform(size=n - 1)
+        taus[rng.uniform(size=n - 1) < 0.3] = 0.0
+        taus[rng.uniform(size=n - 1) < 0.3] = 1.0
+        with mp.workdps(60):
+            expected = capacity_mp(mp, n, taus, nbar)
+        got = capacity(n, tuple(taus), nbar).c_quantum
+        assert abs(got - expected) <= 1e-12 * expected, (n, nbar, tuple(taus))
+
+
+def _dense_log_det(n, taus, gain):
+    m = build_channel(ResourceSpec(n, 1.0, tuple(taus)), EncodingPlan.standard(n, 1.0)).matrix
+    sign, log_det = np.linalg.slogdet(np.eye(n) + gain * m @ m.T)
+    assert sign > 0
+    return log_det
+
+
+def test_exit_weights_are_a_distribution_that_gives_the_dense_determinant():
+    rng = np.random.default_rng(412)
+    for n in range(2, 13):
+        taus = rng.uniform(size=(6, n - 1))
+        taus[rng.uniform(size=taus.shape) < 0.25] = 0.0
+        taus[rng.uniform(size=taus.shape) < 0.25] = 1.0
+        weights = np.exp(_exit_log_weights(n, taus))
+        assert weights.shape == (n + 1, 6)
+        assert (weights >= 0.0).all()
+        assert_allclose(weights.sum(axis=0), 1.0, rtol=1e-14)
+        for gain in (1e-3, 0.5, 30.0, 1e3):
+            exits = np.arange(n + 1)[:, None]
+            log_dets = np.log(np.sum(weights * (1.0 + 2.0 * gain) ** exits, axis=0))
+            for row, log_det in zip(taus, log_dets):
+                assert abs(log_det - _dense_log_det(n, row, gain)) <= 1e-12  # det to 1e-12 rel
+
+
+def test_parity_blocks_split_the_channel_and_are_affine_in_each_tau():
+    # M has nonzeros only where a p-measuring (even) mode meets a p-carried
+    # slot or a q-measuring (odd) mode meets a q-carried slot
+    rng = np.random.default_rng(97)
+    gain = 1.7
+    for n in range(2, 9):
+        plan = EncodingPlan.standard(n, 1.0)
+        p_cols = [c for c, (_, q) in enumerate(plan.components) if q is P]
+        q_cols = [c for c, (_, q) in enumerate(plan.components) if q is Q]
+
+        def block_dets(taus):
+            m = build_channel(ResourceSpec(n, 1.0, tuple(taus)), plan).matrix
+            assert not m[0::2][:, q_cols].any() and not m[1::2][:, p_cols].any()
+            blocks = (m[0::2][:, p_cols], m[1::2][:, q_cols])
+            return np.array([np.linalg.det(np.eye(len(b)) + gain * b @ b.T) for b in blocks])
+
+        taus = rng.uniform(size=n - 1)
+        for k in range(n - 1):
+            ends = []
+            for t in (0.0, 1.0):
+                taus[k] = t
+                ends.append(block_dets(taus))
+            for t in rng.uniform(size=3):
+                taus[k] = t
+                assert_allclose(block_dets(taus), (1 - t) * ends[0] + t * ends[1], rtol=1e-12)
 
 
 def test_capacity_symmetric_in_tau1_when_suffix_zero():
