@@ -104,28 +104,48 @@ def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float
 
 
 def _thresholds(n_modes: int, log_weights: np.ndarray, tol: float) -> np.ndarray:
-    """Threshold budget for each point of _exit_log_weights; inf where
-    delta never turns positive up to SEARCH_CAP_NBAR.
+    """Threshold budget for each point of _exit_log_weights, within tol/2 of a
+    proven sign change of delta; inf where delta stays <= 0 up to SEARCH_CAP_NBAR.
 
-    One shared bisection on [1e-6, SEARCH_CAP_NBAR] until hi - lo <= tol,
-    or until no bracket still wider than tol has a midpoint strictly inside.
-    The floor never holds an advantage: the exit weights sum to 1, so
-    C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 at
-    nbar = 1e-6, while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5 there.
+    Safeguarded Newton in u = ln nbar (README, Numerical notes) until a step in
+    nbar is <= tol/4; delta at x -/+ tol/2 then certifies each root, or it is
+    bisected until hi - lo <= tol.
+    The floor 1e-6 never holds an advantage: the exit weights sum to 1, so
+    C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 there,
+    while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5.
     """
+    def delta_at(w, nbar):  # unchecked: right for budgets in (0, SEARCH_CAP_NBAR]
+        return _half_log_dets(n_modes, w, nbar) - _classical_rates(n_modes - 1, nbar)
+
     thresholds = np.full(log_weights.shape[1], np.inf)
-    # the cap is the largest budget tried and the floor is > 0: once delta at
-    # the cap is checked, every budget the bisection tries is valid unchecked
-    alive = _delta_batch(n_modes, log_weights, SEARCH_CAP_NBAR) > 0.0
-    w_alive = log_weights[:, alive]
-    lo = np.full(w_alive.shape[1], 1e-6)
-    hi = np.full(w_alive.shape[1], SEARCH_CAP_NBAR)
+    d_cap = delta_at(log_weights, SEARCH_CAP_NBAR)
+    alive = d_cap > 0.0
+    if not alive.any():
+        return thresholds
+    w, d_cap = log_weights[:, alive], d_cap[alive]
+    lo = np.full(d_cap.size, np.log(1e-6))  # ln nbar where delta <= 0
+    hi = np.full(d_cap.size, np.log(SEARCH_CAP_NBAR))  # ln nbar where delta > 0
+    u = np.where(d_cap < hi - lo, hi - d_cap, 0.5 * (lo + hi))  # full rank: delta ~ u + c
+    done = np.zeros(u.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat delta: no Newton step
+        while not done.all():
+            nbar = np.exp(u)
+            half, slope = _half_log_dets(n_modes, w, nbar, slope=True)
+            delta = half - _classical_rates(n_modes - 1, nbar)
+            lo, hi = np.where(delta > 0.0, lo, u), np.where(delta > 0.0, u, hi)
+            newton = u - delta / (slope - nbar * np.log1p((n_modes - 1) / nbar))
+            inside = (lo < newton) & (newton < hi) | (newton == u)
+            u = np.where(done, u, np.where(inside, newton, 0.5 * (lo + hi)))
+            done |= np.abs(np.exp(u) - nbar) <= 0.25 * tol  # or once u stops moving
+    x, lo, hi = np.exp(u), np.exp(lo), np.exp(hi)
+    probes = np.concatenate([np.maximum(x - 0.5 * tol, lo), np.minimum(x + 0.5 * tol, hi)])
+    above = delta_at(np.tile(w, 2), probes) > 0.0
+    certified = ~above[: x.size] & above[x.size:]  # else delta's rounding hides the root
+    lo, hi = np.where(certified, x, lo), np.where(certified, x, hi)
     mid = 0.5 * (lo + hi)
     while ((hi - lo > tol) & (lo < mid) & (mid < hi)).any():
-        delta = _half_log_dets(n_modes, w_alive, mid) - _classical_rates(n_modes - 1, mid)
-        above = delta > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        above = delta_at(w, mid) > 0.0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
         mid = 0.5 * (lo + hi)
     thresholds[alive] = mid
     return thresholds
@@ -136,10 +156,10 @@ def threshold_energy(
 ) -> float:
     """Photon budget where the advantage turns positive for fixed taus.
 
-    Bisects inside [1e-6, SEARCH_CAP_NBAR] to absolute tolerance tol.
-    delta is strictly increasing in nbar over the relevant range, so the
-    root is unique. Raises NoAdvantageError if delta never turns
-    positive below the cap, and ValueError unless tol > 0.
+    Solved inside [1e-6, SEARCH_CAP_NBAR] to within tol/2 of a proven sign
+    change of delta (_thresholds). delta rises through zero only once, so the
+    root is unique. Raises NoAdvantageError if delta never turns positive
+    below the cap, and ValueError unless tol > 0.
     """
     taus = _validated_taus(n_modes, taus)
     if not tol > 0.0:
@@ -184,7 +204,7 @@ def min_threshold_energy(
     C_q = [ln(1 + 2g tau1) + ln(1 + 2g (1 - tau1)) + (n-2) ln(1 + 2g)] / 2,
     symmetric and strictly concave in tau1. So at every budget delta is
     largest at tau1 = 1/2, and the global threshold is the fixed-taus
-    threshold there. One shared bisection solves it together with the
+    threshold there. One batched Newton solve finds it together with the
     grid_resolution points of the tau1 line, which give the ties.
     Raises NoAdvantageError if delta never turns positive below the cap.
     """

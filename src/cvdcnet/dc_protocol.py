@@ -285,16 +285,18 @@ def build_channel(
 def mutual_information(channel: LinearGaussianChannel) -> float:
     """Shannon mutual information of the channel in nats.
 
-    I = (1/2) ln det(I + L^{-1} M Sigma_msg M^T L^{-T}) with
-    noise_cov = L L^T; the whitened form keeps the determinant
-    well-scaled even when noise and signal differ by many orders of
-    magnitude. Zero message power gives exactly 0.
+    I = (1/2) sum ln(1 + s^2) over the singular values s of L^{-1} M L_msg,
+    with noise_cov = L L^T and msg_cov = L_msg L_msg^T: the whitened factor keeps
+    its small singular values even when noise and signal differ by many orders
+    of magnitude, or the channel is singular. Zero message power gives exactly 0.
     """
     k = np.linalg.solve(np.linalg.cholesky(channel.noise_cov), channel.matrix)
-    sign, logdet = np.linalg.slogdet(np.eye(channel.n_outputs) + k @ channel.msg_cov @ k.T)
-    if not (sign > 0 and np.isfinite(logdet)):  # lost positivity, or overflowed
-        raise ArithmeticError(f"information determinant: sign {sign}, log {logdet}")
-    return max(0.0, 0.5 * logdet)
+    lam, vecs = np.linalg.eigh(channel.msg_cov)
+    s = np.linalg.svd(k @ (vecs * np.sqrt(np.clip(lam, 0.0, None))), compute_uv=False)
+    info = 0.5 * float(np.sum(np.log1p(s**2)))
+    if not np.isfinite(info):  # the whitened product overflowed
+        raise ArithmeticError(f"information overflows: singular values up to {s.max():g}")
+    return info
 
 
 class MCEstimate(NamedTuple):
@@ -494,12 +496,17 @@ def _exit_log_weights(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-def _half_log_dets(n_modes: int, log_weights: np.ndarray, nbar) -> np.ndarray:
+def _half_log_dets(n_modes: int, log_weights: np.ndarray, nbar, slope: bool = False):
     """_quantum_rates without its checks: an overflowing gain gives nan."""
     nb = np.asarray(nbar, dtype=float)
     gain = 2.0 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
     exits = np.arange(n_modes + 1)[:, None]
-    return 0.5 * np.logaddexp.reduce(log_weights + exits * np.log1p(2.0 * gain), axis=0)
+    terms = log_weights + exits * np.log1p(2.0 * gain)
+    half = 0.5 * np.logaddexp.reduce(terms, axis=0)
+    if slope:  # also dC_q/d ln nbar = (E[j]/2) d ln(1 + 2g)/d ln nbar, E[j] the mean exit count
+        rate = 4.0 * nb * (2.0 * nb + n_modes - 1) / ((n_modes - 1) * n_modes * (1.0 + 2.0 * gain))
+        return half, 0.5 * (exits * np.exp(terms - 2.0 * half)).sum(axis=0) * rate
+    return half
 
 
 def _quantum_rates(n_modes: int, log_weights: np.ndarray, nbar) -> np.ndarray:

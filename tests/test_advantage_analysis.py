@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from cvdcnet.advantage_analysis import (
     _SCAN_CHUNK_BYTES,
     _delta_batch,
+    BISECT_TOL,
     SEARCH_CAP_NBAR,
     NoAdvantageError,
     RegionScan,
@@ -17,8 +18,9 @@ from cvdcnet.advantage_analysis import (
     tau_boundaries,
     threshold_energy,
 )
-from cvdcnet import dc_protocol
-from cvdcnet.dc_protocol import _exit_log_weights, capacity
+from cvdcnet import advantage_analysis, dc_protocol
+from cvdcnet.dc_protocol import EncodingPlan, _exit_log_weights, build_channel, capacity
+from cvdcnet.resource_prep import ResourceSpec
 
 from helpers import (
     BREAK_EVEN3,
@@ -44,6 +46,8 @@ from helpers import (
     capacity_line_closed,
     classical_literal,
     classical_stable,
+    mi_oracle,
+    signal_gain,
 )
 
 
@@ -139,6 +143,76 @@ def test_threshold_energy_input_validation():
     assert finest == pytest.approx(threshold_energy(3, (0.5, 0.5), tol=1e-12), abs=1e-12)
 
 
+def _dense_delta(n_modes, taus):
+    """delta from a dense slogdet of the build_channel matrix, not the exit-count kernel."""
+    m = build_channel(ResourceSpec(n_modes, 1.0, taus), EncodingPlan.standard(n_modes, 1.0)).matrix
+
+    def delta(nbar):
+        return mi_oracle(m, signal_gain(n_modes, nbar)) - float(classical_stable(n_modes - 1, nbar))
+
+    return delta
+
+
+def test_threshold_energy_matches_a_tight_bisection_of_the_dense_determinant():
+    rng = np.random.default_rng(1515)
+    cases = [(n, (tau1,) + (0.0,) * (n - 2)) for n in range(2, 20) for tau1 in (0.2, 0.5, 0.9)]
+    cases += [(n, tuple(rng.uniform(size=n - 1))) for n in range(3, 9) for _ in range(3)]
+    solved = 0
+    for n, taus in cases:
+        delta = _dense_delta(n, taus)
+        if delta(SEARCH_CAP_NBAR) <= 0.0:
+            with pytest.raises(NoAdvantageError):
+                threshold_energy(n, taus)
+            continue
+        root = bisect_root(delta, 1e-6, SEARCH_CAP_NBAR, tol=1e-10)
+        # within tol/2 of the truth, give or take the oracle's own 1e-10 bracket
+        assert abs(threshold_energy(n, taus) - root) <= 0.5 * BISECT_TOL + 1e-10, (n, taus)
+        solved += 1
+    assert solved >= 50
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_threshold_energy_certifies_the_sign_change_within_half_tol(tol):
+    rng = np.random.default_rng(2718)
+    cases = [(3, (0.5, 0.5)), (4, (0.5, 0.5, 0.5)), (12, (0.5,) + (0.0,) * 10)]
+    cases += [(n, tuple(rng.uniform(0.2, 0.8, size=n - 1))) for n in range(3, 7)]
+    for n, taus in cases:
+        x = threshold_energy(n, taus, tol=tol)
+        assert quantum_advantage(n, taus, x - tol / 2) <= 0.0 < quantum_advantage(
+            n, taus, x + tol / 2
+        ), (n, taus, tol)
+
+
+def test_threshold_solver_needs_few_kernel_passes(monkeypatch):
+    # draws as in the points benchmark: n in [3, 32], three in ten on the tau1 line
+    kernel = dc_protocol._half_log_dets
+    passes = [0]
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(dc_protocol, "_half_log_dets", counted)
+    monkeypatch.setattr(advantage_analysis, "_half_log_dets", counted)
+    rng = np.random.default_rng(1104)
+    per_call = []
+    for _ in range(200):
+        n = int(rng.integers(3, 33))
+        if rng.uniform() < 0.3:
+            taus = (float(rng.uniform()),) + (0.0,) * (n - 2)
+        else:
+            taus = tuple(float(t) for t in rng.uniform(size=n - 1))
+        passes[0] = 0
+        try:
+            threshold_energy(n, taus)
+        except NoAdvantageError:
+            continue
+        per_call.append(passes[0])
+    assert len(per_call) >= 50
+    assert np.median(per_call) <= 8
+    assert max(per_call) < 35
+
+
 def test_min_threshold_three_modes():
     result = min_threshold_energy(3)
     assert result.nbar_th == pytest.approx(MIN_TH3, abs=1e-6)
@@ -187,7 +261,7 @@ def test_tail_taus_never_raise_delta_for_longer_chains():
 
 
 def test_advantage_negative_at_the_search_floor():
-    # the threshold bisection starts at nbar = 1e-6 and never checks it
+    # the threshold solver's bracket starts at nbar = 1e-6 and never checks it
     for n in range(2, 65):
         for tau in (0.0, 0.5, 1.0):
             assert quantum_advantage(n, (tau,) * (n - 1), 1e-6) < 0
@@ -532,7 +606,8 @@ def test_region_scan_validation_and_strict_flags():
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])
 def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid):
     scan = region_scan(n_modes, nbar, grid)
-    assert scan.n_points > 8 * _SCAN_CHUNK_BYTES // (8 * n_modes**2)  # many chunks
+    chunk = _SCAN_CHUNK_BYTES // (8 * (n_modes + 1))  # points per kernel call
+    assert scan.n_points > 8 * chunk  # more than 8 chunks
     whole = _delta_batch(n_modes, _exit_log_weights(n_modes, scan.taus), nbar)
     assert np.array_equal(scan.deltas, whole)
 

@@ -525,6 +525,26 @@ def test_capacity_exact_for_singular_chains_at_large_budgets(n_modes, taus, nbar
     assert capacity(n_modes, taus, nbar).c_quantum == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n_modes, taus, nbar",
+    [
+        (4, (1.0, 0.0, 0.25), 1e8),
+        (7, (0.0, 0.25, 0.0, 0.25, 1.0, 0.25), 1e8),
+        (3, (0.0, 0.5), 1e12),
+    ],
+)
+def test_mutual_information_exact_on_singular_channels(n_modes, taus, nbar):
+    # singular chains at large budgets: a log-det of I + K Sigma K^T loses their
+    # small singular values (53.7014, 86.1114, and a zero determinant on the third)
+    r, sigma_sq = optimal_params(n_modes, nbar)
+    channel = build_channel(
+        ResourceSpec(n_modes, r, taus), EncodingPlan.standard(n_modes, np.sqrt(sigma_sq))
+    )
+    assert mutual_information(channel) == pytest.approx(
+        capacity(n_modes, taus, nbar).c_quantum, rel=1e-12
+    )
+
+
 def test_capacity_matches_60_digit_chain_for_2_to_64_modes():
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2064)
