@@ -327,36 +327,63 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     return report.c_quantum / report.c_classical
 
 
+def _grid_points(n_modes: int, grid_resolution: int) -> int:
+    """Points of a scan grid; ValueError unless region_scan could make it."""
+    if n_modes < 2:
+        raise ValueError(f"need at least 2 modes, got {n_modes}")
+    if grid_resolution < 8:
+        raise ValueError("grid_resolution must be at least 8")
+    n_points = grid_resolution ** (n_modes - 1)
+    if n_points > _SCAN_MAX_POINTS:
+        # the deltas and the flags take 9 bytes per point
+        raise ValueError(
+            f"a {n_modes}-mode scan at grid {grid_resolution} has {n_points:,} points "
+            f"(about {9 * n_points / 1e9:.3g} GB), over the cap of {_SCAN_MAX_POINTS:,}"
+        )
+    return n_points
+
+
+def _grid_index(n_modes: int, grid_resolution: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, n_modes - 1) positions on the tau axis of scan rows
+    start..stop-1: lexicographic order, the first transmissivity slowest."""
+    shape = (grid_resolution,) * (n_modes - 1)
+    return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
+
+
 @dataclass(frozen=True)
 class RegionScan:
-    """delta evaluated over a full lexicographic tau grid at one budget."""
+    """delta over the full lexicographic tau grid at one budget: one row per
+    grid point, grid_resolution points from 0 to 1 on each axis."""
 
     n_modes: int
     nbar: float
     grid_resolution: int
-    taus: np.ndarray     # (G, n_modes - 1)
-    deltas: np.ndarray   # (G,), nats
-    flags: np.ndarray    # (G,), bool, flags == (deltas > 0)
+    deltas: np.ndarray   # (n_points,), nats
+    flags: np.ndarray    # (n_points,), bool, flags == (deltas > 0)
 
     def __post_init__(self):
-        taus = _frozen_array(self.taus)
+        n_points = _grid_points(self.n_modes, self.grid_resolution)
         deltas = _frozen_array(self.deltas)
         flags = _frozen_array(self.flags, dtype=bool)
-        g = taus.shape[0]
-        if taus.shape != (g, self.n_modes - 1):
-            raise ValueError(f"taus shape {taus.shape} inconsistent with n_modes")
-        if deltas.shape != (g,) or flags.shape != (g,):
-            raise ValueError("deltas/flags length mismatch")
+        if deltas.shape != (n_points,) or flags.shape != (n_points,):
+            raise ValueError(f"the grid has {n_points:,} points, deltas {deltas.shape}")
         if not np.array_equal(flags, deltas > 0):
             raise ValueError("flags must equal (deltas > 0) exactly")
         object.__setattr__(self, "nbar", float(self.nbar))
-        object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "flags", flags)
 
     @property
+    def taus(self) -> np.ndarray:
+        """(n_points, n_modes - 1) grid, read-only, built on each access."""
+        index = _grid_index(self.n_modes, self.grid_resolution, 0, self.n_points)
+        taus = np.linspace(0.0, 1.0, self.grid_resolution)[index]
+        taus.flags.writeable = False
+        return taus
+
+    @property
     def n_points(self) -> int:
-        return self.taus.shape[0]
+        return self.deltas.shape[0]
 
     @property
     def n_advantage(self) -> int:
@@ -369,37 +396,22 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     Rows are ordered with the first transmissivity slowest, matching
     sorted-tuple order, so serialized scans are directly comparable.
     The kernel runs on consecutive chunks of grid points whose
-    (n + 1, C) exit-weight array fits _SCAN_CHUNK_BYTES; a grid of more than
-    _SCAN_MAX_POINTS points raises ValueError before anything is
-    allocated.
+    (n + 1, C) exit-weight array fits _SCAN_CHUNK_BYTES, each chunk's taus
+    built from its row indices; a grid of more than _SCAN_MAX_POINTS
+    points raises ValueError before anything is allocated.
     """
-    if n_modes < 2:
-        raise ValueError(f"need at least 2 modes, got {n_modes}")
-    if grid_resolution < 8:
-        raise ValueError("grid_resolution must be at least 8")
+    n_points = _grid_points(n_modes, grid_resolution)
     if not np.isfinite(nbar) or nbar < 0.0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
-    n_points = grid_resolution ** (n_modes - 1)
-    if n_points > _SCAN_MAX_POINTS:
-        # the taus and the deltas alone take 8 n bytes per point
-        raise ValueError(
-            f"a {n_modes}-mode scan at grid {grid_resolution} has {n_points:,} points "
-            f"(about {8 * n_modes * n_points / 1e9:.3g} GB), over the cap of "
-            f"{_SCAN_MAX_POINTS:,}"
-        )
-    axes = [np.linspace(0.0, 1.0, grid_resolution)] * (n_modes - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    taus_grid = np.stack([m.ravel() for m in mesh], axis=1)
     chunk = _SCAN_CHUNK_BYTES // (8 * (n_modes + 1))
-    deltas = np.empty(n_points)
+    axis, deltas = np.linspace(0.0, 1.0, grid_resolution), np.empty(n_points)
     for start in range(0, n_points, chunk):
-        rows = slice(start, start + chunk)
-        deltas[rows] = _delta_batch(n_modes, _exit_log_weights(n_modes, taus_grid[rows]), nbar)
+        taus = axis[_grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))]
+        deltas[start:start + chunk] = _delta_batch(n_modes, _exit_log_weights(n_modes, taus), nbar)
     return RegionScan(
         n_modes=n_modes,
         nbar=nbar,
         grid_resolution=grid_resolution,
-        taus=taus_grid,
         deltas=deltas,
         flags=deltas > 0,
     )

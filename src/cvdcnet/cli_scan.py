@@ -20,10 +20,14 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import re
 import sys
+import warnings
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -32,6 +36,8 @@ import numpy as np
 from .advantage_analysis import (
     NoAdvantageError,
     RegionScan,
+    _grid_index,
+    _grid_points,
     asymptotic_ratio,
     break_even_squeezing,
     min_threshold_energy,
@@ -244,6 +250,12 @@ def serialize_region(scan: RegionScan, fmt: str = "csv", units: str = "nats") ->
     return out.getvalue()
 
 
+def _nats_per_unit(units: str) -> float:
+    if units not in ("nats", "bits"):
+        raise ValueError(f"units must be 'nats' or 'bits', got '{units}'")
+    return LN2 if units == "bits" else 1.0
+
+
 def _row_cells(
     scan: RegionScan,
     scale: float,
@@ -251,29 +263,25 @@ def _row_cells(
     render_deltas: Callable[[list[str]], list[str]],
 ) -> Iterator[Iterator[tuple[str, ...]]]:
     """For each chunk of _ROWS_PER_CHUNK rows, an iterator over the rows'
-    cells: tau strings looked up per chunk in one table per axis, delta
-    strings rendered per chunk from the %.12g strings, and the flag. A
-    table renders each distinct value once; values are told apart by their
-    bits, so -0.0 keeps its own string."""
-    bits = [column.view(np.int64) for column in scan.taus.T]
-    keys = [np.unique(axis) for axis in bits]
-    tables = [np.array([render_tau(x) for x in k.view(float).tolist()], object) for k in keys]
+    cells: tau strings from one table of the axis values, indexed by grid
+    position, delta strings rendered per chunk from the %.12g strings, and
+    the flag."""
+    axis = np.linspace(0.0, 1.0, scan.grid_resolution).tolist()
+    table = np.array([render_tau(x) for x in axis], dtype=object)
     flags = np.array(["false", "true"], dtype=object)
     for start in range(0, scan.n_points, _ROWS_PER_CHUNK):
-        rows = slice(start, start + _ROWS_PER_CHUNK)
-        taus = [t[np.searchsorted(k, b[rows])].tolist() for b, k, t in zip(bits, keys, tables)]
-        deltas = ["%.12g" % d for d in (scan.deltas[rows] * scale).tolist()]
-        yield zip(*taus, render_deltas(deltas),
-                  flags[scan.flags[rows].view(np.uint8)].tolist())
+        stop = min(start + _ROWS_PER_CHUNK, scan.n_points)
+        taus = table[_grid_index(scan.n_modes, scan.grid_resolution, start, stop)]
+        deltas = ["%.12g" % d for d in (scan.deltas[start:stop] * scale).tolist()]
+        yield zip(*taus.T.tolist(), render_deltas(deltas),
+                  flags[scan.flags[start:stop].view(np.uint8)].tolist())
 
 
 def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
     """serialize_region's bytes, one chunk of rows at a time."""
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got '{fmt}'")
-    if units not in ("nats", "bits"):
-        raise ValueError(f"units must be 'nats' or 'bits', got '{units}'")
-    scale = 1.0 / LN2 if units == "bits" else 1.0
+    scale = 1.0 / _nats_per_unit(units)
     meta = {
         "n_modes": scan.n_modes,
         "nbar": _round12(scan.nbar),
@@ -288,9 +296,6 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
         yield ("\n".join(lines) + "\n").encode("utf-8")
         for cells in _row_cells(scan, scale, "%.12g".__mod__, lambda deltas: deltas):
             yield ("\n".join(map(",".join, cells)) + "\n").encode("utf-8")
-        return
-    if scan.n_points == 0:
-        yield _json_bytes({"meta": meta, "records": []})
         return
     # the indent=2 layout of the document, written out: head, records, tail
     record = (
@@ -311,60 +316,112 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
     yield b"\n  ]\n}\n"
 
 
+def _csv_rows(stream: io.TextIOBase, n_modes: int) -> Iterator[np.ndarray]:
+    """The CSV data rows, _ROWS_PER_CHUNK at a time, as (C, n_modes) floats:
+    the taus, then delta."""
+    # S6, not S5, so that a cell such as 'falsey' is not cut to 'false'
+    dtype = [("cells", "f8", (n_modes,)), ("flag", "S6")]
+    for start in itertools.count(0, _ROWS_PER_CHUNK):
+        with warnings.catch_warnings():  # of blank lines, and of no rows left at a chunk's end
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                rows = np.loadtxt(stream, delimiter=",", dtype=dtype, ndmin=1,
+                                  max_rows=_ROWS_PER_CHUNK)
+            except ValueError as exc:
+                raise ValueError(f"in the data rows from row {start + 1}: {exc}") from None
+        bad = np.flatnonzero((rows["flag"] != b"true") & (rows["flag"] != b"false"))
+        if bad.size:
+            cell = rows["flag"][bad[0]].decode("latin-1")  # as loadtxt encoded it
+            raise ValueError(f"data row {start + bad[0] + 1}: flag '{cell}' is not true or false")
+        yield rows["cells"]
+        if len(rows) < _ROWS_PER_CHUNK:
+            return
+
+
+def _json_rows(data: bytes, pos: int, n_modes: int) -> Iterator[np.ndarray]:
+    """The records of the JSON list that opens at data[pos], a MiB of text at
+    a time, as (C, n_modes) floats: the taus, then delta. Records must match
+    as serialize_region writes them, up to whitespace, and tile the list."""
+    number = rb"\s*+(-?+(?:\d++(?:\.\d++)?+(?:[eE][-+]?+\d++)?+|Infinity)|NaN)\s*+"
+    record = re.compile(
+        rb'(\s*+([\[,])\s*+\{\s*+"taus"\s*+:\s*+\[' + b",".join([number] * (n_modes - 1))
+        + rb'\]\s*+,\s*+"delta"\s*+:' + number
+        + rb',\s*+"advantage"\s*+:\s*+(?:true|false)\s*+\}\s*+)'
+    )
+    stop, first = data.rfind(b"]"), pos  # the list's end: only the object's '}' follows
+    if stop < pos or not re.fullmatch(rb"\]\s*\}\s*", data[stop:]):
+        raise ValueError("region data is malformed: no ']' ends the records")
+    while pos < stop:
+        end = data.find(b"}", pos + 2**20, stop) + 1 or stop  # just after a record
+        cells = record.findall(data, pos, end)  # (record, separator, *numbers) each
+        matched = sum(map(len, map(itemgetter(0), cells)))
+        if matched != end - pos or list(map(itemgetter(1), cells)).count(b"[") != (pos == first):
+            raise ValueError(f"region data is malformed: records in bytes {pos} to {end}")
+        numbers = itertools.chain.from_iterable(map(itemgetter(slice(2, None)), cells))
+        yield np.fromiter(map(float, numbers), float).reshape(-1, n_modes)
+        pos = end
+
+
 def parse_region(data: bytes) -> RegionScan:
     """Rebuild a RegionScan from serialize_region output (either format).
 
     Bits columns are converted back to nats; the advantage flags are
-    recomputed from the sign of delta. CSV is read in one streaming pass,
-    with no Python string per row, in about 2.3 times the memory of the
-    returned arrays. Malformed input raises ValueError: a ragged CSV row
-    (the message names the columns), a flag other than true or false,
-    missing metadata (each named) or a JSON value of the wrong kind.
+    recomputed from the sign of delta. The rows must be the grid the
+    metadata names, each tau cell its value at 12 significant digits; only
+    delta and flag are kept, read a chunk of rows at a time. Malformed input
+    raises ValueError: a ragged CSV row (the message names the columns), a
+    flag other than true or false, missing metadata (each named), unknown
+    units, a foreign convention, a wrong row count, a tau off the grid or a
+    JSON value of the wrong kind.
     """
     try:
         if re.match(rb"\s*\{", data):
-            obj = json.loads(data.decode("utf-8"))
-            meta = obj["meta"]
-            taus = np.array([rec["taus"] for rec in obj["records"]], dtype=float)
-            deltas = np.array([rec["delta"] for rec in obj["records"]], dtype=float)
+            records = re.search(rb'"records"\s*:\s*', data)
+            head = data[: records.start()].rstrip().rstrip(b",") + b"}" if records else data
+            meta = json.loads(head)["meta"]
+            if not records:
+                raise KeyError("records")
+            read_rows = partial(_json_rows, data, records.end())
         else:
             stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-            meta, header, start = {}, None, 0
+            meta = {}
             for line in iter(stream.readline, ""):
-                if header is None and line.startswith("#"):
+                if line.startswith("#"):
                     key, _, value = line[1:].strip().partition("=")
                     meta[key.strip()] = value.strip()
-                elif line.strip() and not line.startswith("#"):
-                    if header:
-                        break  # the first data row: loadtxt reads it again
-                    header = line
-                start = stream.tell()
-            else:  # raised here: loadtxt would only warn on an empty body
-                missing = "data rows" if header else "header row"
-                raise ValueError(f"CSV region data has no {missing}")
-            stream.seek(start)
-            # S6, not S5, so that a cell such as 'falsey' is not cut to 'false'
-            width = max(header.count(","), 1)  # the delta cell at least
-            dtype = [("cells", "f8", (width,)), ("flag", "S6")]
-            rows = np.loadtxt(stream, delimiter=",", dtype=dtype, ndmin=1)
-            bad = np.flatnonzero((rows["flag"] != b"true") & (rows["flag"] != b"false"))
-            if bad.size:
-                cell = rows["flag"][bad[0]].decode("latin-1")  # as loadtxt encoded it
-                raise ValueError(f"data row {bad[0] + 1}: flag '{cell}' is not true or false")
-            taus, deltas = rows["cells"][:, :-1], rows["cells"][:, -1]
-        if meta["units"] == "bits":
-            deltas = deltas * LN2
-        return RegionScan(
-            n_modes=int(meta["n_modes"]),
-            nbar=float(meta["nbar"]),
-            grid_resolution=int(meta["grid_resolution"]),
-            taus=taus,
-            deltas=deltas,
-            flags=deltas > 0,
-        )
+                elif line.strip():
+                    break  # the header: loadtxt reads the rows after it
+            else:
+                raise ValueError("CSV region data has no header row")
+            read_rows = partial(_csv_rows, stream)
+        scale = _nats_per_unit(meta["units"])
+        n_modes, grid = int(meta["n_modes"]), int(meta["grid_resolution"])
+        nbar = float(meta["nbar"])
+        if meta["convention"] != CONVENTION_FINGERPRINT:
+            raise ValueError(f"region data has convention '{meta['convention']}', not ours")
+        n_points = _grid_points(n_modes, grid)
+        rounded = np.array([_round12(x) for x in np.linspace(0.0, 1.0, grid).tolist()])
+        deltas, start = np.empty(n_points), 0
+        for rows in read_rows(n_modes):
+            stop = start + len(rows)
+            if stop > n_points:
+                raise ValueError(f"region data has more than the {n_points:,} rows of its grid")
+            expected = rounded[_grid_index(n_modes, grid, start, stop)]
+            off = np.flatnonzero(rows[:, :-1] != expected)
+            if off.size:
+                row, k = divmod(off[0], n_modes - 1)
+                raise ValueError(f"data row {start + row + 1}: tau{k + 1} = {rows[row, k]:.12g} "
+                                 f"is off the {grid}-point grid, where it is "
+                                 f"{expected[row, k]:.12g}")
+            deltas[start:stop] = rows[:, -1] * scale
+            start = stop
+        if start < n_points:
+            raise ValueError(f"region data has {start:,} of the {n_points:,} rows of its grid"
+                             if start else "region data has no data rows")
+        return RegionScan(n_modes, nbar, grid, deltas, deltas > 0)
     except KeyError as exc:
         raise ValueError(f"region data has no '{exc.args[0]}' entry") from None
-    except TypeError as exc:  # JSON meta, records or a record of the wrong kind
+    except TypeError as exc:  # JSON meta of the wrong kind
         raise ValueError(f"region data is malformed: {exc}") from None
 
 

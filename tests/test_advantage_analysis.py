@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -597,10 +599,13 @@ def test_region_scan_validation_and_strict_flags():
             n_modes=3,
             nbar=7.0,
             grid_resolution=8,
-            taus=good.taus.copy(),
             deltas=good.deltas.copy(),
             flags=~good.flags,
         )
+    with pytest.raises(ValueError, match=r"the grid has 64 points, deltas \(63,\)"):
+        RegionScan(3, 7.0, 8, good.deltas[:-1], good.flags[:-1])
+    with pytest.raises(ValueError, match="grid_resolution"):  # region_scan's own minimum
+        RegionScan(3, 7.0, 7, good.deltas[:49], good.flags[:49])
 
 
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])
@@ -616,21 +621,39 @@ def test_region_scan_refuses_grids_over_the_point_cap(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("the tau grid was built before the size check")
 
-    monkeypatch.setattr(np, "meshgrid", no_grid)
-    with pytest.raises(ValueError, match=r"grid 64 has 1,073,741,824 points \(about 51.5 GB\)"):
+    monkeypatch.setattr(np, "empty", no_grid)  # the deltas
+    monkeypatch.setattr(advantage_analysis, "_grid_index", no_grid)
+    monkeypatch.setattr(advantage_analysis, "_exit_log_weights", no_grid)
+    # 9 bytes per point: the deltas and the flags
+    with pytest.raises(ValueError, match=r"grid 64 has 1,073,741,824 points \(about 9.66 GB\)"):
         region_scan(6, 7.0, 64)
     with pytest.raises(ValueError, match="16,785,409 points"):
         region_scan(3, 7.0, 4097)  # just over 2**24
 
 
 def test_region_scan_freezes_copies_not_caller_arrays():
-    taus = np.linspace(0.0, 1.0, 16).reshape(8, 2)
-    deltas = np.linspace(-1.0, 1.0, 8)
+    deltas = np.linspace(-1.0, 1.0, 64)
     flags = deltas > 0
-    scan = RegionScan(3, 5.0, 8, taus, deltas, flags)
-    for mine, theirs in ((taus, scan.taus), (deltas, scan.deltas), (flags, scan.flags)):
+    scan = RegionScan(3, 5.0, 8, deltas, flags)
+    for mine, theirs in ((deltas, scan.deltas), (flags, scan.flags)):
         assert mine.flags.writeable
         assert not theirs.flags.writeable
         assert np.array_equal(mine, theirs)
-    taus[0, 0] = 0.25  # the caller may keep using its arrays
-    assert scan.taus[0, 0] == 0.0
+    deltas[0], flags[0] = 0.25, True  # the caller may keep using its arrays
+    assert scan.deltas[0] == -1.0 and not scan.flags[0]
+    taus = scan.taus  # built from the grid on demand, and read-only too
+    assert not taus.flags.writeable
+    assert np.array_equal(taus, np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 8)] * 2,
+                                                     indexing="ij"), axis=-1).reshape(64, 2))
+
+
+def test_region_scan_memory_stays_near_its_deltas():
+    tracemalloc.start()
+    try:
+        scan = region_scan(3, 10.0, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the deltas, their frozen copy and the flags (2.5 times the deltas);
+    # a meshgrid and stacked taus beside them took 8.5 times
+    assert peak < 3 * scan.deltas.nbytes, f"peak {peak / 1e6:.1f} MB"

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvdcnet
-from cvdcnet import cli_scan, dc_protocol
+from cvdcnet import advantage_analysis, cli_scan, dc_protocol
 from cvdcnet.advantage_analysis import RegionScan, region_scan, threshold_energy
 from cvdcnet.cli_scan import (
     _ROWS_PER_CHUNK,
@@ -300,14 +300,15 @@ def test_serialize_region_rejects_bad_modes():
         serialize_region(scan, "csv", "decibans")
     with pytest.raises(ValueError, match="header"):
         parse_region(b"")
-    rows = b"tau1,tau2,delta_nats,advantage\n0.5,0.5,1,true\n"
+    rows = b"tau1" + serialize_region(scan).partition(b"tau1")[2]  # header, 64 rows
     with pytest.raises(ValueError, match="'units'"):
         parse_region(rows)
     with pytest.raises(ValueError, match="'n_modes'"):
         parse_region(b"# units=nats\n" + rows)
-    meta = b"# n_modes=3\n# nbar=7\n# grid_resolution=8\n# units=nats\n"
-    with pytest.raises(ValueError, match="'maybe'"):
-        parse_region(meta + rows.replace(b"true", b"maybe"))
+    meta = (b"# n_modes=3\n# nbar=7\n# grid_resolution=8\n# units=nats\n# convention="
+            + CONVENTION_FINGERPRINT.encode() + b"\n")
+    with pytest.raises(ValueError, match="data row 1: flag 'maybe'"):
+        parse_region(meta + rows.replace(b"false", b"maybe", 1))
     with pytest.raises(ValueError, match="column"):  # a header with one column
         parse_region(meta + b"advantage\ntrue\n")
     good = json.loads(serialize_region(scan, "json"))
@@ -350,6 +351,60 @@ def test_parse_region_rejects_json_of_the_wrong_kind(mangle):
         parse_region(json.dumps(mangle(good)).encode())
 
 
+def _region_text(fmt, meta=(), rows=None):
+    """The 64 rows of a 3-mode, grid-8 scan in fmt, with the meta entries
+    in meta set (None drops one) and the list of rows passed through rows."""
+    rows = rows or (lambda rows: rows)
+    data = serialize_region(region_scan(3, 7.0, 8), fmt)
+    if fmt == "json":
+        obj = json.loads(data)
+        entries, obj["records"] = obj["meta"], rows(obj["records"])
+    else:
+        lines = data.decode().splitlines()  # five '#' lines, the header, then the rows
+        entries = dict(line[2:].split("=", 1) for line in lines[:5])
+    entries.update(meta)
+    entries = {key: value for key, value in entries.items() if value is not None}
+    if fmt == "json":
+        obj["meta"] = entries
+        return (json.dumps(obj, indent=2) + "\n").encode()
+    head = [f"# {key}={value}" for key, value in entries.items()]
+    return ("\n".join(head + lines[5:6] + rows(lines[6:])) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "meta, rows, message",
+    [
+        ({}, lambda rows: rows[:-1], "has 63 of the 64 rows of its grid"),
+        ({}, lambda rows: rows + rows[-1:], "more than the 64 rows of its grid"),
+        ({}, lambda rows: rows[1:], "data row 1: tau2 = 0.142857142857 is off the 8-point grid"),
+        ({"grid_resolution": 9}, None, "data row 2: tau2 = 0.142857142857 is off the 9-point"),
+        ({"grid_resolution": 16}, None, "data row 2: tau2 = 0.142857142857 is off the 16-point"),
+        ({"n_modes": 4}, None, "requires 5 columns but 4 were found|malformed"),
+        ({"units": "decibans"}, None, "units must be .* got 'decibans'"),
+        ({"convention": "q1q2p1p2"}, None, "convention 'q1q2p1p2', not"),
+        ({"convention": None}, None, "no 'convention' entry"),
+    ],
+    ids=["missing-row", "extra-row", "shifted-rows", "grid-9", "grid-16", "modes",
+         "units", "foreign-convention", "no-convention"],
+)
+def test_parse_region_rejects_text_that_is_not_the_named_grid(fmt, meta, rows, message):
+    with pytest.raises(ValueError, match=message):
+        parse_region(_region_text(fmt, meta, rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parse_region_rejects_a_tau_one_digit_off_the_grid(fmt):
+    data = _region_text(fmt)
+    assert data == serialize_region(region_scan(3, 7.0, 8), fmt)  # the helper's baseline
+    assert parse_region(data).n_points == 64
+    off = data.replace(b"0.142857142857", b"0.142857142858", 1)  # the second row's tau2
+    assert off != data
+    with pytest.raises(ValueError, match="data row 2: tau2 = 0.142857142858 is off the "
+                                         "8-point grid, where it is 0.142857142857"):
+        parse_region(off)
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -366,9 +421,20 @@ def test_scan_text_memory_stays_near_its_arrays_and_bytes():
     # of strings per column (2.0 times)
     assert write_peak < 1.6 * len(data), f"writer peak {write_peak / 1e6:.1f} MB"
     back, read_peak = _traced_peak(lambda: parse_region(data))
-    arrays = back.taus.nbytes + back.deltas.nbytes + back.flags.nbytes
-    # no Python string per row (2.3 times here); a list of lines, 9 times
-    assert read_peak < 3 * arrays, f"reader peak {read_peak / 1e6:.1f} MB"
+    arrays = back.deltas.nbytes + back.flags.nbytes
+    # deltas, flags and one chunk of rows: 4.2 MB here, 0.41 times the text;
+    # one loadtxt of the whole body, taus too, took 11.6 MB. The bound, 5.2 MB,
+    # is under the 15 MB that 3 times (taus, deltas, flags) allowed
+    assert read_peak < 0.5 * len(data), f"reader peak {read_peak / 1e6:.1f} MB"
+
+
+def test_json_scan_read_keeps_no_object_tree():
+    data = serialize_region(region_scan(4, 20.0, 48), "json", "bits")  # 18 MB, 110,592 rows
+    back, read_peak = _traced_peak(lambda: parse_region(data))
+    assert back.n_points == 48**3
+    # deltas, flags and one chunk of matched records: 0.4 times the text;
+    # json.loads built a 42 MB object tree, 3.3 times it
+    assert read_peak < 0.6 * len(data), f"reader peak {read_peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("units", ["nats", "bits"])
@@ -386,10 +452,11 @@ def test_scan_text_matches_cell_by_cell_oracles(n_modes, nbar, grid, units):
     if units == "bits":
         deltas = deltas * LN2
     crlf_and_blank_lines = data.replace(b"\n", b"\r\n\r\n")
+    assert np.array_equal(taus, [[float("%.12g" % t) for t in row] for row in scan.taus])
     for text in (data, crlf_and_blank_lines):
         back = parse_region(text)
         assert back.n_modes == int(meta["n_modes"]) and back.nbar == float(meta["nbar"])
-        assert np.array_equal(back.taus, taus)
+        assert np.array_equal(back.taus, scan.taus)  # the grid itself, not its text
         assert np.array_equal(back.deltas, deltas)
         assert np.array_equal(back.flags, deltas > 0)
 
@@ -404,11 +471,9 @@ def test_scan_text_matches_cell_by_cell_oracles(n_modes, nbar, grid, units):
 
 
 def _hand_built_scan():
-    # unsorted, repeated taus with 0.0 beside -0.0; deltas at the edges of %.12g
-    taus = np.array([[0.5, -0.0], [0.0, 0.25], [0.5, 0.0], [-0.0, 1.0], [0.0, 0.25],
-                     [1e-300, 1 / 3]])
-    deltas = np.array([-0.0, 1e-5, 1.5e13, np.nan, np.inf, -1 / 3])
-    return RegionScan(3, 7.0, 8, taus, deltas, deltas > 0)
+    # a grid-8 scan whose deltas cycle through the edges of %.12g
+    deltas = np.resize([-0.0, 1e-5, 1.5e13, np.nan, np.inf, -1 / 3], 64)
+    return RegionScan(3, 7.0, 8, deltas, deltas > 0)
 
 
 @pytest.mark.parametrize("units", ["nats", "bits"])
@@ -418,13 +483,12 @@ def _hand_built_scan():
     [
         lambda: region_scan(3, 7.0, 300),
         _hand_built_scan,
-        lambda: RegionScan(3, 7.0, 8, np.empty((0, 2)), np.empty(0), np.empty(0, bool)),
     ],
-    ids=["several_chunks", "hand_built", "empty"],
+    ids=["several_chunks", "hand_built"],
 )
 def test_chunked_scan_text_matches_the_oracle(make_scan, fmt, units):
     scan = make_scan()
-    if scan.n_points > 6:
+    if scan.grid_resolution > 8:
         assert scan.n_points > 5 * _ROWS_PER_CHUNK  # the grid scan spans several chunks
     assert serialize_region(scan, fmt, units) == serialize_region_literal(scan, fmt, units)
 
@@ -445,10 +509,11 @@ def test_scan_over_the_point_cap_fails_before_building_the_grid(monkeypatch, cap
     def no_grid(*args, **kwargs):
         raise AssertionError("the tau grid was built before the size check")
 
-    monkeypatch.setattr(np, "meshgrid", no_grid)
+    monkeypatch.setattr(np, "empty", no_grid)  # region_scan's deltas
+    monkeypatch.setattr(advantage_analysis, "_grid_index", no_grid)
     assert main(["scan", "--modes", "6", "--nbar", "7", "--grid", "64"]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: a 6-mode scan at grid 64 has 1,073,741,824 points (about 51.5 GB)"
+        "error: a 6-mode scan at grid 64 has 1,073,741,824 points (about 9.66 GB)"
     )
 
 
