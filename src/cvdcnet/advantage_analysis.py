@@ -16,6 +16,7 @@ overflows beyond nbar ~ 75 although every final result is modest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -333,6 +334,9 @@ def _grid_points(n_modes: int, grid_resolution: int) -> int:
         raise ValueError(f"need at least 2 modes, got {n_modes}")
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8")
+    if (n_modes - 1) * math.log2(grid_resolution) > 64:  # too far over the cap to count
+        raise ValueError(f"a {n_modes}-mode scan at grid {grid_resolution} has more than "
+                         f"2^64 points, over the cap of {_SCAN_MAX_POINTS:,}")
     n_points = grid_resolution ** (n_modes - 1)
     if n_points > _SCAN_MAX_POINTS:
         # the deltas and the flags take 9 bytes per point
@@ -352,8 +356,7 @@ def _grid_index(n_modes: int, grid_resolution: int, start: int, stop: int) -> np
 
 @dataclass(frozen=True)
 class RegionScan:
-    """delta over the full lexicographic tau grid at one budget: one row per
-    grid point, grid_resolution points from 0 to 1 on each axis."""
+    """delta at one budget over the lexicographic grid, grid_resolution taus per axis."""
 
     n_modes: int
     nbar: float
@@ -408,10 +411,4 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     for start in range(0, n_points, chunk):
         taus = axis[_grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))]
         deltas[start:start + chunk] = _delta_batch(n_modes, _exit_log_weights(n_modes, taus), nbar)
-    return RegionScan(
-        n_modes=n_modes,
-        nbar=nbar,
-        grid_resolution=grid_resolution,
-        deltas=deltas,
-        flags=deltas > 0,
-    )
+    return RegionScan(n_modes, nbar, grid_resolution, deltas, deltas > 0)

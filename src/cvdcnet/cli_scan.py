@@ -342,17 +342,19 @@ def _json_rows(data: bytes, pos: int, n_modes: int) -> Iterator[np.ndarray]:
     """The records of the JSON list that opens at data[pos], a MiB of text at
     a time, as (C, n_modes) floats: the taus, then delta. Records must match
     as serialize_region writes them, up to whitespace, and tile the list."""
-    number = rb"\s*+(-?+(?:\d++(?:\.\d++)?+(?:[eE][-+]?+\d++)?+|Infinity)|NaN)\s*+"
+    number = rb"\s*(-?(?:\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|Infinity)|NaN)\s*"
+    # a match runs from its '[' or ',' past the whitespace after its '}'
     record = re.compile(
-        rb'(\s*+([\[,])\s*+\{\s*+"taus"\s*+:\s*+\[' + b",".join([number] * (n_modes - 1))
-        + rb'\]\s*+,\s*+"delta"\s*+:' + number
-        + rb',\s*+"advantage"\s*+:\s*+(?:true|false)\s*+\}\s*+)'
+        rb'(([\[,])\s*\{\s*"taus"\s*:\s*\[' + b",".join([number] * (n_modes - 1))
+        + rb'\]\s*,\s*"delta"\s*:' + number
+        + rb',\s*"advantage"\s*:\s*(?:true|false)\s*\}\s*)'
     )
     stop, first = data.rfind(b"]"), pos  # the list's end: only the object's '}' follows
     if stop < pos or not re.fullmatch(rb"\]\s*\}\s*", data[stop:]):
         raise ValueError("region data is malformed: no ']' ends the records")
     while pos < stop:
-        end = data.find(b"}", pos + 2**20, stop) + 1 or stop  # just after a record
+        brace = re.compile(rb"\}\s*").search(data, pos + 2**20, stop)
+        end = brace.end() if brace else stop  # just after a record
         cells = record.findall(data, pos, end)  # (record, separator, *numbers) each
         matched = sum(map(len, map(itemgetter(0), cells)))
         if matched != end - pos or list(map(itemgetter(1), cells)).count(b"[") != (pos == first):
@@ -366,19 +368,22 @@ def parse_region(data: bytes) -> RegionScan:
     """Rebuild a RegionScan from serialize_region output (either format).
 
     Bits columns are converted back to nats; the advantage flags are
-    recomputed from the sign of delta. The rows must be the grid the
-    metadata names, each tau cell its value at 12 significant digits; only
-    delta and flag are kept, read a chunk of rows at a time. Malformed input
-    raises ValueError: a ragged CSV row (the message names the columns), a
-    flag other than true or false, missing metadata (each named), unknown
-    units, a foreign convention, a wrong row count, a tau off the grid or a
-    JSON value of the wrong kind.
+    recomputed from the sign of delta. The rows, read a chunk at a time,
+    must be the grid the metadata names, each tau its value at 12
+    significant digits; only delta and flag are kept, and JSON keeps the
+    written key order. Malformed input raises ValueError naming what is
+    wrong: a ragged CSV row, a flag other than true or false, missing
+    metadata, unknown units, a foreign convention, a wrong row count, a tau
+    off the grid or a JSON value of the wrong kind.
     """
     try:
         if re.match(rb"\s*\{", data):
             records = re.search(rb'"records"\s*:\s*', data)
-            head = data[: records.start()].rstrip().rstrip(b",") + b"}" if records else data
-            meta = json.loads(head)["meta"]
+            head = json.loads(data[: records.start()].rstrip().rstrip(b",") + b"}"
+                              if records else data)
+            if records and "meta" not in head:
+                raise ValueError("region data has no 'meta' entry before its 'records'")
+            meta = head["meta"]
             if not records:
                 raise KeyError("records")
             read_rows = partial(_json_rows, data, records.end())

@@ -629,6 +629,8 @@ def test_region_scan_refuses_grids_over_the_point_cap(monkeypatch):
         region_scan(6, 7.0, 64)
     with pytest.raises(ValueError, match="16,785,409 points"):
         region_scan(3, 7.0, 4097)  # just over 2**24
+    with pytest.raises(ValueError, match=r"has more than 2\^64 points"):
+        region_scan(10**9, 7.0, 8)  # refused before 8**(10**9 - 1) is taken
 
 
 def test_region_scan_freezes_copies_not_caller_arrays():

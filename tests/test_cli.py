@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -316,6 +317,15 @@ def test_serialize_region_rejects_bad_modes():
         partial = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_region(json.dumps(partial).encode())
+    records_first = {"records": good["records"], "meta": good["meta"]}
+    with pytest.raises(ValueError, match="no 'meta' entry before its 'records'"):
+        parse_region(json.dumps(records_first).encode())
+
+
+def test_parse_region_patterns_keep_to_python_3_10_syntax():
+    # possessive quantifiers and atomic groups are errors before Python 3.11
+    source = Path(cli_scan.__file__).read_text()
+    assert not re.search(r"[*+?}]\+|\(\?>", source)
 
 
 @pytest.mark.parametrize("cell", ["falsey", "truex", "TRUE", ""])
@@ -384,9 +394,10 @@ def _region_text(fmt, meta=(), rows=None):
         ({"units": "decibans"}, None, "units must be .* got 'decibans'"),
         ({"convention": "q1q2p1p2"}, None, "convention 'q1q2p1p2', not"),
         ({"convention": None}, None, "no 'convention' entry"),
+        ({"n_modes": 10**9}, None, r"more than 2\^64 points, over the cap"),
     ],
     ids=["missing-row", "extra-row", "shifted-rows", "grid-9", "grid-16", "modes",
-         "units", "foreign-convention", "no-convention"],
+         "units", "foreign-convention", "no-convention", "huge-modes"],
 )
 def test_parse_region_rejects_text_that_is_not_the_named_grid(fmt, meta, rows, message):
     with pytest.raises(ValueError, match=message):
