@@ -17,7 +17,7 @@ overflows beyond nbar ~ 75 although every final result is modest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -362,16 +362,17 @@ class RegionScan:
     nbar: float
     grid_resolution: int
     deltas: np.ndarray   # (n_points,), nats
-    flags: np.ndarray    # (n_points,), bool, flags == (deltas > 0)
+    flags: np.ndarray = field(init=False)  # (n_points,), bool, read-only: deltas > 0
 
     def __post_init__(self):
         n_points = _grid_points(self.n_modes, self.grid_resolution)
+        if not np.isfinite(self.nbar) or self.nbar < 0.0:
+            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
         deltas = _frozen_array(self.deltas)
-        flags = _frozen_array(self.flags, dtype=bool)
-        if deltas.shape != (n_points,) or flags.shape != (n_points,):
+        if deltas.shape != (n_points,):
             raise ValueError(f"the grid has {n_points:,} points, deltas {deltas.shape}")
-        if not np.array_equal(flags, deltas > 0):
-            raise ValueError("flags must equal (deltas > 0) exactly")
+        flags = deltas > 0
+        flags.flags.writeable = False
         object.__setattr__(self, "nbar", float(self.nbar))
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "flags", flags)
@@ -411,4 +412,4 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     for start in range(0, n_points, chunk):
         taus = axis[_grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))]
         deltas[start:start + chunk] = _delta_batch(n_modes, _exit_log_weights(n_modes, taus), nbar)
-    return RegionScan(n_modes, nbar, grid_resolution, deltas, deltas > 0)
+    return RegionScan(n_modes, nbar, grid_resolution, deltas)

@@ -364,6 +364,13 @@ def _json_rows(data: bytes, pos: int, n_modes: int) -> Iterator[np.ndarray]:
         pos = end
 
 
+def _meta_count(meta: dict, key: str) -> int:
+    """meta[key] as a count: a JSON integer, or the text of one in CSV."""
+    if not re.fullmatch(r"-?\d+", str(meta[key])):  # 3.9, '3.9', NaN, true, ...
+        raise ValueError(f"region data's {key} must be a whole number, got {meta[key]!r}")
+    return int(meta[key])
+
+
 def parse_region(data: bytes) -> RegionScan:
     """Rebuild a RegionScan from serialize_region output (either format).
 
@@ -372,9 +379,9 @@ def parse_region(data: bytes) -> RegionScan:
     must be the grid the metadata names, each tau its value at 12
     significant digits; only delta and flag are kept, and JSON keeps the
     written key order. Malformed input raises ValueError naming what is
-    wrong: a ragged CSV row, a flag other than true or false, missing
-    metadata, unknown units, a foreign convention, a wrong row count, a tau
-    off the grid or a JSON value of the wrong kind.
+    wrong: a ragged CSV row, a bad flag, missing metadata, a fractional
+    count, a budget not finite and >= 0, unknown units, a foreign convention,
+    a wrong row count, a tau off the grid or a JSON value of the wrong kind.
     """
     try:
         if re.match(rb"\s*\{", data):
@@ -400,7 +407,7 @@ def parse_region(data: bytes) -> RegionScan:
                 raise ValueError("CSV region data has no header row")
             read_rows = partial(_csv_rows, stream)
         scale = _nats_per_unit(meta["units"])
-        n_modes, grid = int(meta["n_modes"]), int(meta["grid_resolution"])
+        n_modes, grid = _meta_count(meta, "n_modes"), _meta_count(meta, "grid_resolution")
         nbar = float(meta["nbar"])
         if meta["convention"] != CONVENTION_FINGERPRINT:
             raise ValueError(f"region data has convention '{meta['convention']}', not ours")
@@ -423,7 +430,7 @@ def parse_region(data: bytes) -> RegionScan:
         if start < n_points:
             raise ValueError(f"region data has {start:,} of the {n_points:,} rows of its grid"
                              if start else "region data has no data rows")
-        return RegionScan(n_modes, nbar, grid, deltas, deltas > 0)
+        return RegionScan(n_modes, nbar, grid, deltas)
     except KeyError as exc:
         raise ValueError(f"region data has no '{exc.args[0]}' entry") from None
     except TypeError as exc:  # JSON meta of the wrong kind
@@ -469,10 +476,9 @@ def _run_capacity(config: RunConfig) -> int:
         }
     }
     if config.samples:
-        r, sigma_sq = optimal_params(config.modes, config.nbar)
         channel = build_channel(
-            ResourceSpec(config.modes, r, config.taus),
-            EncodingPlan.standard(config.modes, float(np.sqrt(sigma_sq))),
+            ResourceSpec(config.modes, report.r, config.taus),
+            EncodingPlan.standard(config.modes, float(np.sqrt(report.sigma_msg_sq))),
         )
         est = mutual_information_mc(channel, config.samples, config.seed)
         body["mc"] = {

@@ -20,7 +20,7 @@ e^{-2r}/2 on every output, for which the mutual information is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -28,7 +28,6 @@ from numpy.linalg import LinAlgError
 from .phase_space import (
     GaussianState,
     Quadrature,
-    QuadratureSelection,
     SymplecticTransform,
     _frozen_array,
     _symmetrized,
@@ -243,41 +242,21 @@ class LinearGaussianChannel:
         return self.matrix.shape[1]
 
 
-def build_channel(
-    spec: ResourceSpec,
-    plan: EncodingPlan,
-    selection: Optional[QuadratureSelection] = None,
-) -> LinearGaussianChannel:
+def build_channel(spec: ResourceSpec, plan: EncodingPlan) -> LinearGaussianChannel:
     """Assemble the end-to-end channel for a resource and encoding plan.
 
-    selection picks the measured quadrature per decoded mode; by default
-    the minimum-variance (squeezed) one, which for r > 0 is the
-    alternating pattern itself. The channel matrix rows are the selected
-    rows of S_decode @ E; the noise covariance is the matching diagonal
-    of the decoded resource covariance.
+    The receiver homodynes the alternating pattern (the squeezed quadratures)
+    at every r, r = 0 included: the matrix rows are those rows of
+    S_decode @ E, the noise covariance their decoded variances.
     """
     if plan.n_modes != spec.n_modes:
         raise ValueError(
             f"plan expects {plan.n_modes} modes, resource has {spec.n_modes}"
         )
-    variances = decoded_quadrature_variances(spec.n_modes, spec.r)
-    if selection is None:
-        selection = QuadratureSelection(
-            tuple(
-                Quadrature.MOMENTUM
-                if variances[2 * k + 1] <= variances[2 * k]
-                else Quadrature.POSITION
-                for k in range(spec.n_modes)
-            )
-        )
-    if len(selection) != spec.n_modes:
-        raise ValueError(
-            f"selection covers {len(selection)} modes, resource has {spec.n_modes}"
-        )
-    rows = selection.flat_indices()
+    rows = alternating_pattern(spec.n_modes).flat_indices()
     sdec = decoding_symplectic(spec.n_modes, spec.taus)
     m = (sdec.matrix @ encoding_matrix(plan))[rows, :]
-    noise_cov = np.diag(variances[rows])
+    noise_cov = np.diag(decoded_quadrature_variances(spec.n_modes, spec.r)[rows])
     msg_cov = (plan.sigma_msg**2 / 2.0) * np.eye(len(plan.components))
     return LinearGaussianChannel(m, noise_cov, msg_cov)
 

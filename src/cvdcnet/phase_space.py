@@ -57,9 +57,9 @@ class Quadrature(enum.Enum):
     MOMENTUM = "p"
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    """A read-only copy; the caller's array stays writeable."""
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float copy; the caller's array stays writeable."""
+    out = np.array(values, dtype=float)
     out.flags.writeable = False
     return out
 

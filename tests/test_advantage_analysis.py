@@ -594,18 +594,19 @@ def test_region_scan_validation_and_strict_flags():
         with pytest.raises(ValueError, match="need at least 2 modes"):
             region_scan(n_modes, 7.0, 8)
     good = region_scan(3, 7.0, 8)
-    with pytest.raises(ValueError, match="flags"):
-        RegionScan(
-            n_modes=3,
-            nbar=7.0,
-            grid_resolution=8,
-            deltas=good.deltas.copy(),
-            flags=~good.flags,
-        )
+    assert np.array_equal(good.flags, good.deltas > 0)  # derived, never passed in
+    assert not good.flags.flags.writeable
+    with pytest.raises(ValueError):
+        good.flags[0] = not good.flags[0]
+    with pytest.raises(TypeError, match="flags"):
+        RegionScan(3, 7.0, 8, good.deltas, flags=good.flags)
     with pytest.raises(ValueError, match=r"the grid has 64 points, deltas \(63,\)"):
-        RegionScan(3, 7.0, 8, good.deltas[:-1], good.flags[:-1])
+        RegionScan(3, 7.0, 8, good.deltas[:-1])
     with pytest.raises(ValueError, match="grid_resolution"):  # region_scan's own minimum
-        RegionScan(3, 7.0, 7, good.deltas[:49], good.flags[:49])
+        RegionScan(3, 7.0, 7, good.deltas[:49])
+    for nbar in (-5.0, np.nan, np.inf):  # region_scan's own budget check
+        with pytest.raises(ValueError, match="nbar must be finite and >= 0"):
+            RegionScan(3, nbar, 8, good.deltas)
 
 
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])
@@ -635,13 +636,12 @@ def test_region_scan_refuses_grids_over_the_point_cap(monkeypatch):
 
 def test_region_scan_freezes_copies_not_caller_arrays():
     deltas = np.linspace(-1.0, 1.0, 64)
-    flags = deltas > 0
-    scan = RegionScan(3, 5.0, 8, deltas, flags)
-    for mine, theirs in ((deltas, scan.deltas), (flags, scan.flags)):
-        assert mine.flags.writeable
-        assert not theirs.flags.writeable
-        assert np.array_equal(mine, theirs)
-    deltas[0], flags[0] = 0.25, True  # the caller may keep using its arrays
+    scan = RegionScan(3, 5.0, 8, deltas)
+    assert deltas.flags.writeable
+    assert not scan.deltas.flags.writeable and not scan.flags.flags.writeable
+    assert np.array_equal(scan.deltas, deltas)
+    assert np.array_equal(scan.flags, deltas > 0)
+    deltas[0] = 0.25  # the caller may keep using its array
     assert scan.deltas[0] == -1.0 and not scan.flags[0]
     taus = scan.taus  # built from the grid on demand, and read-only too
     assert not taus.flags.writeable

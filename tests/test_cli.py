@@ -395,9 +395,15 @@ def _region_text(fmt, meta=(), rows=None):
         ({"convention": "q1q2p1p2"}, None, "convention 'q1q2p1p2', not"),
         ({"convention": None}, None, "no 'convention' entry"),
         ({"n_modes": 10**9}, None, r"more than 2\^64 points, over the cap"),
+        ({"n_modes": 3.9}, None, "n_modes must be a whole number, got '?3.9'?"),
+        ({"grid_resolution": 8.5}, None, "grid_resolution must be a whole number, got '?8.5'?"),
+        ({"nbar": -5}, None, "nbar must be finite and >= 0, got -5"),
+        ({"nbar": float("nan")}, None, "nbar must be finite and >= 0, got nan"),
+        ({"nbar": float("inf")}, None, "nbar must be finite and >= 0, got inf"),
     ],
     ids=["missing-row", "extra-row", "shifted-rows", "grid-9", "grid-16", "modes",
-         "units", "foreign-convention", "no-convention", "huge-modes"],
+         "units", "foreign-convention", "no-convention", "huge-modes", "fractional-modes",
+         "fractional-grid", "negative-nbar", "nan-nbar", "inf-nbar"],
 )
 def test_parse_region_rejects_text_that_is_not_the_named_grid(fmt, meta, rows, message):
     with pytest.raises(ValueError, match=message):
@@ -484,7 +490,7 @@ def test_scan_text_matches_cell_by_cell_oracles(n_modes, nbar, grid, units):
 def _hand_built_scan():
     # a grid-8 scan whose deltas cycle through the edges of %.12g
     deltas = np.resize([-0.0, 1e-5, 1.5e13, np.nan, np.inf, -1 / 3], 64)
-    return RegionScan(3, 7.0, 8, deltas, deltas > 0)
+    return RegionScan(3, 7.0, 8, deltas)
 
 
 @pytest.mark.parametrize("units", ["nats", "bits"])

@@ -472,6 +472,26 @@ def test_capacity_matches_dense_channel_information():
         assert capacity(n, tuple(taus), 0.0).c_quantum == 0.0
 
 
+def test_unsqueezed_channel_homodynes_the_alternating_pattern():
+    # at r = 0 both quadratures of a mode have variance 1/2; the receiver still
+    # measures the alternating pattern, so I = (1/2) ln sum_j c_j (1 + 2 sigma^2)^j
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        for taus in ((0.5,) * (n - 1), tuple(rng.uniform(size=n - 1))):
+            for sigma in (0.3, 1.0, 2.5):
+                plan = EncodingPlan.standard(n, sigma)
+                info = mutual_information(build_channel(ResourceSpec(n, 0.0, taus), plan))
+                terms = _exit_log_weights(n, np.array([taus]))[:, 0] + np.arange(n + 1) * np.log1p(
+                    2.0 * sigma**2
+                )
+                assert info == pytest.approx(0.5 * np.logaddexp.reduce(terms), rel=1e-12)
+                # continuous in r: dI/dr = O(n), so r = 1e-12 moves I by about 1e-12 n
+                near = build_channel(ResourceSpec(n, 1e-12, taus), plan)
+                assert info == pytest.approx(mutual_information(near), rel=1e-10)
+    balanced = build_channel(ResourceSpec(4, 0.0, (0.5,) * 3), EncodingPlan.standard(4, 1.0))
+    assert mutual_information(balanced) == pytest.approx(1.475498, abs=1e-6)
+
+
 def test_capacity_matches_closed_forms_on_random_grid():
     rng = np.random.default_rng(60)
     for _ in range(150):
