@@ -35,8 +35,6 @@ from .resource_prep import _validated_taus
 __all__ = [
     "SEARCH_CAP_NBAR",
     "BISECT_TOL",
-    "COARSE_RESOLUTION",
-    "TIE_TOL",
     "NoAdvantageError",
     "TauInterval",
     "MinThresholdResult",
@@ -53,8 +51,6 @@ __all__ = [
 
 SEARCH_CAP_NBAR = 1e4     # photon budgets beyond this are treated as "never"
 BISECT_TOL = 1e-6         # absolute nbar tolerance for threshold roots
-COARSE_RESOLUTION = 64    # tau1-line points solved alongside the global minimum
-TIE_TOL = 1e-4            # line thresholds within this of the best line point are ties
 _SCAN_MAX_POINTS = 2**24  # region_scan refuses larger grids
 _SCAN_CHUNK_BYTES = 2**18  # (n + 1, C) exit weights per kernel chunk, sized to stay in cache
 
@@ -104,52 +100,45 @@ def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float
     return capacity(n_modes, taus, nbar).delta
 
 
-def _thresholds(n_modes: int, log_weights: np.ndarray, tol: float) -> np.ndarray:
-    """Threshold budget for each point of _exit_log_weights, within tol/2 of a
-    proven sign change of delta; inf where delta stays <= 0 up to SEARCH_CAP_NBAR.
+def _threshold(n_modes: int, taus: tuple[float, ...], tol: float) -> float:
+    """Threshold budget for one chain, within tol/2 of a proven sign change of
+    delta; inf where delta stays <= 0 up to SEARCH_CAP_NBAR.
 
     Safeguarded Newton in u = ln nbar (README, Numerical notes) until a step in
-    nbar is <= tol/4; delta at x -/+ tol/2 then certifies each root, or it is
+    nbar is <= tol/4; delta at x -/+ tol/2 then certifies the root, or it is
     bisected until hi - lo <= tol.
     The floor 1e-6 never holds an advantage: the exit weights sum to 1, so
     C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 there,
     while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5.
     """
-    def delta_at(w, nbar):  # unchecked: right for budgets in (0, SEARCH_CAP_NBAR]
+    w = _exit_log_weights(n_modes, np.array([taus]))
+
+    def delta_at(nbar):  # unchecked: right for budgets in (0, SEARCH_CAP_NBAR]
         return _half_log_dets(n_modes, w, nbar) - _classical_rates(n_modes - 1, nbar)
 
-    thresholds = np.full(log_weights.shape[1], np.inf)
-    d_cap = delta_at(log_weights, SEARCH_CAP_NBAR)
-    alive = d_cap > 0.0
-    if not alive.any():
-        return thresholds
-    w, d_cap = log_weights[:, alive], d_cap[alive]
-    lo = np.full(d_cap.size, np.log(1e-6))  # ln nbar where delta <= 0
-    hi = np.full(d_cap.size, np.log(SEARCH_CAP_NBAR))  # ln nbar where delta > 0
-    u = np.where(d_cap < hi - lo, hi - d_cap, 0.5 * (lo + hi))  # full rank: delta ~ u + c
-    done = np.zeros(u.size, dtype=bool)
+    d_cap = delta_at(SEARCH_CAP_NBAR)[0]
+    if not d_cap > 0.0:
+        return np.inf
+    lo, hi = np.log(1e-6), np.log(SEARCH_CAP_NBAR)  # ln nbar where delta <= 0, > 0
+    u = hi - d_cap if d_cap < hi - lo else 0.5 * (lo + hi)  # full rank: delta ~ u + c
+    nbar = np.inf  # no step taken yet
     with np.errstate(divide="ignore", invalid="ignore"):  # a flat delta: no Newton step
-        while not done.all():
+        while abs(np.exp(u) - nbar) > 0.25 * tol:  # until a step is <= tol/4 or u stops
             nbar = np.exp(u)
             half, slope = _half_log_dets(n_modes, w, nbar, slope=True)
-            delta = half - _classical_rates(n_modes - 1, nbar)
-            lo, hi = np.where(delta > 0.0, lo, u), np.where(delta > 0.0, u, hi)
-            newton = u - delta / (slope - nbar * np.log1p((n_modes - 1) / nbar))
-            inside = (lo < newton) & (newton < hi) | (newton == u)
-            u = np.where(done, u, np.where(inside, newton, 0.5 * (lo + hi)))
-            done |= np.abs(np.exp(u) - nbar) <= 0.25 * tol  # or once u stops moving
+            delta = half[0] - _classical_rates(n_modes - 1, nbar)
+            lo, hi = (lo, u) if delta > 0.0 else (u, hi)
+            newton = u - delta / (slope[0] - nbar * np.log1p((n_modes - 1) / nbar))
+            u = newton if lo < newton < hi or newton == u else 0.5 * (lo + hi)
     x, lo, hi = np.exp(u), np.exp(lo), np.exp(hi)
-    probes = np.concatenate([np.maximum(x - 0.5 * tol, lo), np.minimum(x + 0.5 * tol, hi)])
-    above = delta_at(np.tile(w, 2), probes) > 0.0
-    certified = ~above[: x.size] & above[x.size:]  # else delta's rounding hides the root
-    lo, hi = np.where(certified, x, lo), np.where(certified, x, hi)
-    mid = 0.5 * (lo + hi)
-    while ((hi - lo > tol) & (lo < mid) & (mid < hi)).any():
-        above = delta_at(w, mid) > 0.0
-        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    below, above = delta_at(np.array([max(x - 0.5 * tol, lo), min(x + 0.5 * tol, hi)])) > 0.0
+    if above and not below:
+        return float(x)
+    mid = 0.5 * (lo + hi)  # delta's rounding hides the root: bisect
+    while hi - lo > tol and lo < mid < hi:
+        lo, hi = (lo, mid) if delta_at(mid)[0] > 0.0 else (mid, hi)
         mid = 0.5 * (lo + hi)
-    thresholds[alive] = mid
-    return thresholds
+    return float(mid)
 
 
 def threshold_energy(
@@ -158,14 +147,15 @@ def threshold_energy(
     """Photon budget where the advantage turns positive for fixed taus.
 
     Solved inside [1e-6, SEARCH_CAP_NBAR] to within tol/2 of a proven sign
-    change of delta (_thresholds). delta rises through zero only once, so the
-    root is unique. Raises NoAdvantageError if delta never turns positive
-    below the cap, and ValueError unless tol > 0.
+    change of delta, by a safeguarded Newton iteration with a bisection
+    fallback (_threshold). delta rises through zero only once, so the root is
+    unique. Raises NoAdvantageError if delta never turns positive below the
+    cap, and ValueError unless tol > 0.
     """
     taus = _validated_taus(n_modes, taus)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    nbar_th = float(_thresholds(n_modes, _exit_log_weights(n_modes, np.array([taus])), tol)[0])
+    nbar_th = _threshold(n_modes, taus, tol)
     if not np.isfinite(nbar_th):
         raise NoAdvantageError(
             f"no quantum advantage up to nbar = {SEARCH_CAP_NBAR:g} "
@@ -178,24 +168,18 @@ def threshold_energy(
 class MinThresholdResult:
     """Global minimum threshold budget and where it is attained.
 
-    ties lists the points of the tau1 line (tau1, 0, ..., 0) whose
-    thresholds came within TIE_TOL of the best line point; they sit
-    symmetrically about tau1 = 1/2. Iterating yields (nbar_th, taus) for
-    tuple-style unpacking.
+    Iterating yields (nbar_th, taus) for tuple-style unpacking.
     """
 
     nbar_th: float
     taus: tuple[float, ...]
-    ties: tuple[tuple[float, ...], ...]
 
     def __iter__(self):
         yield self.nbar_th
         yield self.taus
 
 
-def min_threshold_energy(
-    n_modes: int, grid_resolution: int = COARSE_RESOLUTION
-) -> MinThresholdResult:
+def min_threshold_energy(n_modes: int) -> MinThresholdResult:
     """Minimize the threshold budget over all chain transmissivities.
 
     The minimum is attained at taus = (1/2, 0, ..., 0) for every n:
@@ -205,28 +189,19 @@ def min_threshold_energy(
     C_q = [ln(1 + 2g tau1) + ln(1 + 2g (1 - tau1)) + (n-2) ln(1 + 2g)] / 2,
     symmetric and strictly concave in tau1. So at every budget delta is
     largest at tau1 = 1/2, and the global threshold is the fixed-taus
-    threshold there. One batched Newton solve finds it together with the
-    grid_resolution points of the tau1 line, which give the ties.
+    threshold there, solved to tol 1e-9; no other point is searched.
     Raises NoAdvantageError if delta never turns positive below the cap.
     """
     if n_modes < 2:
         raise ValueError(f"need at least 2 modes, got {n_modes}")
-    if grid_resolution < 8:
-        raise ValueError("grid_resolution must be at least 8")
-    line = np.zeros((grid_resolution + 1, n_modes - 1))
-    line[:-1, 0] = np.linspace(0.0, 1.0, grid_resolution)
-    line[-1, 0] = 0.5
-    thresholds = _thresholds(n_modes, _exit_log_weights(n_modes, line), tol=1e-9)
-    nbar_th = float(thresholds[-1])
+    taus = (0.5,) + (0.0,) * (n_modes - 2)
+    nbar_th = _threshold(n_modes, taus, tol=1e-9)
     if not np.isfinite(nbar_th):
         raise NoAdvantageError(
             f"no transmissivity choice gives an advantage below "
             f"nbar = {SEARCH_CAP_NBAR:g} for {n_modes} modes"
         )
-    on_line = thresholds[:-1]
-    tie_mask = on_line <= on_line.min() + TIE_TOL
-    ties = tuple(tuple(float(t) for t in row) for row in line[:-1][tie_mask])
-    return MinThresholdResult(nbar_th, (0.5,) + (0.0,) * (n_modes - 2), ties)
+    return MinThresholdResult(nbar_th, taus)
 
 
 @dataclass(frozen=True)
@@ -287,8 +262,8 @@ def tau_boundaries(
     d_best, d_edge = _delta_batch(n_modes, _exit_log_weights(n_modes, probes), nbar)
     if d_best <= 0.0:
         return TauInterval(np.nan, np.nan, empty=True, clamped=False)
-    if axis > 0 and d_edge > 0.0:
-        return TauInterval(0.0, 1.0, empty=False, clamped=False)
+    # past the first axis d_edge < 0: tau = 1 there cuts the chain, so c_n = 0,
+    # and then C_q <= C_cl at every budget
     # (L_best - e^(2 C_cl)) / (L_best - L_edge): the crossing's share of the
     # way from best point to edge (of the squared distance on the first axis)
     span = np.expm1(2.0 * (d_edge - d_best))

@@ -151,9 +151,9 @@ def _to_seed(name: str, raw: str) -> int:
 
 
 def _to_taus(name: str, raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise CliConfigError("tau list is empty")
+    parts = raw.split(",")
+    if not all(p.strip() for p in parts):
+        raise CliConfigError(f"{name} has an empty entry in '{raw}'")
     taus = tuple(_to_float(name, p) for p in parts)
     for t in taus:
         if not 0.0 <= t <= 1.0:
@@ -290,9 +290,8 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
         "convention": CONVENTION_FINGERPRINT,
     }
     if fmt == "csv":
-        tau_names = [f"tau{i + 1}" for i in range(scan.n_modes - 1)]
         lines = [f"# {key}={value}" for key, value in meta.items()]
-        lines.append(",".join(tau_names + [f"delta_{units}", "advantage"]))
+        lines.append(_csv_header(scan.n_modes, units))
         yield ("\n".join(lines) + "\n").encode("utf-8")
         for cells in _row_cells(scan, scale, "%.12g".__mod__, lambda deltas: deltas):
             yield ("\n".join(map(",".join, cells)) + "\n").encode("utf-8")
@@ -314,6 +313,10 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
     for i, cells in enumerate(chunks):
         yield ((",\n" if i else "") + ",\n".join(map(record.__mod__, cells))).encode("utf-8")
     yield b"\n  ]\n}\n"
+
+
+def _csv_header(n_modes: int, units: str) -> str:
+    return ",".join([f"tau{i + 1}" for i in range(n_modes - 1)] + [f"delta_{units}", "advantage"])
 
 
 def _csv_rows(stream: io.TextIOBase, n_modes: int) -> Iterator[np.ndarray]:
@@ -379,9 +382,10 @@ def parse_region(data: bytes) -> RegionScan:
     must be the grid the metadata names, each tau its value at 12
     significant digits; only delta and flag are kept, and JSON keeps the
     written key order. Malformed input raises ValueError naming what is
-    wrong: a ragged CSV row, a bad flag, missing metadata, a fractional
-    count, a budget not finite and >= 0, unknown units, a foreign convention,
-    a wrong row count, a tau off the grid or a JSON value of the wrong kind.
+    wrong: a ragged CSV row, a CSV header other than the columns the writer
+    names for the metadata, a bad flag, missing metadata, a fractional count,
+    a budget not finite and >= 0, unknown units, a foreign convention, a wrong
+    row count, a tau off the grid or a JSON value of the wrong kind.
     """
     try:
         if re.match(rb"\s*\{", data):
@@ -393,7 +397,7 @@ def parse_region(data: bytes) -> RegionScan:
             meta = head["meta"]
             if not records:
                 raise KeyError("records")
-            read_rows = partial(_json_rows, data, records.end())
+            read_rows, header = partial(_json_rows, data, records.end()), None
         else:
             stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
             meta = {}
@@ -405,13 +409,17 @@ def parse_region(data: bytes) -> RegionScan:
                     break  # the header: loadtxt reads the rows after it
             else:
                 raise ValueError("CSV region data has no header row")
-            read_rows = partial(_csv_rows, stream)
+            read_rows, header = partial(_csv_rows, stream), line.strip()
         scale = _nats_per_unit(meta["units"])
         n_modes, grid = _meta_count(meta, "n_modes"), _meta_count(meta, "grid_resolution")
         nbar = float(meta["nbar"])
         if meta["convention"] != CONVENTION_FINGERPRINT:
             raise ValueError(f"region data has convention '{meta['convention']}', not ours")
         n_points = _grid_points(n_modes, grid)
+        columns = _csv_header(n_modes, meta["units"])
+        if header not in (None, columns):
+            raise ValueError(f"region data is malformed: its CSV header '{header}' "
+                             f"is not the columns {columns}")
         rounded = np.array([_round12(x) for x in np.linspace(0.0, 1.0, grid).tolist()])
         deltas, start = np.empty(n_points), 0
         for rows in read_rows(n_modes):
@@ -500,19 +508,14 @@ def _run_scan(config: RunConfig) -> int:
 
 def _run_threshold(config: RunConfig) -> int:
     if config.taus is not None:
-        result = {
-            "n_modes": config.modes,
-            "taus": [_round12(t) for t in config.taus],
-            "nbar_th": _round12(threshold_energy(config.modes, config.taus)),
-        }
+        nbar_th, taus = threshold_energy(config.modes, config.taus), config.taus
     else:
-        found = min_threshold_energy(config.modes)
-        result = {
-            "n_modes": config.modes,
-            "taus": [_round12(t) for t in found.taus],
-            "nbar_th": _round12(found.nbar_th),
-            "ties": [[_round12(t) for t in tie] for tie in found.ties],
-        }
+        nbar_th, taus = min_threshold_energy(config.modes)
+    result = {
+        "n_modes": config.modes,
+        "taus": [_round12(t) for t in taus],
+        "nbar_th": _round12(nbar_th),
+    }
     _emit_json(config, result=result)
     return 0
 

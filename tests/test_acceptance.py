@@ -2,7 +2,11 @@
 tolerance and runtime budget. Each test prints as a single pass/fail line
 under pytest -v; nothing here is weakened to force a green run."""
 
+import contextlib
+import io
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +274,15 @@ def test_acceptance_property_suites():
         if n == 3:
             ref = three_mode_reference_cov(r, taus[0], taus[1])
             assert np.abs(state.covariance - ref).max() < 1e-12
+
+
+def test_acceptance_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].delta > 0.0
+    assert namespace["nbar_th"] == pytest.approx(MIN_TH3, abs=1e-6)
+    assert namespace["taus"] == (0.5, 0.0)
+    assert 0 < namespace["scan"].n_advantage < namespace["scan"].n_points

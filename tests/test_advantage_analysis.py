@@ -221,7 +221,6 @@ def test_min_threshold_three_modes():
     assert result.taus == (0.5, 0.0)
     assert abs(result.taus[0] - 0.5) <= 1e-3
     assert result.taus[1] <= 1e-3
-    assert len(result.ties) >= 2  # (31/63, 0) and (32/63, 0), symmetric about 1/2
     nbar_th, taus = result  # tuple-style unpacking
     assert nbar_th == result.nbar_th and taus == result.taus
 
@@ -232,7 +231,12 @@ def test_min_threshold_four_modes():
     assert result.taus == (0.5, 0.0, 0.0)
     assert abs(result.taus[0] - 0.5) <= 1e-3
     assert max(result.taus[1:]) <= 1e-3
-    assert len(result.ties) >= 2
+
+
+def test_min_threshold_is_the_fixed_taus_threshold_at_the_line_midpoint():
+    for n in range(2, 20):
+        midpoint = (0.5,) + (0.0,) * (n - 2)
+        assert min_threshold_energy(n).nbar_th == threshold_energy(n, midpoint, tol=1e-9), n
 
 
 def test_tail_taus_never_raise_the_closed_form_capacity():
@@ -288,14 +292,10 @@ def test_min_threshold_longer_chains():
             bisect_root(delta, 1.0, SEARCH_CAP_NBAR), abs=1e-6
         )
         assert result.taus == (0.5,) + (0.0,) * (n - 2)
-        assert len(result.ties) >= 2
-        firsts = sorted(tie[0] for tie in result.ties)
-        assert_allclose(firsts, sorted(1.0 - t for t in firsts), atol=1e-12)
-        assert all(tie[1:] == (0.0,) * (n - 2) for tie in result.ties)
 
 
 def test_min_threshold_rejects_tiny_grids():
-    with pytest.raises(ValueError, match="grid_resolution"):
+    with pytest.raises(TypeError, match="grid_resolution"):  # no grid is searched
         min_threshold_energy(3, grid_resolution=4)
     for n_modes in (1, 0):
         with pytest.raises(ValueError, match="need at least 2 modes"):
@@ -353,6 +353,21 @@ def test_asymptotic_ratio_frozen_and_monotone():
         asymptotic_ratio(3, (0.5, 0.5), 200.0)
     with pytest.raises(ValueError, match="finite"):
         asymptotic_ratio(3, (0.5, 0.5), 355.0)
+
+
+@pytest.mark.parametrize("n_modes", [3, 4])
+def test_asymptotic_ratio_gap_matches_its_expansion(n_modes):
+    # relative gap x r -> k = (1 - ln 2 - a/n)/2, a = (n/2) ln((n-1)/n) + (1/2) ln c_n,
+    # with c_n the last exit weight (1/8 at n = 3, 1/16 at n = 4)
+    taus = (0.5,) * (n_modes - 1)
+    ln_cn = _exit_log_weights(n_modes, np.array([taus]))[-1, 0]
+    assert np.exp(ln_cn) == pytest.approx(2.0 ** -n_modes, rel=1e-14)
+    a = 0.5 * n_modes * np.log((n_modes - 1) / n_modes) + 0.5 * ln_cn
+    k = (1.0 - np.log(2.0) - a / n_modes) / 2.0
+    limit = n_modes / (n_modes - 1)
+    for r in (20.0, 40.0, 80.0, 160.0):
+        gap = (limit - asymptotic_ratio(n_modes, taus, r)) / limit
+        assert abs(r * gap - k) <= 0.1 / r, (n_modes, r)
 
 
 def test_advantage_grows_with_budget_past_the_thresholds():
@@ -521,6 +536,19 @@ def test_boundary_second_axis_widest_near_balanced_split():
         t1: tau_boundaries(3, 7.0, (t1,)).hi for t1 in (0.3, 0.45, 0.5, 0.55, 0.7)
     }
     assert all(widths[0.5] > widths[t] for t in widths if t != 0.5)
+
+
+def test_a_tail_splitter_at_one_cuts_the_chain_and_every_advantage():
+    # why tau_boundaries needs no case for an advantage at a tail axis' edge:
+    # tau = 1 there leaves c_n = 0, and then delta < 0 at every budget
+    rng = np.random.default_rng(550)
+    for _ in range(60):
+        n = int(rng.integers(3, 13))
+        taus = rng.uniform(size=n - 1)
+        taus[rng.integers(1, n - 1)] = 1.0
+        assert _exit_log_weights(n, taus[None])[-1, 0] == -np.inf
+        for nbar in (1e-3, 1.0, 30.0, 1e4, 1e8, 1e12):
+            assert quantum_advantage(n, tuple(taus), nbar) < 0.0, (n, taus, nbar)
 
 
 def test_boundary_degenerate_prefix_gives_empty_slice():

@@ -94,6 +94,16 @@ def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
         (["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "355"],
          "error: --squeezing 355 is too large: r = 355 overflows the photon budget, "
          "finite up to r = 354.9\n"),
+        # converter errors: empty tau entries, a budget that is no finite number
+        (["capacity", "--modes", "3", "--tau", "0.5,,0.5", "--nbar", "8"],
+         "error: tau has an empty entry in '0.5,,0.5'\n"),
+        (["threshold", "--modes", "2", "--tau", "0.5,"],
+         "error: tau has an empty entry in '0.5,'\n"),
+        (["threshold", "--modes", "2", "--tau", ","], "error: tau has an empty entry in ','\n"),
+        (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "abc"],
+         "error: nbar must be a number, got 'abc'\n"),
+        (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
+         "error: nbar must be finite, got 'inf'\n"),
     ],
 )
 def test_rejected_values_name_the_flags(argv, message, capsys):
@@ -146,6 +156,8 @@ def test_config_file_merging_and_flag_override(tmp_path):
     assert config.nbar == 9.0  # flag beats file
     assert config.bits is True
     assert config.seed == 0
+    cfg.write_text("modes = 3\ntau = 0.5,0.5\nnbar = 8.15\nbits = no\n")
+    assert parse_args(["capacity", "--config", str(cfg)]).bits is False
 
 
 def test_shared_config_file_drives_every_subcommand(tmp_path, capsys):
@@ -198,6 +210,10 @@ def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
     bad_line.write_text("modes 3\n")
     with pytest.raises(CliConfigError, match="key = value"):
         parse_args(["capacity", "--config", str(bad_line)])
+    bad_bool = tmp_path / "c.cfg"
+    bad_bool.write_text("bits = maybe\n")
+    with pytest.raises(CliConfigError, match="bits must be boolean, got 'maybe'"):
+        parse_args(["capacity", "--config", str(bad_bool)])
     with pytest.raises(CliConfigError, match="cannot read"):
         parse_args(["capacity", "--config", str(tmp_path / "missing.cfg")])
 
@@ -410,6 +426,28 @@ def test_parse_region_rejects_text_that_is_not_the_named_grid(fmt, meta, rows, m
         parse_region(_region_text(fmt, meta, rows))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "x,y,z,delta_bits,advantage",  # foreign names, the wrong units and a column too many
+        "tau1,tau2,delta_bits,advantage",  # the units the metadata does not name
+        "tau1,tau2,tau3,delta_nats,advantage",  # a tau column too many
+        "tau1,delta_nats,advantage",  # a tau column too few
+        "tau2,tau1,delta_nats,advantage",  # the columns out of order
+        "tau1,tau2,delta_nats",  # no advantage column
+        "tau1, tau2, delta_nats, advantage",  # spaced out
+        "0,0,-1.00615567583,false",  # a data row in its place
+    ],
+)
+def test_parse_region_refuses_a_header_other_than_the_writers(header):
+    lines = _region_text("csv").decode().split("\n")
+    assert lines[5] == "tau1,tau2,delta_nats,advantage"
+    lines[5] = header
+    with pytest.raises(ValueError, match="header '.*' is not the columns "
+                                         "tau1,tau2,delta_nats,advantage"):
+        parse_region("\n".join(lines).encode())
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_parse_region_rejects_a_tau_one_digit_off_the_grid(fmt):
     data = _region_text(fmt)
@@ -584,7 +622,7 @@ def test_threshold_command_global_minimum(capsys):
     result = _json_out(capsys)["result"]
     assert result["nbar_th"] == pytest.approx(MIN_TH3, abs=1e-5)
     assert abs(result["taus"][0] - 0.5) <= 1e-3
-    assert len(result["ties"]) >= 2
+    assert sorted(result) == ["n_modes", "nbar_th", "taus"]
 
 
 def test_threshold_command_global_minimum_five_modes(capsys):
