@@ -22,13 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dc_protocol import (
-    _exit_log_weights,
-    _half_log_dets,
-    _quantum_rates,
-    capacity,
-    optimal_params,
-)
+from .dc_protocol import _quantum_rates, capacity, optimal_params
 from .phase_space import _frozen_array
 from .resource_prep import _validated_taus
 
@@ -52,7 +46,7 @@ __all__ = [
 SEARCH_CAP_NBAR = 1e4     # photon budgets beyond this are treated as "never"
 BISECT_TOL = 1e-6         # absolute nbar tolerance for threshold roots
 _SCAN_MAX_POINTS = 2**24  # region_scan refuses larger grids
-_SCAN_CHUNK_BYTES = 2**18  # (n + 1, C) exit weights per kernel chunk, sized to stay in cache
+_SCAN_CHUNK_BYTES = 2**20  # region_scan chunk working set: fastest of 256 KiB..2 MiB, n = 3..8
 
 
 class NoAdvantageError(RuntimeError):
@@ -89,12 +83,6 @@ def _classical_rates(n_senders: int, nbar: np.ndarray) -> np.ndarray:
     return n_senders * (x * np.log1p(1.0 / x) + np.log1p(x))
 
 
-def _delta_batch(n_modes: int, log_weights: np.ndarray, nbar) -> np.ndarray:
-    """delta = C_quantum - C_classical per point of _exit_log_weights; nbar is
-    a scalar (shared budget) or one budget per point."""
-    return _quantum_rates(n_modes, log_weights, nbar) - classical_capacity(n_modes - 1, nbar)
-
-
 def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float:
     """delta(taus, nbar) = C_quantum - C_classical in nats."""
     return capacity(n_modes, taus, nbar).delta
@@ -106,39 +94,36 @@ def _threshold(n_modes: int, taus: tuple[float, ...], tol: float) -> float:
 
     Safeguarded Newton in u = ln nbar (README, Numerical notes) until a step in
     nbar is <= tol/4; delta at x -/+ tol/2 then certifies the root, or it is
-    bisected until hi - lo <= tol.
-    The floor 1e-6 never holds an advantage: the exit weights sum to 1, so
+    bisected until hi - lo <= tol. Each delta (and slope) is one O(n) transfer
+    pass on Python floats. The floor 1e-6 never holds an advantage: P(v) <= 1, so
     C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 there,
     while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5.
     """
-    w = _exit_log_weights(n_modes, np.array([taus]))
+    def delta_at(nbar):  # right for budgets in (0, SEARCH_CAP_NBAR]
+        return _quantum_rates(taus, nbar) - _classical_rates(n_modes - 1, nbar)
 
-    def delta_at(nbar):  # unchecked: right for budgets in (0, SEARCH_CAP_NBAR]
-        return _half_log_dets(n_modes, w, nbar) - _classical_rates(n_modes - 1, nbar)
-
-    d_cap = delta_at(SEARCH_CAP_NBAR)[0]
+    d_cap = float(delta_at(SEARCH_CAP_NBAR))
     if not d_cap > 0.0:
         return np.inf
-    lo, hi = np.log(1e-6), np.log(SEARCH_CAP_NBAR)  # ln nbar where delta <= 0, > 0
+    lo, hi = math.log(1e-6), math.log(SEARCH_CAP_NBAR)  # ln nbar where delta <= 0, > 0
     u = hi - d_cap if d_cap < hi - lo else 0.5 * (lo + hi)  # full rank: delta ~ u + c
     nbar = np.inf  # no step taken yet
     with np.errstate(divide="ignore", invalid="ignore"):  # a flat delta: no Newton step
-        while abs(np.exp(u) - nbar) > 0.25 * tol:  # until a step is <= tol/4 or u stops
-            nbar = np.exp(u)
-            half, slope = _half_log_dets(n_modes, w, nbar, slope=True)
-            delta = half[0] - _classical_rates(n_modes - 1, nbar)
+        while abs(math.exp(u) - nbar) > 0.25 * tol:  # until a step is <= tol/4 or u stops
+            nbar = math.exp(u)
+            half, slope = _quantum_rates(taus, nbar, slope=True)
+            delta = half - _classical_rates(n_modes - 1, nbar)
             lo, hi = (lo, u) if delta > 0.0 else (u, hi)
-            newton = u - delta / (slope[0] - nbar * np.log1p((n_modes - 1) / nbar))
+            newton = float(u - delta / (slope - nbar * math.log1p((n_modes - 1) / nbar)))
             u = newton if lo < newton < hi or newton == u else 0.5 * (lo + hi)
-    x, lo, hi = np.exp(u), np.exp(lo), np.exp(hi)
-    below, above = delta_at(np.array([max(x - 0.5 * tol, lo), min(x + 0.5 * tol, hi)])) > 0.0
-    if above and not below:
-        return float(x)
+    x, lo, hi = math.exp(u), math.exp(lo), math.exp(hi)
+    if delta_at(min(x + 0.5 * tol, hi)) > 0.0 >= delta_at(max(x - 0.5 * tol, lo)):
+        return x
     mid = 0.5 * (lo + hi)  # delta's rounding hides the root: bisect
     while hi - lo > tol and lo < mid < hi:
-        lo, hi = (lo, mid) if delta_at(mid)[0] > 0.0 else (mid, hi)
+        lo, hi = (lo, mid) if delta_at(mid) > 0.0 else (mid, hi)
         mid = 0.5 * (lo + hi)
-    return float(mid)
+    return mid
 
 
 def threshold_energy(
@@ -257,9 +242,9 @@ def tau_boundaries(
     if axis >= n_modes - 1:
         raise ValueError("fixed_prefix pins every transmissivity; none left to bound")
     row = _validated_taus(n_modes, prefix + (0.0,) * (n_modes - 1 - axis))
-    probes = np.array([row, row])
-    probes[:, axis] = (0.5, 0.0) if axis == 0 else (0.0, 1.0)
-    d_best, d_edge = _delta_batch(n_modes, _exit_log_weights(n_modes, probes), nbar)
+    c_cl = _classical_rates(n_modes - 1, nbar)
+    d_best, d_edge = (float(_quantum_rates(row[:axis] + (t,) + row[axis + 1:], nbar) - c_cl)
+                      for t in ((0.5, 0.0) if axis == 0 else (0.0, 1.0)))
     if d_best <= 0.0:
         return TauInterval(np.nan, np.nan, empty=True, clamped=False)
     # past the first axis d_edge < 0: tau = 1 there cuts the chain, so c_n = 0,
@@ -374,17 +359,19 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
 
     Rows are ordered with the first transmissivity slowest, matching
     sorted-tuple order, so serialized scans are directly comparable.
-    The kernel runs on consecutive chunks of grid points whose
-    (n + 1, C) exit-weight array fits _SCAN_CHUNK_BYTES, each chunk's taus
-    built from its row indices; a grid of more than _SCAN_MAX_POINTS
-    points raises ValueError before anything is allocated.
+    The O(n) transfer kernel runs on (C,) columns of C consecutive points,
+    whose working set (their (n - 1, C) taus and grid positions, about ten
+    (C,) arrays of kernel state: 8 (2n + 8) bytes a point) fits
+    _SCAN_CHUNK_BYTES; a grid of more than _SCAN_MAX_POINTS points raises
+    ValueError before anything is allocated.
     """
     n_points = _grid_points(n_modes, grid_resolution)
     if not np.isfinite(nbar) or nbar < 0.0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
-    chunk = _SCAN_CHUNK_BYTES // (8 * (n_modes + 1))
+    chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8))
     axis, deltas = np.linspace(0.0, 1.0, grid_resolution), np.empty(n_points)
+    c_cl = classical_capacity(n_modes - 1, nbar)
     for start in range(0, n_points, chunk):
-        taus = axis[_grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))]
-        deltas[start:start + chunk] = _delta_batch(n_modes, _exit_log_weights(n_modes, taus), nbar)
+        index = _grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))
+        deltas[start:start + chunk] = _quantum_rates(axis[index.T], nbar) - c_cl
     return RegionScan(n_modes, nbar, grid_resolution, deltas)

@@ -19,6 +19,7 @@ e^{-2r}/2 on every output, for which the mutual information is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -65,6 +66,7 @@ __all__ = [
 MC_MIN_SAMPLES = 10_000
 MC_MAX_SAMPLES = 2**27  # 8 B of values per sample: at most 1 GiB
 _MC_CHUNK_BYTES = 2**18  # each (chunk, k) sample array, sized to stay in cache
+_TINY = float(np.finfo(float).tiny)  # a Python float, so scalar passes stay on floats
 
 
 @dataclass(frozen=True)
@@ -417,16 +419,15 @@ class CapacityReport:
 def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport:
     """Network capacity at photon budget nbar with optimal (r, sigma^2).
 
-    C_q = (1/2) ln det(I + g M M^T) of the standard-plan channel, with
-    g = e^{2r} sigma^2 in closed form; the classical benchmark for the
-    same number of senders and budget rides along in the report.
+    C_q = (1/2) ln det(I + g M M^T) of the standard-plan channel, g = e^{2r}
+    sigma^2 in closed form, from one O(n) transfer pass down the chain that
+    builds no matrix; the classical benchmark rides along in the report.
     """
     from .advantage_analysis import classical_capacity
 
     taus = _validated_taus(n_modes, taus)
     r, sigma_sq = optimal_params(n_modes, nbar)
-    log_weights = _exit_log_weights(n_modes, np.array([taus]))
-    c_q = max(0.0, float(_quantum_rates(n_modes, log_weights, nbar)[0]))
+    c_q = max(0.0, float(_quantum_rates(taus, nbar)))
     c_cl = classical_capacity(n_modes - 1, nbar)
     return CapacityReport(
         n_modes=n_modes,
@@ -451,49 +452,56 @@ def channel_matrix_batch(n_modes: int, taus_grid) -> np.ndarray:
     return np.array(matrices).reshape(len(taus), n_modes, n_modes)
 
 
-def _exit_log_weights(n_modes: int, taus_grid: np.ndarray) -> np.ndarray:
-    """ln c_j, shape (n_modes + 1, G), for a (G, n_modes - 1) grid of taus:
-    det(I + g M M^T) = sum_j c_j (1 + 2g)^j, where c_j is the chance that j
-    fermions leave the chain through slot modes (README, Numerical notes)."""
-    t = np.asarray(taus_grid, dtype=float).T
-    r = 1.0 - t
-    weights = np.zeros((n_modes + 1, t.shape[1]))
-    weights[0] = 1.0
-    for block in (0, 1):  # modes measured in p (0, 2, ...), then in q (1, 3, ...)
-        in_0, in_1 = (t[0], r[0]) if block == 0 else (r[0], t[0])  # after BS_0; 0 is a slot
-        empty, full = np.zeros_like(weights), in_1 * weights  # mode k + 1 empty/full
-        empty[1:] = in_0 * weights[:-1]
-        for k, (tk, rk) in enumerate(zip(t[1:], r[1:]), start=1):
-            if (k + 1) % 2 == block:  # mode k + 1 starts full, mode k is a slot
-                full[1:], full[0] = full[:-1] + tk * empty[1:], tk * empty[0]
-                empty[1:], empty[0] = rk * empty[:-1], 0.0
+def _log_transfer(taus, v, u):
+    """ln P(v) and v P'(v) / P(v), where det(I + g M M^T) = x^n P(1/x),
+    for n - 1 taus that are floats or (C,) columns, v = 1/x and u = 1 - v = 2g/x.
+
+    P = P_p P_q (README, Numerical notes): per parity block, (e, f) = (mode k + 1
+    empty, full) runs down the chain by [[r, 0], [t v, 1]] where mode k is a slot,
+    else by [[1, t], [0, r]]. Beside it run its v-derivative and its deficit
+    against v = 1, 1 - P to full relative accuracy, which gives ln P where P > 1/2;
+    a slot step, the only one that shrinks the state, renormalizes it. v = 0
+    gives ln P(0) = ln c_n."""
+    t0 = taus[0]
+    p, p_v, deficit = 1.0, 0.0, 0.0  # P and dP/dv over e^log_scale, 1 - P, so far
+    scale, log_scale = 1.0, 0.0  # e^log_scale feeds the deficits, and may underflow
+    for block, (in_0, in_1) in enumerate(((t0, 1.0 - t0), (1.0 - t0, t0))):  # after BS_0
+        e, f = in_0 * p, in_1 * v * p
+        e_v, f_v = in_0 * p_v, in_1 * (p + v * p_v)
+        d_e, d_f = in_0 * deficit, in_1 * (u * scale * p + deficit)
+        for k in range(1, len(taus)):
+            t = taus[k]
+            r = 1.0 - t
+            if (k + 1) % 2 == block:  # mode k is a slot: a fermion leaving it exits
+                d_e, d_f = r * d_e, d_f + t * (d_e + u * scale * e)
+                e_v, f_v = r * e_v, f_v + t * (e + v * e_v)
+                e, f = r * e, f + t * v * e
+                norm = e + f + _TINY  # > 0 at v = 0 too
+                e, f, e_v, f_v = e / norm, f / norm, e_v / norm, f_v / norm
+                scale, log_scale = scale * norm, log_scale + np.log(norm)
             else:  # mode k + 1 starts empty, mode k is no slot
-                empty += tk * full
-                full *= rk
-        weights = empty + full  # the q block starts from the p block's exits
-    with np.errstate(divide="ignore"):
-        return np.log(weights)
+                d_e, d_f = d_e + t * d_f, r * d_f
+                e_v, f_v = e_v + t * f_v, r * f_v
+                e, f = e + t * f, r * f
+        p, p_v, deficit = e + f, e_v + f_v, d_e + d_f
+    log_p = np.where(deficit < 0.5, np.log1p(-np.minimum(deficit, 0.5)), np.log(p) + log_scale)
+    return log_p, np.divide(v * p_v, p)
 
 
-def _half_log_dets(n_modes: int, log_weights: np.ndarray, nbar, slope: bool = False):
-    """_quantum_rates without its checks: an overflowing gain gives nan."""
-    nb = np.asarray(nbar, dtype=float)
-    gain = 2.0 * nb * (nb + n_modes - 1) / ((n_modes - 1) * n_modes)
-    exits = np.arange(n_modes + 1)[:, None]
-    terms = log_weights + exits * np.log1p(2.0 * gain)
-    half = 0.5 * np.logaddexp.reduce(terms, axis=0)
-    if slope:  # also dC_q/d ln nbar = (E[j]/2) d ln(1 + 2g)/d ln nbar, E[j] the mean exit count
-        rate = 4.0 * nb * (2.0 * nb + n_modes - 1) / ((n_modes - 1) * n_modes * (1.0 + 2.0 * gain))
-        return half, 0.5 * (exits * np.exp(terms - 2.0 * half)).sum(axis=0) * rate
+def _quantum_rates(taus, nbar: float, slope: bool = False):
+    """C_q = (1/2) (n ln x + ln P(1/x)) at one budget per point of _log_transfer's taus,
+    g = e^{2r} sigma^2 at the optimal working point; with slope, also dC_q/d ln nbar =
+    (E[j]/2) d ln x/d ln nbar, E[j] = n - v P'/P the mean exit count. Exactly 0 at
+    nbar = 0 (P = 1, no deficit); an overflowing gain (nbar beyond ~1e154) raises
+    ValueError before the kernel runs."""
+    n, nbar = len(taus) + 1, float(nbar)
+    gain = 2.0 * nbar * (nbar + n - 1) / ((n - 1) * n)
+    x = 1.0 + 2.0 * gain
+    if not math.isfinite(x):
+        raise ValueError(f"photon budget {nbar:g} overflows the determinant")
+    log_p, v_slope = _log_transfer(taus, 1.0 / x, 2.0 * gain / x)
+    half = 0.5 * (n * math.log1p(2.0 * gain) + log_p)
+    if slope:
+        rate = 4.0 * nbar * (2.0 * nbar + n - 1) / ((n - 1) * n * x)
+        return half, 0.5 * (n - v_slope) * rate
     return half
-
-
-def _quantum_rates(n_modes: int, log_weights: np.ndarray, nbar) -> np.ndarray:
-    """C_q = (1/2) ln sum_j c_j (1 + 2g)^j per point of _exit_log_weights, g =
-    e^{2r} sigma^2 at the optimal working point, exactly 0 at nbar = 0; nbar is
-    a scalar or one budget per point. nbar beyond ~1e154 raises ValueError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rates = _half_log_dets(n_modes, log_weights, nbar)
-    if not np.isfinite(rates).all():
-        raise ValueError(f"photon budget {np.max(nbar):g} overflows the determinant")
-    return np.where(np.asarray(nbar) > 0.0, rates, 0.0)

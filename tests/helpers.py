@@ -122,6 +122,44 @@ def capacity_mp(mp, n_modes, taus, nbar):
     return mp.log(mp.det(mp.eye(n_modes) + g * m * m.T)) / 2
 
 
+def exit_log_weights(n_modes, taus_grid):
+    """ln c_j, shape (n_modes + 1, G), for a (G, n_modes - 1) grid of taus:
+    det(I + g M M^T) = sum_j c_j (1 + 2g)^j, where c_j is the chance that j
+    fermions leave the chain through slot modes (README, Numerical notes).
+    The whole distribution, built by an O(n^2) recursion over it; the library
+    evaluates the same sum at one x by an O(n) transfer product instead."""
+    t = np.asarray(taus_grid, dtype=float).T
+    r = 1.0 - t
+    weights = np.zeros((n_modes + 1, t.shape[1]))
+    weights[0] = 1.0
+    for block in (0, 1):  # modes measured in p (0, 2, ...), then in q (1, 3, ...)
+        in_0, in_1 = (t[0], r[0]) if block == 0 else (r[0], t[0])  # after BS_0; 0 is a slot
+        empty, full = np.zeros_like(weights), in_1 * weights  # mode k + 1 empty/full
+        empty[1:] = in_0 * weights[:-1]
+        for k, (tk, rk) in enumerate(zip(t[1:], r[1:]), start=1):
+            if (k + 1) % 2 == block:  # mode k + 1 starts full, mode k is a slot
+                full[1:], full[0] = full[:-1] + tk * empty[1:], tk * empty[0]
+                empty[1:], empty[0] = rk * empty[:-1], 0.0
+            else:  # mode k + 1 starts empty, mode k is no slot
+                empty += tk * full
+                full *= rk
+        weights = empty + full  # the q block starts from the p block's exits
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
+
+
+def log_det_from_exit_weights(log_weights, gain):
+    """ln sum_j c_j x^j, x = 1 + 2 gain, per column of exit_log_weights. While
+    x^n is finite it is log1p(sum_j c_j expm1(j ln x)): every term is >= 0, so it
+    keeps full relative accuracy at small gains, where a logaddexp over j loses
+    digits; past that, the logaddexp (then ln det >~ 700 absorbs its rounding)."""
+    exits = np.arange(log_weights.shape[0])[:, None]
+    log_x = np.log1p(2.0 * gain)
+    if exits[-1, 0] * log_x < 700.0:
+        return np.log1p(np.sum(np.exp(log_weights) * np.expm1(exits * log_x), axis=0))
+    return np.logaddexp.reduce(log_weights + exits * log_x, axis=0)
+
+
 def classical_stable(n_senders, nbar):
     x = np.asarray(nbar, dtype=float) / n_senders
     with np.errstate(divide="ignore", invalid="ignore"):

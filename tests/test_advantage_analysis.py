@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from cvdcnet.advantage_analysis import (
     _SCAN_CHUNK_BYTES,
-    _delta_batch,
     BISECT_TOL,
     SEARCH_CAP_NBAR,
     NoAdvantageError,
@@ -21,7 +20,7 @@ from cvdcnet.advantage_analysis import (
     threshold_energy,
 )
 from cvdcnet import advantage_analysis, dc_protocol
-from cvdcnet.dc_protocol import EncodingPlan, _exit_log_weights, build_channel, capacity
+from cvdcnet.dc_protocol import EncodingPlan, _log_transfer, build_channel, capacity
 from cvdcnet.resource_prep import ResourceSpec
 
 from helpers import (
@@ -48,6 +47,7 @@ from helpers import (
     capacity_line_closed,
     classical_literal,
     classical_stable,
+    exit_log_weights,
     mi_oracle,
     signal_gain,
 )
@@ -146,7 +146,7 @@ def test_threshold_energy_input_validation():
 
 
 def _dense_delta(n_modes, taus):
-    """delta from a dense slogdet of the build_channel matrix, not the exit-count kernel."""
+    """delta from a dense slogdet of the build_channel matrix, not the transfer kernel."""
     m = build_channel(ResourceSpec(n_modes, 1.0, taus), EncodingPlan.standard(n_modes, 1.0)).matrix
 
     def delta(nbar):
@@ -187,15 +187,14 @@ def test_threshold_energy_certifies_the_sign_change_within_half_tol(tol):
 
 def test_threshold_solver_needs_few_kernel_passes(monkeypatch):
     # draws as in the points benchmark: n in [3, 32], three in ten on the tau1 line
-    kernel = dc_protocol._half_log_dets
+    kernel = dc_protocol._log_transfer
     passes = [0]
 
     def counted(*args, **kwargs):
         passes[0] += 1
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(dc_protocol, "_half_log_dets", counted)
-    monkeypatch.setattr(advantage_analysis, "_half_log_dets", counted)
+    monkeypatch.setattr(dc_protocol, "_log_transfer", counted)
     rng = np.random.default_rng(1104)
     per_call = []
     for _ in range(200):
@@ -360,7 +359,7 @@ def test_asymptotic_ratio_gap_matches_its_expansion(n_modes):
     # relative gap x r -> k = (1 - ln 2 - a/n)/2, a = (n/2) ln((n-1)/n) + (1/2) ln c_n,
     # with c_n the last exit weight (1/8 at n = 3, 1/16 at n = 4)
     taus = (0.5,) * (n_modes - 1)
-    ln_cn = _exit_log_weights(n_modes, np.array([taus]))[-1, 0]
+    ln_cn = exit_log_weights(n_modes, np.array([taus]))[-1, 0]
     assert np.exp(ln_cn) == pytest.approx(2.0 ** -n_modes, rel=1e-14)
     a = 0.5 * n_modes * np.log((n_modes - 1) / n_modes) + 0.5 * ln_cn
     k = (1.0 - np.log(2.0) - a / n_modes) / 2.0
@@ -368,6 +367,25 @@ def test_asymptotic_ratio_gap_matches_its_expansion(n_modes):
     for r in (20.0, 40.0, 80.0, 160.0):
         gap = (limit - asymptotic_ratio(n_modes, taus, r)) / limit
         assert abs(r * gap - k) <= 0.1 / r, (n_modes, r)
+
+
+@pytest.mark.parametrize("n_modes, taus, c_n, constant", [
+    (3, (0.5, 0.5), 1 / 8, -2.261624),
+    (4, (0.5, 0.5, 0.5), 1 / 16, -3.287682),
+    (20, (0.5,) + (0.0,) * 18, 1 / 4, -9.287575),  # on the line, c_n = tau1 (1 - tau1)
+    (64, (0.5,) + (0.0,) * 62, 1 / 4, -23.978810),
+])
+def test_advantage_tends_to_ln_nbar_plus_its_full_rank_constant(n_modes, taus, c_n, constant):
+    # c_n > 0: delta = ln nbar + c + o(1), with c_n = P(0), the kernel's v = 0 limit, and
+    # c = (n/2) ln(4/(n(n-1))) + (1/2) ln c_n + (n-1) ln(n-1) - (n-1)
+    n = n_modes
+    ln_cn = float(_log_transfer(taus, 0.0, 1.0)[0])
+    assert ln_cn == pytest.approx(exit_log_weights(n, np.array([taus]))[-1, 0], rel=1e-14)
+    assert np.exp(ln_cn) == pytest.approx(c_n, rel=1e-14)
+    c = 0.5 * n * np.log(4.0 / (n * (n - 1))) + 0.5 * ln_cn + (n - 1) * np.log(n - 1) - (n - 1)
+    assert c == pytest.approx(constant, abs=1e-6)
+    nbar = 1e12
+    assert abs(quantum_advantage(n, taus, nbar) - np.log(nbar) - c) <= 1e-9
 
 
 def test_advantage_grows_with_budget_past_the_thresholds():
@@ -546,7 +564,9 @@ def test_a_tail_splitter_at_one_cuts_the_chain_and_every_advantage():
         n = int(rng.integers(3, 13))
         taus = rng.uniform(size=n - 1)
         taus[rng.integers(1, n - 1)] = 1.0
-        assert _exit_log_weights(n, taus[None])[-1, 0] == -np.inf
+        assert exit_log_weights(n, taus[None])[-1, 0] == -np.inf
+        with np.errstate(all="ignore"):  # the kernel at v = 0, where P = c_n = 0
+            assert _log_transfer(tuple(taus), 0.0, 1.0)[0] == -np.inf
         for nbar in (1e-3, 1.0, 30.0, 1e4, 1e8, 1e12):
             assert quantum_advantage(n, tuple(taus), nbar) < 0.0, (n, taus, nbar)
 
@@ -640,9 +660,9 @@ def test_region_scan_validation_and_strict_flags():
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])
 def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid):
     scan = region_scan(n_modes, nbar, grid)
-    chunk = _SCAN_CHUNK_BYTES // (8 * (n_modes + 1))  # points per kernel call
+    chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8))  # points per kernel call
     assert scan.n_points > 8 * chunk  # more than 8 chunks
-    whole = _delta_batch(n_modes, _exit_log_weights(n_modes, scan.taus), nbar)
+    whole = dc_protocol._quantum_rates(scan.taus.T, nbar) - classical_capacity(n_modes - 1, nbar)
     assert np.array_equal(scan.deltas, whole)
 
 
@@ -652,7 +672,7 @@ def test_region_scan_refuses_grids_over_the_point_cap(monkeypatch):
 
     monkeypatch.setattr(np, "empty", no_grid)  # the deltas
     monkeypatch.setattr(advantage_analysis, "_grid_index", no_grid)
-    monkeypatch.setattr(advantage_analysis, "_exit_log_weights", no_grid)
+    monkeypatch.setattr(dc_protocol, "_log_transfer", no_grid)  # the kernel
     # 9 bytes per point: the deltas and the flags
     with pytest.raises(ValueError, match=r"grid 64 has 1,073,741,824 points \(about 9.66 GB\)"):
         region_scan(6, 7.0, 64)

@@ -12,8 +12,8 @@ from cvdcnet.dc_protocol import (
     MC_MIN_SAMPLES,
     EncodingPlan,
     LinearGaussianChannel,
+    _quantum_rates,
     build_channel,
-    _exit_log_weights,
     capacity,
     channel_matrix_batch,
     decode_transform,
@@ -51,6 +51,8 @@ from helpers import (
     decoded_mean_three,
     decoded_measured_mean_four,
     dense_decoding,
+    exit_log_weights,
+    log_det_from_exit_weights,
     mutual_information_mc_literal,
     signal_gain,
 )
@@ -481,7 +483,7 @@ def test_unsqueezed_channel_homodynes_the_alternating_pattern():
             for sigma in (0.3, 1.0, 2.5):
                 plan = EncodingPlan.standard(n, sigma)
                 info = mutual_information(build_channel(ResourceSpec(n, 0.0, taus), plan))
-                terms = _exit_log_weights(n, np.array([taus]))[:, 0] + np.arange(n + 1) * np.log1p(
+                terms = exit_log_weights(n, np.array([taus]))[:, 0] + np.arange(n + 1) * np.log1p(
                     2.0 * sigma**2
                 )
                 assert info == pytest.approx(0.5 * np.logaddexp.reduce(terms), rel=1e-12)
@@ -593,7 +595,7 @@ def test_exit_weights_are_a_distribution_that_gives_the_dense_determinant():
         taus = rng.uniform(size=(6, n - 1))
         taus[rng.uniform(size=taus.shape) < 0.25] = 0.0
         taus[rng.uniform(size=taus.shape) < 0.25] = 1.0
-        weights = np.exp(_exit_log_weights(n, taus))
+        weights = np.exp(exit_log_weights(n, taus))
         assert weights.shape == (n + 1, 6)
         assert (weights >= 0.0).all()
         assert_allclose(weights.sum(axis=0), 1.0, rtol=1e-14)
@@ -602,6 +604,49 @@ def test_exit_weights_are_a_distribution_that_gives_the_dense_determinant():
             log_dets = np.log(np.sum(weights * (1.0 + 2.0 * gain) ** exits, axis=0))
             for row, log_det in zip(taus, log_dets):
                 assert abs(log_det - _dense_log_det(n, row, gain)) <= 1e-12  # det to 1e-12 rel
+
+
+def test_transfer_kernel_is_the_exit_weight_sum_at_one_x():
+    # C_q = (1/2) ln det from the O(n) transfer kernel against (1/2) ln sum_j c_j x^j
+    # from the O(n^2) exit-weight recursion, and its slope (E[j]/2) d ln x/d ln nbar
+    # against the mean exit count E[j] under the weights c_j x^j
+    rng = np.random.default_rng(1940)
+    for n in range(2, 41):
+        taus = rng.uniform(size=(6, n - 1))
+        taus[rng.uniform(size=taus.shape) < 0.2] = 0.0
+        taus[rng.uniform(size=taus.shape) < 0.2] = 1.0
+        log_weights = exit_log_weights(n, taus)
+        exits = np.arange(n + 1)[:, None]
+        for target in (1e-3, 0.02, 0.5, 3.0, 70.0, 1e4, 1e8, 1e12):  # gains
+            nbar = 0.5 * (np.sqrt((n - 1) ** 2 + 2.0 * target * (n - 1) * n) - (n - 1))
+            gain = signal_gain(n, nbar)
+            half, slope = _quantum_rates(taus.T, nbar, slope=True)
+            assert_allclose(2.0 * half, log_det_from_exit_weights(log_weights, gain),
+                            rtol=1e-14, atol=0.0)
+            terms = log_weights + exits * np.log1p(2.0 * gain)
+            mean_exits = np.sum(exits * np.exp(terms - np.logaddexp.reduce(terms)), axis=0)
+            rate = 4.0 * nbar * (2.0 * nbar + n - 1) / ((n - 1) * n * (1.0 + 2.0 * gain))
+            assert_allclose(slope, 0.5 * mean_exits * rate, rtol=1e-12, atol=0.0)
+            for row, batched in zip(taus, half):  # one point, on Python floats
+                one = _quantum_rates(tuple(float(t) for t in row), nbar)
+                assert abs(one - batched) <= 1e-15 * batched, (n, target, tuple(row))
+
+
+def test_capacity_of_a_cut_64_mode_chain_matches_60_digits():
+    # a tail splitter at 1 cuts the chain, so c_n = P(0) = 0: ln P(v) runs to -inf
+    # as v -> 0, and an overflowing gain (v = 0) must still raise, with no warning
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(6415)
+    for nbar in (1e12, 1e15):
+        taus = rng.uniform(size=63)
+        taus[1 + rng.choice(62, size=24, replace=False)] = 1.0
+        with mp.workdps(60):
+            expected = capacity_mp(mp, 64, taus, nbar)
+        got = capacity(64, tuple(taus), nbar).c_quantum
+        assert abs(got - expected) <= 1e-12 * expected, (nbar, tuple(taus))
+        assert capacity(64, tuple(taus), 0.0).c_quantum == 0.0
+        with pytest.raises(ValueError, match="overflows the determinant"):
+            capacity(64, tuple(taus), 1e160)
 
 
 def test_parity_blocks_split_the_channel_and_are_affine_in_each_tau():
