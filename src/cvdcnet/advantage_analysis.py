@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dc_protocol import _quantum_rates, capacity, optimal_params
+from .dc_protocol import _classical_rates, _quantum_rates, capacity, optimal_params
 from .phase_space import _frozen_array
-from .resource_prep import _validated_taus
+from .resource_prep import _mode_count, _validated_taus
 
 __all__ = [
     "SEARCH_CAP_NBAR",
@@ -75,12 +75,6 @@ def classical_capacity(n_senders: int, nbar):
         val = _classical_rates(n_senders, arr)
     val = np.where(arr / n_senders > 0, val, 0.0)
     return float(val) if arr.ndim == 0 else val
-
-
-def _classical_rates(n_senders: int, nbar: np.ndarray) -> np.ndarray:
-    """classical_capacity, unchecked: right only for budgets > 0."""
-    x = nbar / n_senders
-    return n_senders * (x * np.log1p(1.0 / x) + np.log1p(x))
 
 
 def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float:
@@ -177,8 +171,7 @@ def min_threshold_energy(n_modes: int) -> MinThresholdResult:
     threshold there, solved to tol 1e-9; no other point is searched.
     Raises NoAdvantageError if delta never turns positive below the cap.
     """
-    if n_modes < 2:
-        raise ValueError(f"need at least 2 modes, got {n_modes}")
+    n_modes = _mode_count(n_modes)
     taus = (0.5,) + (0.0,) * (n_modes - 2)
     nbar_th = _threshold(n_modes, taus, tol=1e-9)
     if not np.isfinite(nbar_th):
@@ -194,25 +187,14 @@ class TauInterval:
     """One axis-aligned slice of the advantage region.
 
     empty means no value of the free transmissivity gives an advantage
-    (lo and hi are NaN then); clamped means the analytic boundary fell
-    outside [0, 1] and was cut back to the physical range.
+    (lo and hi are NaN then). clamped is always False, kept for callers: the
+    slice's edge cuts the chain, so the boundary never leaves [0, 1] (tau_boundaries).
     """
 
     lo: float
     hi: float
     empty: bool
     clamped: bool
-
-
-def _interval(lo: float, hi: float) -> TauInterval:
-    lo, hi = float(lo), float(hi)
-    if not hi >= lo:
-        return TauInterval(np.nan, np.nan, empty=True, clamped=False)
-    clamped = bool(lo < 0.0 or hi > 1.0)
-    lo_c, hi_c = max(lo, 0.0), min(hi, 1.0)
-    if hi_c < lo_c:
-        return TauInterval(np.nan, np.nan, empty=True, clamped=True)
-    return TauInterval(lo_c, hi_c, empty=False, clamped=clamped)
 
 
 def tau_boundaries(
@@ -233,8 +215,7 @@ def tau_boundaries(
     delta at the slice's best point (t = 1/2 on the first axis, t = 0 on
     the others) and at its edge fixes the interval exactly, for any n.
     """
-    if n_modes < 2:
-        raise ValueError(f"need at least 2 modes, got {n_modes}")
+    n_modes = _mode_count(n_modes)
     if not np.isfinite(nbar) or nbar <= 0.0:
         raise ValueError(f"nbar must be finite and > 0, got {nbar}")
     prefix = tuple(fixed_prefix)
@@ -247,18 +228,17 @@ def tau_boundaries(
                       for t in ((0.5, 0.0) if axis == 0 else (0.0, 1.0)))
     if d_best <= 0.0:
         return TauInterval(np.nan, np.nan, empty=True, clamped=False)
-    # past the first axis d_edge < 0: tau = 1 there cuts the chain, so c_n = 0,
-    # and then C_q <= C_cl at every budget
-    # (L_best - e^(2 C_cl)) / (L_best - L_edge): the crossing's share of the
-    # way from best point to edge (of the squared distance on the first axis)
+    # Each edge probe cuts the chain (tau_1 = 0 before a zero tail, or a later tau = 1),
+    # so c_n = 0 there and C_q <= C_cl at every budget: d_edge < 0 < d_best. The crossing's
+    # share of the way from best point to edge (of the squared distance on the first axis),
+    # (L_best - e^(2 C_cl)) / (L_best - L_edge), is in (0, 1): hi on a later axis
     span = np.expm1(2.0 * (d_edge - d_best))
-    frac = np.expm1(-2.0 * d_best) / span
-    if axis == 0:
-        # lo = 1/2 - half_width, without the cancellation when lo is tiny
-        half_width = 0.5 * np.sqrt(frac)
-        one_minus_frac = np.exp(-2.0 * d_best) * np.expm1(2.0 * d_edge) / span
-        return _interval(0.25 * one_minus_frac / (0.5 + half_width), 0.5 + half_width)
-    return _interval(0.0, frac)
+    lo, hi = 0.0, float(np.expm1(-2.0 * d_best) / span)
+    if axis == 0:  # lo = 1/2 - half_width, without the cancellation when lo is tiny
+        half_width = 0.5 * math.sqrt(hi)
+        one_minus_frac = float(np.exp(-2.0 * d_best) * np.expm1(2.0 * d_edge) / span)
+        lo, hi = 0.25 * one_minus_frac / (0.5 + half_width), 0.5 + half_width
+    return TauInterval(lo, hi, empty=False, clamped=False)
 
 
 def break_even_squeezing(n_modes: int, taus: Sequence[float]) -> float:
@@ -274,7 +254,7 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     ratio approaches n/(n-1) from below as r grows; the approach is
     slow, the gap falls off like 1/r.
     """
-    if r_large < 10.0:
+    if not r_large >= 10.0:
         raise ValueError("asymptotic regime starts at r_large >= 10")
     half_senders = (n_modes - 1) / 2.0
     with np.errstate(over="ignore"):
@@ -290,8 +270,7 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
 
 def _grid_points(n_modes: int, grid_resolution: int) -> int:
     """Points of a scan grid; ValueError unless region_scan could make it."""
-    if n_modes < 2:
-        raise ValueError(f"need at least 2 modes, got {n_modes}")
+    n_modes = _mode_count(n_modes)
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8")
     if (n_modes - 1) * math.log2(grid_resolution) > 64:  # too far over the cap to count
@@ -333,6 +312,7 @@ class RegionScan:
             raise ValueError(f"the grid has {n_points:,} points, deltas {deltas.shape}")
         flags = deltas > 0
         flags.flags.writeable = False
+        object.__setattr__(self, "n_modes", _mode_count(self.n_modes))
         object.__setattr__(self, "nbar", float(self.nbar))
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "flags", flags)
@@ -365,6 +345,7 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     _SCAN_CHUNK_BYTES; a grid of more than _SCAN_MAX_POINTS points raises
     ValueError before anything is allocated.
     """
+    n_modes = _mode_count(n_modes)
     n_points = _grid_points(n_modes, grid_resolution)
     if not np.isfinite(nbar) or nbar < 0.0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")

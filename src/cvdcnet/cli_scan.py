@@ -468,21 +468,20 @@ def _emit_json(config: RunConfig, **body) -> None:
     _emit(config, [_json_bytes({"meta": meta, **body})])
 
 
+def _result(config: RunConfig, taus: Sequence[float], **values: float) -> dict:
+    """A handler's result: n_modes, taus, then values, each rounded to 12 digits."""
+    rounded = {key: _round12(value) for key, value in values.items()}
+    return {"n_modes": config.modes, "taus": [_round12(t) for t in taus], **rounded}
+
+
 def _run_capacity(config: RunConfig) -> int:
     report = capacity(config.modes, config.taus, config.nbar)
     scale = 1.0 / LN2 if config.bits else 1.0
-    body = {
-        "result": {
-            "n_modes": report.n_modes,
-            "taus": [_round12(t) for t in report.taus],
-            "nbar": _round12(report.nbar),
-            "r": _round12(report.r),
-            "sigma_msg_sq": _round12(report.sigma_msg_sq),
-            "c_quantum": _round12(report.c_quantum * scale),
-            "c_classical": _round12(report.c_classical * scale),
-            "delta": _round12(report.delta * scale),
-        }
-    }
+    body = {"result": _result(
+        config, report.taus, nbar=report.nbar, r=report.r, sigma_msg_sq=report.sigma_msg_sq,
+        c_quantum=report.c_quantum * scale, c_classical=report.c_classical * scale,
+        delta=report.delta * scale,
+    )}
     if config.samples:
         channel = build_channel(
             ResourceSpec(config.modes, report.r, config.taus),
@@ -511,25 +510,15 @@ def _run_threshold(config: RunConfig) -> int:
         nbar_th, taus = threshold_energy(config.modes, config.taus), config.taus
     else:
         nbar_th, taus = min_threshold_energy(config.modes)
-    result = {
-        "n_modes": config.modes,
-        "taus": [_round12(t) for t in taus],
-        "nbar_th": _round12(nbar_th),
-    }
-    _emit_json(config, result=result)
+    _emit_json(config, result=_result(config, taus, nbar_th=nbar_th))
     return 0
 
 
 def _run_breakeven(config: RunConfig) -> int:
     threshold = threshold_energy(config.modes, config.taus)
-    result = {
-        "n_modes": config.modes,
-        "taus": [_round12(t) for t in config.taus],
-        # break_even_squeezing's value, without solving the threshold twice
-        "r_break_even": _round12(optimal_params(config.modes, threshold).r),
-        "nbar_th": _round12(threshold),
-    }
-    _emit_json(config, result=result)
+    # break_even_squeezing's value, without solving the threshold twice
+    r = optimal_params(config.modes, threshold).r
+    _emit_json(config, result=_result(config, config.taus, r_break_even=r, nbar_th=threshold))
     return 0
 
 
@@ -539,14 +528,8 @@ def _run_ratio(config: RunConfig) -> int:
     except ValueError as exc:
         # parse_args has checked every other value, and --squeezing's lower end
         raise CliConfigError(f"--squeezing {config.squeezing:g} is too large: {exc}") from exc
-    limit = config.modes / (config.modes - 1)
-    result = {
-        "n_modes": config.modes,
-        "taus": [_round12(t) for t in config.taus],
-        "squeezing": _round12(config.squeezing),
-        "ratio": _round12(value),
-        "limit": _round12(limit),
-    }
+    result = _result(config, config.taus, squeezing=config.squeezing, ratio=value,
+                     limit=config.modes / (config.modes - 1))
     _emit_json(config, result=result)
     return 0
 

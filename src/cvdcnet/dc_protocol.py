@@ -37,6 +37,7 @@ from .phase_space import (
 from .resource_prep import (
     ResourceSpec,
     _chain_adjoint,
+    _mode_count,
     _quadrature_lift,
     _validated_taus,
     alternating_pattern,
@@ -67,6 +68,7 @@ MC_MIN_SAMPLES = 10_000
 MC_MAX_SAMPLES = 2**27  # 8 B of values per sample: at most 1 GiB
 _MC_CHUNK_BYTES = 2**18  # each (chunk, k) sample array, sized to stay in cache
 _TINY = float(np.finfo(float).tiny)  # a Python float, so scalar passes stay on floats
+_Q_START_FLOOR = 2.0**-500  # _log_transfer renormalizes a q block start below this: no v^2 underflow
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,7 @@ class EncodingPlan:
     components: tuple[tuple[int, Quadrature], ...]
 
     def __post_init__(self):
-        n = int(self.n_modes)
-        if n < 2:
-            raise ValueError(f"need at least two modes, got {n}")
+        n = _mode_count(self.n_modes)
         sigma = float(self.sigma_msg)
         if not np.isfinite(sigma) or sigma <= 0.0:
             raise ValueError(f"sigma_msg must be finite and > 0, got {sigma}")
@@ -115,7 +115,7 @@ class EncodingPlan:
         """The canonical plan: mode 0 carries both quadratures, mode k
         (1 <= k <= n-2) carries momentum for odd k, position for even k."""
         comps = [(0, Quadrature.POSITION), (0, Quadrature.MOMENTUM)]
-        for k in range(1, n_modes - 1):
+        for k in range(1, _mode_count(n_modes) - 1):
             comps.append((k, Quadrature.MOMENTUM if k % 2 else Quadrature.POSITION))
         return cls(n_modes, sigma_msg, tuple(comps))
 
@@ -176,8 +176,7 @@ def decoding_symplectic(n_modes: int, taus: Sequence[float]) -> SymplecticTransf
     message component appears with a positive coefficient. It negates
     whole rows of the channel matrix, so capacities do not depend on it.
     """
-    chain = _chain_adjoint(np.array([_validated_taus(n_modes, taus)]), np.eye(n_modes)[None])
-    s = _quadrature_lift(chain[0])
+    s = _quadrature_lift(_chain_adjoint(_validated_taus(n_modes, taus)))
     s[2:, :] *= -1.0
     return SymplecticTransform(n_modes, s)
 
@@ -362,10 +361,9 @@ def photon_constraint(n_modes: int, r: float, sigma_msg_sq: float) -> float:
     the n message components add sigma_msg_sq / 2 displacement photons
     apiece on average.
     """
-    if n_modes < 2:
-        raise ValueError(f"need at least two modes, got {n_modes}")
-    if r < 0 or sigma_msg_sq < 0:
-        raise ValueError("r and sigma_msg_sq must be >= 0")
+    n_modes = _mode_count(n_modes)
+    if not (0.0 <= r < np.inf and 0.0 <= sigma_msg_sq < np.inf):
+        raise ValueError(f"r and sigma_msg_sq must be finite and >= 0, got {r}, {sigma_msg_sq}")
     return float((n_modes - 1) * np.sinh(r) ** 2 + n_modes * sigma_msg_sq / 2.0)
 
 
@@ -382,8 +380,7 @@ def optimal_params(n_modes: int, nbar: float) -> OptimalParams:
     r = (1/2) ln(1 + 2 nbar / (n-1)) and
     sigma^2 = (n-1) sinh(2r) / n; photon_constraint round-trips to nbar.
     """
-    if n_modes < 2:
-        raise ValueError(f"need at least two modes, got {n_modes}")
+    n_modes = _mode_count(n_modes)
     if not np.isfinite(nbar) or nbar < 0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     x = 2.0 * nbar / (n_modes - 1)
@@ -423,22 +420,13 @@ def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport
     sigma^2 in closed form, from one O(n) transfer pass down the chain that
     builds no matrix; the classical benchmark rides along in the report.
     """
-    from .advantage_analysis import classical_capacity
-
+    n_modes = _mode_count(n_modes)
     taus = _validated_taus(n_modes, taus)
     r, sigma_sq = optimal_params(n_modes, nbar)
     c_q = max(0.0, float(_quantum_rates(taus, nbar)))
-    c_cl = classical_capacity(n_modes - 1, nbar)
-    return CapacityReport(
-        n_modes=n_modes,
-        taus=taus,
-        nbar=nbar,
-        r=r,
-        sigma_msg_sq=sigma_sq,
-        c_quantum=c_q,
-        c_classical=c_cl,
-        delta=c_q - c_cl,
-    )
+    c_cl = float(_classical_rates(n_modes - 1, nbar)) if nbar > 0 else 0.0
+    return CapacityReport(n_modes=n_modes, taus=taus, nbar=nbar, r=r, sigma_msg_sq=sigma_sq,
+                          c_quantum=c_q, c_classical=c_cl, delta=c_q - c_cl)
 
 
 def channel_matrix_batch(n_modes: int, taus_grid) -> np.ndarray:
@@ -460,8 +448,9 @@ def _log_transfer(taus, v, u):
     empty, full) runs down the chain by [[r, 0], [t v, 1]] where mode k is a slot,
     else by [[1, t], [0, r]]. Beside it run its v-derivative and its deficit
     against v = 1, 1 - P to full relative accuracy, which gives ln P where P > 1/2;
-    a slot step, the only one that shrinks the state, renormalizes it. v = 0
-    gives ln P(0) = ln c_n."""
+    a slot step, the only one that shrinks the state, renormalizes it, as does a q block
+    start below _Q_START_FLOOR (about v at tau_1 = 1), which a slot step could shrink by
+    v again. v = 0 gives ln P(0) = ln c_n."""
     t0 = taus[0]
     p, p_v, deficit = 1.0, 0.0, 0.0  # P and dP/dv over e^log_scale, 1 - P, so far
     scale, log_scale = 1.0, 0.0  # e^log_scale feeds the deficits, and may underflow
@@ -469,6 +458,10 @@ def _log_transfer(taus, v, u):
         e, f = in_0 * p, in_1 * v * p
         e_v, f_v = in_0 * p_v, in_1 * (p + v * p_v)
         d_e, d_f = in_0 * deficit, in_1 * (u * scale * p + deficit)
+        if block and v < _Q_START_FLOOR:  # the q block start may be as small as v
+            norm = np.where(e + f < _Q_START_FLOOR, e + f + _TINY, 1.0)
+            e, f, e_v, f_v = e / norm, f / norm, e_v / norm, f_v / norm
+            scale, log_scale = scale * norm, log_scale + np.log(norm)
         for k in range(1, len(taus)):
             t = taus[k]
             r = 1.0 - t
@@ -505,3 +498,10 @@ def _quantum_rates(taus, nbar: float, slope: bool = False):
         rate = 4.0 * nbar * (2.0 * nbar + n - 1) / ((n - 1) * n * x)
         return half, 0.5 * (n - v_slope) * rate
     return half
+
+
+def _classical_rates(n_senders: int, nbar):
+    """C_cl = n_senders [x log1p(1/x) + log1p(x)], x = nbar / n_senders, unchecked:
+    right only for budgets > 0 (advantage_analysis.classical_capacity checks them)."""
+    x = nbar / n_senders
+    return n_senders * (x * np.log1p(1.0 / x) + np.log1p(x))

@@ -56,9 +56,7 @@ class ResourceSpec:
     taus: tuple[float, ...]
 
     def __post_init__(self):
-        n = int(self.n_modes)
-        if n < 2:
-            raise ValueError(f"need at least two modes, got {n}")
+        n = _mode_count(self.n_modes)
         taus = _validated_taus(n, self.taus)
         r = float(self.r)
         if not np.isfinite(r) or r < 0.0:
@@ -81,6 +79,15 @@ def alternating_pattern(n_modes: int) -> QuadratureSelection:
     )
 
 
+def _mode_count(n_modes) -> int:
+    """n_modes as an int; ValueError unless it is a whole number >= 2."""
+    if not float(n_modes).is_integer():
+        raise ValueError(f"the mode count must be a whole number, got {n_modes}")
+    if n_modes < 2:
+        raise ValueError(f"need at least 2 modes, got {n_modes}")
+    return int(n_modes)
+
+
 def _validated_taus(n: int, taus) -> tuple[float, ...]:
     """taus as a tuple of floats, checked: n - 1 of them, each in [0, 1]."""
     out = tuple(float(t) for t in taus)
@@ -92,14 +99,14 @@ def _validated_taus(n: int, taus) -> tuple[float, ...]:
     return out
 
 
-def _chain_adjoint(taus: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Apply O^T, O = BS_{n-2} ... BS_0, in place to (G, n, k) mode rows and
-    return them; row block g gets the chain of taus[g], taus (G, n - 1).
+def _chain_adjoint(taus) -> np.ndarray:
+    """O^T as an n x n matrix, O = BS_{n-2} ... BS_0 for the n - 1 taus.
     BS_k mixes modes (k, k+1) alike on q and p, so on quadratures the chain
     is O (x) I_2; its adjoint is the row update [[t, rfl], [-rfl, t]]."""
-    ts, rfls = np.sqrt(taus)[:, :, None], np.sqrt(1.0 - taus)[:, :, None]
-    for k in reversed(range(taus.shape[1])):
-        t, rfl, upper, lower = ts[:, k], rfls[:, k], rows[:, k], rows[:, k + 1]
+    ts, rfls = np.sqrt(taus), np.sqrt(1.0 - np.asarray(taus))
+    rows = np.eye(len(ts) + 1)
+    for k in reversed(range(len(ts))):
+        t, rfl, upper, lower = ts[k], rfls[k], rows[k], rows[k + 1]
         upper[...], lower[...] = t * upper + rfl * lower, -rfl * upper + t * lower
     return rows
 
@@ -116,7 +123,7 @@ def preparation_transform(spec: ResourceSpec) -> SymplecticTransform:
     """Symplectic map taking the vacuum to the resource state: the
     squeezers, then the chain, S = C diag(squeeze)."""
     n = spec.n_modes
-    chain = _quadrature_lift(_chain_adjoint(np.array([spec.taus]), np.eye(n)[None])[0].T)
+    chain = _quadrature_lift(_chain_adjoint(spec.taus).T)
     squeeze = np.full(2 * n, np.exp(spec.r))
     squeeze[alternating_pattern(n).flat_indices()] = np.exp(-spec.r)
     return SymplecticTransform(n, chain * squeeze)

@@ -299,6 +299,8 @@ def test_min_threshold_rejects_tiny_grids():
     for n_modes in (1, 0):
         with pytest.raises(ValueError, match="need at least 2 modes"):
             min_threshold_energy(n_modes)
+    with pytest.raises(ValueError, match="whole number, got 2.5"):
+        min_threshold_energy(2.5)
 
 
 def test_break_even_squeezing_frozen_values():
@@ -344,8 +346,9 @@ def test_asymptotic_ratio_frozen_and_monotone():
     assert r3[0] < r3[1] < r3[2] < 1.5
     r4 = [asymptotic_ratio(4, (0.5, 0.5, 0.5), r) for r in (15.0, 20.0, 25.0)]
     assert r4[0] < r4[1] < r4[2] < 4.0 / 3.0
-    with pytest.raises(ValueError, match="r_large"):
-        asymptotic_ratio(3, (0.5, 0.5), 9.0)
+    for r_large in (9.0, np.nan):  # nan was reported as overflowing the photon budget
+        with pytest.raises(ValueError, match="r_large"):
+            asymptotic_ratio(3, (0.5, 0.5), r_large)
     assert asymptotic_ratio(3, (0.5, 0.5), 170.0) == pytest.approx(1.49623, abs=1e-5)
     # the budget overflows the channel determinant at r = 200, a double at 355
     with pytest.raises(ValueError, match="overflows"):
@@ -582,9 +585,38 @@ def test_boundary_region_projection_grows_with_budget():
     assert large.lo < small.lo and large.hi > small.hi
 
 
+def test_boundary_intervals_are_never_clamped_and_their_edges_cut_the_chain():
+    # tau_boundaries needs no clamp or empty branch past d_best > 0: each edge probe,
+    # tau_1 = 0 before a zero tail or a later tau = 1, cuts the chain, so c_n = 0 there and
+    # d_edge < 0 < d_best puts the crossing strictly inside the slice
+    rng = np.random.default_rng(20_000)
+    for _ in range(6_000):
+        n = int(rng.integers(2, 65))
+        nbar = float(10 ** rng.uniform(-3, 150))
+        axis = int(rng.integers(0, n - 1))
+        prefix = rng.uniform(size=axis)
+        prefix[rng.uniform(size=axis) < 0.2] = 0.0
+        prefix[rng.uniform(size=axis) < 0.2] = 1.0
+        edge = tuple(prefix.tolist()) + (float(axis > 0),) + (0.0,) * (n - 2 - axis)
+        with np.errstate(all="ignore"):  # the kernel at v = 0, where P = c_n = 0
+            assert _log_transfer(edge, 0.0, 1.0)[0] == -np.inf
+        interval = tau_boundaries(n, nbar, tuple(prefix.tolist()))
+        assert interval.clamped is False
+        if interval.empty:
+            assert np.isnan(interval.lo) and np.isnan(interval.hi)
+        elif axis == 0:  # hi < 1 exactly; its share rounds to 1.0 once d_best is large
+            assert 0.0 < interval.lo < 0.5 < interval.hi <= 1.0, (n, nbar)
+        else:
+            assert interval.lo == 0.0 < interval.hi <= 1.0, (n, nbar, prefix)
+        assert type(interval.lo) is float and type(interval.hi) is float
+
+
 def test_boundary_input_validation():
     with pytest.raises(ValueError, match="at least 2 modes"):
         tau_boundaries(1, 7.0)
+    with pytest.raises(ValueError, match="whole number, got 3.5"):  # was a bare TypeError
+        tau_boundaries(3.5, 7.0)
+    assert tau_boundaries(3.0, 7.0) == tau_boundaries(3, 7.0)
     with pytest.raises(ValueError, match="pins every"):
         tau_boundaries(3, 7.0, (0.5, 0.5))
     with pytest.raises(ValueError, match="nbar"):
@@ -641,7 +673,11 @@ def test_region_scan_validation_and_strict_flags():
     for n_modes in (1, 0):
         with pytest.raises(ValueError, match="need at least 2 modes"):
             region_scan(n_modes, 7.0, 8)
+    with pytest.raises(ValueError, match="whole number, got 2.5"):
+        region_scan(2.5, 7.0, 8)
     good = region_scan(3, 7.0, 8)
+    for scan in (region_scan(3.0, 7.0, 8), RegionScan(3.0, 7.0, 8, good.deltas)):
+        assert type(scan.n_modes) is int and np.array_equal(scan.deltas, good.deltas)
     assert np.array_equal(good.flags, good.deltas > 0)  # derived, never passed in
     assert not good.flags.flags.writeable
     with pytest.raises(ValueError):
@@ -655,6 +691,14 @@ def test_region_scan_validation_and_strict_flags():
     for nbar in (-5.0, np.nan, np.inf):  # region_scan's own budget check
         with pytest.raises(ValueError, match="nbar must be finite and >= 0"):
             RegionScan(3, nbar, 8, good.deltas)
+
+
+def test_region_scan_past_the_q_block_underflow():
+    # at taus (1, 1, 1) the q block starts near v = 1/x, and v^2 underflowed from
+    # nbar ~ 1e82 on: the scan held a -inf delta, with a RuntimeWarning
+    scan = region_scan(4, 1e82, 8)
+    assert np.isfinite(scan.deltas).all()
+    assert scan.deltas[-1] == pytest.approx(quantum_advantage(4, (1.0,) * 3, 1e82), rel=1e-14)
 
 
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])

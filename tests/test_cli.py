@@ -661,6 +661,28 @@ def test_ratio_command(capsys):
     assert _json_out(capsys)["result"]["ratio"] < RATIO3_R20
 
 
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8.15"],
+         ["n_modes", "taus", "nbar", "r", "sigma_msg_sq", "c_quantum", "c_classical", "delta"]),
+        (["threshold", "--modes", "3"], ["n_modes", "taus", "nbar_th"]),
+        (["threshold", "--modes", "3", "--tau", "0.5,0.5"], ["n_modes", "taus", "nbar_th"]),
+        (["breakeven", "--modes", "3", "--tau", "0.5,0.5"],
+         ["n_modes", "taus", "r_break_even", "nbar_th"]),
+        (["ratio", "--modes", "3", "--tau", "0.5,0.5"],
+         ["n_modes", "taus", "squeezing", "ratio", "limit"]),
+    ],
+    ids=["capacity", "threshold-global", "threshold-tau", "breakeven", "ratio"],
+)
+def test_each_result_has_its_keys_in_order(argv, keys, capsys):
+    assert main(argv) == 0
+    obj = _json_out(capsys)
+    assert list(obj) == ["meta", "result"]
+    assert list(obj["result"]) == keys
+    assert type(obj["result"]["n_modes"]) is int and len(obj["result"]["taus"]) == 2
+
+
 # --- verify command ----------------------------------------------------------------
 
 def test_verify_command_text_json_and_exit_code(tmp_path, capsys):

@@ -81,6 +81,12 @@ def test_plan_validation():
         EncodingPlan(3, 1.0, ((0, Q), (0, P), (2, P)))  # receiver mode used
     with pytest.raises(ValueError, match="twice"):
         EncodingPlan(3, 1.0, ((0, Q), (0, Q), (1, P)))
+    for n_modes in (2.5, 3.5):  # 3.5 was a bare TypeError from range()
+        with pytest.raises(ValueError, match=f"whole number, got {n_modes}"):
+            EncodingPlan.standard(n_modes, 1.0)
+    with pytest.raises(ValueError, match="need at least 2 modes, got 1"):
+        EncodingPlan(1, 1.0, ((0, Q),))
+    assert EncodingPlan.standard(3.0, 1.0) == EncodingPlan.standard(3, 1.0)
 
 
 def test_message_density_matches_gaussian_and_normalizes():
@@ -156,7 +162,7 @@ def test_decoding_symplectic_bytes_match_kron_lift():
         taus = rng.uniform(size=n - 1)
         taus[rng.uniform(size=n - 1) < 0.3] = 0.0
         taus[rng.uniform(size=n - 1) < 0.3] = 1.0
-        expected = np.kron(_chain_adjoint(taus[None], np.eye(n)[None])[0], np.eye(2))
+        expected = np.kron(_chain_adjoint(taus), np.eye(2))
         expected[2:, :] *= -1.0
         assert decoding_symplectic(n, tuple(taus)).matrix.tobytes() == expected.tobytes()
 
@@ -427,6 +433,14 @@ def test_optimal_params_known_relations():
         optimal_params(3, -1.0)
     with pytest.raises(ValueError):
         photon_constraint(3, -0.5, 1.0)
+    for r, sig_sq in ((np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)):
+        with pytest.raises(ValueError, match="finite and >= 0"):  # was nan or inf
+            photon_constraint(3, r, sig_sq)
+    for n_modes in (1, 2.5):
+        with pytest.raises(ValueError, match="need at least 2 modes|whole number"):
+            photon_constraint(n_modes, 0.5, 1.0)
+        with pytest.raises(ValueError, match="need at least 2 modes|whole number"):
+            optimal_params(n_modes, 1.0)
 
 
 # --- capacity -----------------------------------------------------------------
@@ -526,6 +540,39 @@ def test_capacity_increases_with_budget():
     for taus, n in (((0.5, 0.5), 3), ((0.2, 0.7), 3), ((0.5, 0.5, 0.5), 4)):
         values = [capacity(n, taus, nb).c_quantum for nb in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_capacity_takes_a_whole_mode_count_and_reports_an_int():
+    report = capacity(3.0, (0.5, 0.5), 8.15)  # was reported as n_modes = 3.0
+    assert type(report.n_modes) is int and report == capacity(3, (0.5, 0.5), 8.15)
+    with pytest.raises(ValueError, match="whole number, got 2.5"):
+        capacity(2.5, (0.5,), 8.15)
+
+
+def test_capacity_with_every_splitter_at_one_is_one_squeezed_channel():
+    # every tau = 1: M has a single nonzero singular value sqrt(2), so C_q = (1/2) log1p(2g)
+    # exactly. The q block starts near v = 1/x then, and a slot step's v^2 underflowed
+    # once v < ~1e-154: n = 4 read 0.0 from nbar = 1e82 on, with a RuntimeWarning
+    for n in range(2, 65):
+        for nbar in np.geomspace(1e-3, 1e153, 53):
+            expected = 0.5 * np.log1p(2.0 * signal_gain(n, nbar))
+            c_q = capacity(n, (1.0,) * (n - 1), nbar).c_quantum
+            assert c_q == pytest.approx(expected, rel=1e-12), (n, nbar)
+
+
+def test_capacity_of_cut_chains_at_the_largest_budgets_matches_the_exit_weights():
+    # chains that open with tau_1 = 1, where the q block starts near v, at budgets whose v^2
+    # underflows: 0.0 or digits lost to subnormals before the q block start was renormalized
+    rng = np.random.default_rng(8150)
+    for _ in range(300):
+        n = int(rng.integers(3, 10))
+        taus = rng.uniform(size=n - 1)
+        taus[: rng.integers(1, n)] = 1.0
+        taus[rng.uniform(size=n - 1) < 0.2] = 1.0
+        nbar = float(10 ** rng.uniform(60, 153))
+        expected = 0.5 * log_det_from_exit_weights(exit_log_weights(n, taus[None]),
+                                                   signal_gain(n, nbar))[0]
+        assert capacity(n, tuple(taus), nbar).c_quantum == pytest.approx(expected, rel=1e-14)
 
 
 def test_capacity_rejects_budgets_that_overflow():

@@ -30,8 +30,11 @@ def test_spec_validation():
         ResourceSpec(3, 0.5, (0.5, 1.5))
     with pytest.raises(ValueError):
         ResourceSpec(3, -0.1, (0.5, 0.5))
+    with pytest.raises(ValueError, match="whole number, got 2.5"):  # was cut to 2 modes
+        ResourceSpec(2.5, 0.1, (0.5,))
     spec = ResourceSpec(3, 0.5, [0.1, 0.9])  # lists are fine, stored as tuple
     assert spec.taus == (0.1, 0.9)
+    assert ResourceSpec(3.0, 0.5, (0.1, 0.9)) == spec and type(spec.n_modes) is int
 
 
 def test_alternating_pattern_phases():
@@ -140,6 +143,6 @@ def test_preparation_transform_bytes_match_kron_lift():
         spec = ResourceSpec(n, float(rng.uniform(0.0, 2.0)), tuple(taus))
         squeeze = np.full(2 * n, np.exp(spec.r))
         squeeze[alternating_pattern(n).flat_indices()] = np.exp(-spec.r)
-        o = _chain_adjoint(taus[None], np.eye(n)[None])[0].T
+        o = _chain_adjoint(taus).T
         expected = np.kron(o, np.eye(2)) * squeeze
         assert preparation_transform(spec).matrix.tobytes() == expected.tobytes()
