@@ -17,7 +17,7 @@ overflows beyond nbar ~ 75 although every final result is modest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -302,12 +302,15 @@ class RegionScan:
     grid_resolution: int
     deltas: np.ndarray   # (n_points,), nats
     flags: np.ndarray = field(init=False)  # (n_points,), bool, read-only: deltas > 0
+    _: KW_ONLY
+    _adopt: InitVar[bool] = False  # keep deltas, a fresh float array no one else holds
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         n_points = _grid_points(self.n_modes, self.grid_resolution)
         if not np.isfinite(self.nbar) or self.nbar < 0.0:
             raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
-        deltas = _frozen_array(self.deltas)
+        deltas = self.deltas if _adopt else _frozen_array(self.deltas)
+        deltas.flags.writeable = False
         if deltas.shape != (n_points,):
             raise ValueError(f"the grid has {n_points:,} points, deltas {deltas.shape}")
         flags = deltas > 0
@@ -355,4 +358,4 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     for start in range(0, n_points, chunk):
         index = _grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))
         deltas[start:start + chunk] = _quantum_rates(axis[index.T], nbar) - c_cl
-    return RegionScan(n_modes, nbar, grid_resolution, deltas)
+    return RegionScan(n_modes, nbar, grid_resolution, deltas, _adopt=True)

@@ -256,25 +256,74 @@ def _nats_per_unit(units: str) -> float:
     return LN2 if units == "bits" else 1.0
 
 
-def _row_cells(
-    scan: RegionScan,
-    scale: float,
-    render_tau: Callable[[float], str],
-    render_deltas: Callable[[list[str]], list[str]],
-) -> Iterator[Iterator[tuple[str, ...]]]:
-    """For each chunk of _ROWS_PER_CHUNK rows, an iterator over the rows'
-    cells: tau strings from one table of the axis values, indexed by grid
-    position, delta strings rendered per chunk from the %.12g strings, and
-    the flag."""
-    axis = np.linspace(0.0, 1.0, scan.grid_resolution).tolist()
-    table = np.array([render_tau(x) for x in axis], dtype=object)
-    flags = np.array(["false", "true"], dtype=object)
+# Per format: a float's spelling (taus, deltas the digit groups cannot prove), the bytes
+# before the first tau, each later tau, delta, flag; after the flag; a whole number's point
+_LAYOUTS = {
+    "csv": ("%.12g".__mod__, "", ",", ",", ",", "\n", ""),
+    "json": (lambda x: json.dumps(_round12(x)), '    {\n      "taus": [\n        ',
+             ",\n        ", '\n      ],\n      "delta": ', ',\n      "advantage": ',
+             "\n    },\n", ".0"),
+}
+_POW10 = 10 ** np.arange(17)
+_DIGITS = (np.arange(10**4)[:, None] // _POW10[3::-1] % 10 + ord("0")).astype(np.uint8)
+# 0..9999 as four ASCII digits in a uint32: all, leading zeros as \0, trailing zeros as \0
+_GROUPS = np.concatenate([_DIGITS] + [_DIGITS * (np.cumsum(_DIGITS[:, ::s] > 48, 1)[:, ::s] > 0)
+                                      for s in (1, -1)]).view(np.uint32)[:, 0]
+
+
+def _spelled_deltas(values: np.ndarray, spell: Callable[[float], str], signs: np.ndarray,
+                    points: np.ndarray) -> np.ndarray:
+    """Records of \\0-padded bytes that spell the values: sign, integer part,
+    point, fraction, from N = rint(|d| 10^(11-e)), e = floor(log10 |d|), in
+    4-digit groups where N provably holds the 12 digits %.12g rounds to, and
+    spell(d) elsewhere (README, Numerical notes)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # of zeros, NaN and infinities
+        e = np.clip(np.nan_to_num(np.floor(np.log10(np.abs(values)))), -5, 11).astype(int)
+        p = np.abs(values) * _POW10[11 - e]  # below 2^40: within 2^-14 of |d| 10^(11-e)
+        e_out = e + (np.rint(p) == 1e12)  # rounded up into the next decade
+        exact = ((p >= 1e11) & (p < 1e12) & (abs(p % 1 - 0.5) > 1e-3)  # not near a tie
+                 & (e_out >= -4) & (e_out <= 11))  # fixed-point
+    k = np.where(exact, 11 - e, 0)  # N's digits after the point
+    whole, part = np.divmod(np.where(exact, np.rint(p), 0).astype(np.int64), _POW10[k])
+    out = np.empty(len(values), [("sign", signs.dtype)] + [(f"i{j}", np.uint32) for j in (2, 1, 0)]
+                   + [("point", "S2")] + [(f"f{j}", np.uint32) for j in (3, 2, 1, 0)])
+    out["sign"] = signs[(np.signbit(values) & exact).view(np.uint8)]
+    out["point"] = points[(whole != 0) * (1 + (part == 0))]  # "0.", ".", or a whole number's
+    part *= _POW10[16 - k]  # 16 digits
+    lead = trail = True  # in the integer part's leading zeros, the fraction's trailing ones
+    for j in (2, 1, 0):
+        group, whole = np.divmod(whole, _POW10[4 * j])
+        out[f"i{j}"], lead = _GROUPS[group + 10**4 * lead], lead & (group == 0)
+    for j in range(4):
+        part, group = np.divmod(part, 10**4)
+        out[f"f{j}"], trail = _GROUPS[group + 2 * 10**4 * trail], trail & (group == 0)
+    slow = np.flatnonzero(~exact)
+    cells = np.array([spell(x).encode() for x in values[slow].tolist()], "S30")
+    out.view(np.uint8).reshape(len(out), -1)[slow, -30:] = cells.view(np.uint8).reshape(-1, 30)
+    return out.view(f"V{out.itemsize}")  # plain bytes: copied whole, not field by field
+
+
+def _row_text(scan: RegionScan, fmt: str, scale: float) -> Iterator[bytes]:
+    """serialize_region's rows, _ROWS_PER_CHUNK at a time: a record array of \\0-padded
+    byte fields (each tau, delta and flag with the bytes around it), every \\0 dropped."""
+    spell, first, between, before_delta, before_flag, end, whole = _LAYOUTS[fmt]
+    axis = [spell(x) for x in np.linspace(0.0, 1.0, scan.grid_resolution).tolist()]
+    taus = [np.array([(lead + text).encode() for text in axis])
+            for lead in (first, between)[:scan.n_modes - 1]]
+    signs = np.array([before_delta.encode(), (before_delta + "-").encode()])
+    flags = np.array([(before_flag + word + end).encode() for word in ("false", "true")])
+    points = np.array([b"0.", b".", whole.encode()])
+    fields = [(f"tau{i}", taus[i > 0].dtype) for i in range(scan.n_modes - 1)]
     for start in range(0, scan.n_points, _ROWS_PER_CHUNK):
         stop = min(start + _ROWS_PER_CHUNK, scan.n_points)
-        taus = table[_grid_index(scan.n_modes, scan.grid_resolution, start, stop)]
-        deltas = ["%.12g" % d for d in (scan.deltas[start:stop] * scale).tolist()]
-        yield zip(*taus.T.tolist(), render_deltas(deltas),
-                  flags[scan.flags[start:stop].view(np.uint8)].tolist())
+        index = _grid_index(scan.n_modes, scan.grid_resolution, start, stop)
+        delta = _spelled_deltas(scan.deltas[start:stop] * scale, spell, signs, points)
+        rec = np.empty(stop - start, fields + [("delta", delta.dtype), ("flag", flags.dtype)])
+        for i, (name, _) in enumerate(fields):
+            rec[name] = taus[i > 0][index[:, i]]
+        rec["delta"], rec["flag"] = delta, flags[scan.flags[start:stop].view(np.uint8)]
+        raw = rec.view(np.uint8)
+        yield raw[raw != 0].tobytes()
 
 
 def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
@@ -293,26 +342,14 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
         lines = [f"# {key}={value}" for key, value in meta.items()]
         lines.append(_csv_header(scan.n_modes, units))
         yield ("\n".join(lines) + "\n").encode("utf-8")
-        for cells in _row_cells(scan, scale, "%.12g".__mod__, lambda deltas: deltas):
-            yield ("\n".join(map(",".join, cells)) + "\n").encode("utf-8")
+        yield from _row_text(scan, fmt, scale)
         return
-    # the indent=2 layout of the document, written out: head, records, tail
-    record = (
-        '    {\n      "taus": [\n'
-        + ",\n".join(["        %s"] * (scan.n_modes - 1))
-        + '\n      ],\n      "delta": %s,\n      "advantage": %s\n    }'
-    )
-    yield (json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "records": [\n').encode("utf-8")
-    chunks = _row_cells(
-        scan,
-        scale,
-        lambda tau: json.dumps(_round12(tau)),
-        # json's own spelling of each rounded delta, NaN and Infinity too
-        lambda deltas: json.dumps(list(map(float, deltas)))[1:-1].split(", "),
-    )
-    for i, cells in enumerate(chunks):
-        yield ((",\n" if i else "") + ",\n".join(map(record.__mod__, cells))).encode("utf-8")
-    yield b"\n  ]\n}\n"
+    # json.dumps(indent=2)'s layout: head, records each ending ",\n" (the last one's cut), tail
+    chunk = (json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "records": [\n').encode("utf-8")
+    for rows in _row_text(scan, fmt, scale):
+        yield chunk
+        chunk = rows
+    yield chunk[:-2] + b"\n  ]\n}\n"
 
 
 def _csv_header(n_modes: int, units: str) -> str:
@@ -438,7 +475,7 @@ def parse_region(data: bytes) -> RegionScan:
         if start < n_points:
             raise ValueError(f"region data has {start:,} of the {n_points:,} rows of its grid"
                              if start else "region data has no data rows")
-        return RegionScan(n_modes, nbar, grid, deltas)
+        return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)
     except KeyError as exc:
         raise ValueError(f"region data has no '{exc.args[0]}' entry") from None
     except TypeError as exc:  # JSON meta of the wrong kind

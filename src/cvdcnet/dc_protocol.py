@@ -502,6 +502,8 @@ def _quantum_rates(taus, nbar: float, slope: bool = False):
 
 def _classical_rates(n_senders: int, nbar):
     """C_cl = n_senders [x log1p(1/x) + log1p(x)], x = nbar / n_senders, unchecked:
-    right only for budgets > 0 (advantage_analysis.classical_capacity checks them)."""
+    right only for budgets > 0 (advantage_analysis.classical_capacity checks them). With
+    m = max(x, 1e-300), x log1p(1/x) = x [log1p(1/m) + ln(m/x)]: 1/x overflows at x < 5.6e-309."""
     x = nbar / n_senders
-    return n_senders * (x * np.log1p(1.0 / x) + np.log1p(x))
+    m = np.maximum(x, 1e-300)
+    return n_senders * (x * (np.log1p(1.0 / m) + np.log(m / x)) + np.log1p(x))

@@ -69,29 +69,27 @@ class ResourceSpec:
 def alternating_pattern(n_modes: int) -> QuadratureSelection:
     """Squeezed quadrature per mode: momentum on even mode indices,
     position on odd ones."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
     return QuadratureSelection(
         tuple(
             Quadrature.MOMENTUM if k % 2 == 0 else Quadrature.POSITION
-            for k in range(n_modes)
+            for k in range(_mode_count(n_modes, least=1))
         )
     )
 
 
-def _mode_count(n_modes) -> int:
-    """n_modes as an int; ValueError unless it is a whole number >= 2."""
+def _mode_count(n_modes, least: int = 2) -> int:
+    """n_modes as an int; ValueError unless it is a whole number >= least."""
     if not float(n_modes).is_integer():
         raise ValueError(f"the mode count must be a whole number, got {n_modes}")
-    if n_modes < 2:
-        raise ValueError(f"need at least 2 modes, got {n_modes}")
+    if n_modes < least:
+        raise ValueError(f"need at least {least} mode{'s' * (least > 1)}, got {n_modes}")
     return int(n_modes)
 
 
 def _validated_taus(n: int, taus) -> tuple[float, ...]:
-    """taus as a tuple of floats, checked: n - 1 of them, each in [0, 1]."""
+    """taus as a tuple of floats, checked: n - 1 of them (n whole, >= 2), each in [0, 1]."""
     out = tuple(float(t) for t in taus)
-    if len(out) != n - 1:
+    if len(out) != _mode_count(n) - 1:
         raise ValueError(f"{n}-mode chain needs {n - 1} transmissivities, got {len(out)}")
     for t in out:
         if not 0.0 <= t <= 1.0:

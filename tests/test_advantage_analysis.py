@@ -93,6 +93,23 @@ def test_classical_capacity_stable_at_extreme_budgets():
             )
 
 
+def test_classical_capacity_stays_finite_down_to_the_least_subnormal():
+    # 1/x overflowed below x ~ 5.6e-309: capacity(3, (0.5, 0.5), 1e-320) read
+    # c_classical = inf. The result is subnormal there too, so within one step
+    # of its spacing, 2^-1074, where it is below the normal range
+    mp = pytest.importorskip("mpmath")
+    xs = np.concatenate([[5e-324, 1e-323, 1e-320, 5.5e-309, 5.6e-309, 1e-300],
+                         np.geomspace(5e-324, 1e-250, 120), np.geomspace(1e-250, 1e20, 80)])
+    with mp.workdps(60):
+        for x in map(float, xs):
+            exact = (1 + mp.mpf(x)) * mp.log1p(x) - x * mp.log(x)
+            got = classical_capacity(1, x)
+            assert abs(mp.mpf(got) - exact) <= 1e-15 * exact + 2.0**-1074, x
+    report = capacity(3, (0.5, 0.5), 1e-320)  # a RuntimeWarning fails the test
+    assert np.isfinite(report.c_classical) and report.c_classical > 0.0
+    assert report.c_classical == 2 * classical_capacity(1, 1e-320 / 2)
+
+
 def test_classical_capacity_rejects_bad_input():
     with pytest.raises(ValueError, match="sender"):
         classical_capacity(0, 1.0)
@@ -611,6 +628,14 @@ def test_boundary_intervals_are_never_clamped_and_their_edges_cut_the_chain():
         assert type(interval.lo) is float and type(interval.hi) is float
 
 
+def test_threshold_energy_takes_a_whole_mode_count():
+    # these said "3.5-mode chain needs 2.5 transmissivities, got 2"
+    for call in (threshold_energy, break_even_squeezing, dc_protocol.decoding_symplectic):
+        with pytest.raises(ValueError, match="whole number, got 3.5"):
+            call(3.5, (0.5, 0.5))
+    assert threshold_energy(3.0, (0.5, 0.5)) == threshold_energy(3, (0.5, 0.5))
+
+
 def test_boundary_input_validation():
     with pytest.raises(ValueError, match="at least 2 modes"):
         tau_boundaries(1, 7.0)
@@ -741,6 +766,23 @@ def test_region_scan_freezes_copies_not_caller_arrays():
                                                      indexing="ij"), axis=-1).reshape(64, 2))
 
 
+def test_region_scan_keeps_its_fresh_deltas():
+    # it froze a copy of the deltas it had just allocated: 8 MB of a 17.1 MB
+    # traced peak for region_scan(3, 10, 1000)
+    tracemalloc.start()
+    try:
+        scan = region_scan(3, 10.0, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17.1e6 - 7e6, f"peak {peak / 1e6:.1f} MB"
+    assert not scan.deltas.flags.writeable
+    deltas = np.array(scan.deltas)  # a public build still copies
+    public = RegionScan(3, 10.0, 1000, deltas)
+    deltas[:] = 1.0
+    assert np.array_equal(public.deltas, scan.deltas) and public.n_advantage == scan.n_advantage
+
+
 def test_region_scan_memory_stays_near_its_deltas():
     tracemalloc.start()
     try:
@@ -748,6 +790,6 @@ def test_region_scan_memory_stays_near_its_deltas():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the deltas, their frozen copy and the flags (2.5 times the deltas);
-    # a meshgrid and stacked taus beside them took 8.5 times
+    # the deltas and the flags (1.2 times the deltas); a frozen copy of the
+    # deltas beside them took 2.1 times, a meshgrid and stacked taus 8.5 times
     assert peak < 3 * scan.deltas.nbytes, f"peak {peak / 1e6:.1f} MB"

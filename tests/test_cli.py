@@ -483,6 +483,23 @@ def test_scan_text_memory_stays_near_its_arrays_and_bytes():
     assert read_peak < 0.5 * len(data), f"reader peak {read_peak / 1e6:.1f} MB"
 
 
+def test_scan_read_keeps_its_fresh_deltas(monkeypatch):
+    # parse_region froze a copy of the deltas it had just filled: 8 MB of the
+    # 17.0 MB traced peak of reading the 1M-row CSV of region_scan(3, 10, 1000)
+    scan = region_scan(3, 7.0, 16)
+    data = [serialize_region(scan, fmt) for fmt in ("csv", "json")]
+
+    def no_copy(values):
+        raise AssertionError("the deltas were copied")
+
+    monkeypatch.setattr(advantage_analysis, "_frozen_array", no_copy)
+    for text in data:
+        back = parse_region(text)
+        assert not back.deltas.flags.writeable and back.n_advantage == scan.n_advantage
+    with pytest.raises(AssertionError, match="copied"):
+        RegionScan(3, 7.0, 16, back.deltas)  # a public build still copies
+
+
 def test_json_scan_read_keeps_no_object_tree():
     data = serialize_region(region_scan(4, 20.0, 48), "json", "bits")  # 18 MB, 110,592 rows
     back, read_peak = _traced_peak(lambda: parse_region(data))
@@ -546,6 +563,33 @@ def test_chunked_scan_text_matches_the_oracle(make_scan, fmt, units):
     if scan.grid_resolution > 8:
         assert scan.n_points > 5 * _ROWS_PER_CHUNK  # the grid scan spans several chunks
     assert serialize_region(scan, fmt, units) == serialize_region_literal(scan, fmt, units)
+
+
+def _adversarial_deltas(rng, size):
+    """Deltas at the edges of %.12g's digits, seeded and shuffled."""
+    # exact ties in the 12th digit: q / 2^(k+1), q odd, is q 5^k / 2 times 10^-k
+    k = rng.integers(0, 16, size // 4)
+    q = rng.integers(10.0 ** (11 - k) * 2.0 ** k, 10.0 ** (12 - k) * 2.0 ** k) * 2 + 1
+    ties = q / 2.0 ** (k + 1)
+    decades = 10.0 ** np.arange(-6, 15)
+    edges = np.concatenate([
+        [100000000000.5, 9.9999999999995e-5, 999999999999.5, 1e12, 1e-4],
+        decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+        decades * (1 - 5e-13), decades * (1 - 4.9e-13), decades * (1 - 5.1e-13),
+    ])
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf]
+    subnormal = rng.integers(1, 2**52, 64) * 5e-324
+    picked = np.concatenate([ties, ties * LN2, edges, edges * LN2, specials, subnormal])
+    spread = 10.0 ** rng.uniform(-8.0, 14.0, size - len(picked))
+    deltas = np.concatenate([picked, spread]) * rng.choice([-1.0, 1.0], size)
+    return rng.permutation(deltas)
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+def test_scan_text_spells_adversarial_deltas_as_the_oracle(units):
+    scan = RegionScan(3, 7.0, 448, _adversarial_deltas(np.random.default_rng(2121), 448**2))
+    for fmt in ("csv", "json"):
+        assert serialize_region(scan, fmt, units) == serialize_region_literal(scan, fmt, units)
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "json", "--bits"]])

@@ -37,6 +37,15 @@ def test_spec_validation():
     assert ResourceSpec(3.0, 0.5, (0.1, 0.9)) == spec and type(spec.n_modes) is int
 
 
+def test_alternating_pattern_takes_a_whole_mode_count():
+    with pytest.raises(ValueError, match="whole number, got 2.5"):  # was a bare TypeError
+        alternating_pattern(2.5)
+    with pytest.raises(ValueError, match="at least 1 mode, got 0"):
+        alternating_pattern(0)
+    assert alternating_pattern(3.0) == alternating_pattern(3)
+    assert alternating_pattern(1).choices == (Quadrature.MOMENTUM,)
+
+
 def test_alternating_pattern_phases():
     pat = alternating_pattern(5)
     assert pat.choices == (
