@@ -265,10 +265,10 @@ _LAYOUTS = {
              "\n    },\n", ".0"),
 }
 _POW10 = 10 ** np.arange(17)
-_DIGITS = (np.arange(10**4)[:, None] // _POW10[3::-1] % 10 + ord("0")).astype(np.uint8)
-# 0..9999 as four ASCII digits in a uint32: all, leading zeros as \0, trailing zeros as \0
-_GROUPS = np.concatenate([_DIGITS] + [_DIGITS * (np.cumsum(_DIGITS[:, ::s] > 48, 1)[:, ::s] > 0)
-                                      for s in (1, -1)]).view(np.uint32)[:, 0]
+# 0000..9999 as uint32s of 4 ASCII bytes: all digits, then leading, then trailing zeros as \0
+_DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("S4")[:, 0]
+_GROUPS = np.concatenate([_DIGITS, np.char.lstrip(_DIGITS, b"0"), np.char.rstrip(_DIGITS, b"0")])
+_GROUPS = _GROUPS.view(np.uint32)
 
 
 def _spelled_deltas(values: np.ndarray, spell: Callable[[float], str], signs: np.ndarray,
