@@ -569,7 +569,8 @@ def _adversarial_deltas(rng, size):
     """Deltas at the edges of %.12g's digits, seeded and shuffled."""
     # exact ties in the 12th digit: q / 2^(k+1), q odd, is q 5^k / 2 times 10^-k
     k = rng.integers(0, 16, size // 4)
-    q = rng.integers(10.0 ** (11 - k) * 2.0 ** k, 10.0 ** (12 - k) * 2.0 ** k) * 2 + 1
+    bounds = (10.0 ** np.array([[11], [12]]) / 5.0 ** k).astype(np.int64)  # 10^(11-k) 2^k, ...
+    q = rng.integers(*bounds) * 2 + 1
     ties = q / 2.0 ** (k + 1)
     decades = 10.0 ** np.arange(-6, 15)
     edges = np.concatenate([
