@@ -303,24 +303,31 @@ def _spelled_deltas(values: np.ndarray, spell: Callable[[float], str], signs: np
     return out.view(f"V{out.itemsize}")  # plain bytes: copied whole, not field by field
 
 
+def _fields(fmt: str, n_modes: int, grid: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """fmt's row fields but delta: per tau and grid position, its spelling with the bytes
+    before it (the last tau's with those up to delta too); the flag's (false, true)."""
+    spell, first, between, before_delta, before_flag, end, _ = _LAYOUTS[fmt]
+    axis = [spell(x) for x in np.linspace(0.0, 1.0, grid).tolist()]
+    around = [(first if i == 0 else between, before_delta if i == n_modes - 2 else "")
+              for i in range(n_modes - 1)]
+    taus = [np.array([(lead + text + trail).encode() for text in axis]) for lead, trail in around]
+    return taus, np.array([(before_flag + word + end).encode() for word in ("false", "true")])
+
+
 def _row_text(scan: RegionScan, fmt: str, scale: float) -> Iterator[bytes]:
     """serialize_region's rows, _ROWS_PER_CHUNK at a time: a record array of \\0-padded
     byte fields (each tau, delta and flag with the bytes around it), every \\0 dropped."""
-    spell, first, between, before_delta, before_flag, end, whole = _LAYOUTS[fmt]
-    axis = [spell(x) for x in np.linspace(0.0, 1.0, scan.grid_resolution).tolist()]
-    taus = [np.array([(lead + text).encode() for text in axis])
-            for lead in (first, between)[:scan.n_modes - 1]]
-    signs = np.array([before_delta.encode(), (before_delta + "-").encode()])
-    flags = np.array([(before_flag + word + end).encode() for word in ("false", "true")])
-    points = np.array([b"0.", b".", whole.encode()])
-    fields = [(f"tau{i}", taus[i > 0].dtype) for i in range(scan.n_modes - 1)]
+    spell, *_, whole = _LAYOUTS[fmt]
+    taus, flags = _fields(fmt, scan.n_modes, scan.grid_resolution)
+    signs, points = np.array([b"", b"-"]), np.array([b"0.", b".", whole.encode()])
+    fields = [(f"tau{i}", taus[i].dtype) for i in range(scan.n_modes - 1)]
     for start in range(0, scan.n_points, _ROWS_PER_CHUNK):
         stop = min(start + _ROWS_PER_CHUNK, scan.n_points)
         index = _grid_index(scan.n_modes, scan.grid_resolution, start, stop)
         delta = _spelled_deltas(scan.deltas[start:stop] * scale, spell, signs, points)
         rec = np.empty(stop - start, fields + [("delta", delta.dtype), ("flag", flags.dtype)])
         for i, (name, _) in enumerate(fields):
-            rec[name] = taus[i > 0][index[:, i]]
+            rec[name] = taus[i][index[:, i]]
         rec["delta"], rec["flag"] = delta, flags[scan.flags[start:stop].view(np.uint8)]
         raw = rec.view(np.uint8)
         yield raw[raw != 0].tobytes()
@@ -404,6 +411,101 @@ def _json_rows(data: bytes, pos: int, n_modes: int) -> Iterator[np.ndarray]:
         pos = end
 
 
+_WINDOW = 2**18  # bytes of scan text _written_deltas checks at a time
+# in column k = 0..16: 16 bytes, the last k of them 0xFF, as little-endian words (lo, hi)
+_TOP = (np.uint8(255) * (np.arange(16) >= 16 - np.arange(17)[:, None])).view("<u8").T.copy()
+
+
+def _word_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A bytes table's entries as \\0-padded '<u8' words (word j of every entry in
+    row j), the masks of their own bytes in those words, and their lengths."""
+    padded = table.astype(f"S{-(-table.itemsize // 8) * 8}")
+    masks = (padded.view(np.uint8) != 0).astype(np.uint8) * np.uint8(255)
+    words, masks = (a.view("<u8").reshape(len(table), -1).T.copy() for a in (padded, masks))
+    return words, masks, np.char.str_len(table)
+
+
+def _spelled(words: np.ndarray, at: np.ndarray, table: tuple, index) -> bool:
+    """Whether each entry table[index] is spelled where it starts, at."""
+    return not any(((words[at + 8 * j] ^ expect.take(index)) & mask.take(index)).any()
+                   for j, (expect, mask) in enumerate(zip(table[0], table[1])))
+
+
+def _fixed_point(words: np.ndarray, text: np.ndarray, d0: np.ndarray, d1: np.ndarray):
+    """The cells text[d0:d1] as floats, and where a cell is -?D+(.D+)? with at most 15
+    digits, which the floats then equal exactly: N / 10^k from SWAR digit arithmetic."""
+    u64, ones = np.uint64, np.uint64(0x0101010101010101)  # ones * b: b in every byte
+    low7 = ones * 0x7F
+    neg = text[d0] == ord("-")
+    size = d1 - d0 - neg  # the unsigned cell's
+    w = np.stack([words[d1 - 16], words[d1 - 8]])  # (lo, hi): the 16 bytes that end the cell
+    v = (w ^ ones * 0x30) & _TOP.take(np.clip(size, 0, 16), 1)  # '0'-'9' as 0-9, '.' 0x1E
+    x = v ^ ones * 0x1E
+    dot = ~(((x & low7) + low7) | x | low7)  # 0x80 in each '.' byte
+    # bytes after a point in byte j: 7 - j of hi, 15 - j of lo; byte 7 of (1 << 8j) * 0x0706..00
+    after = ((dot >> u64(7)) * u64(0x0706050403020100)) >> u64(56)
+    k = np.minimum(after[1] + (after[0] + u64(8)) * (dot[0] != 0), 15).astype(np.intp)
+    point = (dot[0] | dot[1]) != 0
+    v ^= (dot >> u64(7)) * u64(0x1E)  # the point as a 0
+    ok = ((((v & low7) + ones * 0x76) | v) & ones * 0x80 == 0).all(0)  # all digits
+    ok &= ((dot & (dot - u64(1))) == 0).all(0) & ((dot[0] == 0) | (dot[1] == 0))  # a point
+    ok &= (size >= 1) & (size - point <= 15) & (~point | ((k >= 1) & (size - k >= 2)))
+    for scale, step, mask in ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF),
+                              (10**4, 32, 0xFFFFFFFF)):  # the first digit in the lowest byte
+        v = (v * u64(scale) + (v >> u64(step))) & u64(mask)
+    v = v[0] * u64(10**8) + v[1]  # the digits, the point's 0 among them
+    frac = v % _POW10.astype(u64).take(k)
+    n = ((v - frac) // (u64(1) + u64(9) * point) + frac).astype(float) / _POW10.take(k)
+    return np.where(neg, -n, n), ok  # N < 2^53 and 10^k are exact: one rounding
+
+
+def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
+                    scale: float) -> Optional[np.ndarray]:
+    """The deltas of a body that is, byte for byte, the rows _row_text writes for the
+    grid, each delta in any -?D+(.D+)? spelling or in fmt's own; None for any other
+    body, which the general reader then reads (README, Numerical notes)."""
+    spell, _, _, _, _, end, _ = _LAYOUTS[fmt]
+    taus, flags = _fields(fmt, n_modes, grid)
+    taus, flags = [_word_table(t) for t in taus], _word_table(flags)
+    newlines, tail, closing = ((1, b"", b"") if fmt == "csv"
+                               else (n_modes + 5, b"\n  ]\n}\n", b",\n"))
+    n_points, stop = _grid_points(n_modes, grid), len(data) - len(tail)
+    if body < 16 or not data.endswith(tail):
+        return None
+    deltas, row, pos = np.empty(n_points), 0, body
+    while pos < stop:
+        # 16 bytes before the window for the words that end a cell, 8 after for the last row
+        last = stop - pos <= _WINDOW
+        buf = (data[pos - 16:stop] + closing + bytes(8) if last
+               else memoryview(data)[pos - 16:pos + _WINDOW + 8])
+        text = np.frombuffer(buf, np.uint8)
+        words = np.ndarray(len(text) - 7, "<u8", buf, strides=(1,))
+        ends = (np.flatnonzero(text[16:-8] == ord("\n")) + 17)[newlines - 1::newlines]
+        if not len(ends) or row + len(ends) > n_points:
+            return None
+        index = _grid_index(n_modes, grid, row, row + len(ends))
+        at = [np.concatenate(([16], ends[:-1]))]  # where each row's fields start
+        for i, table in enumerate(taus):
+            at.append(at[-1] + table[2].take(index[:, i]))
+        true = (text[ends - len(end) - 4] == ord("t")).astype(np.intp)  # 'a' of false
+        d0, d1 = at[-1], ends - flags[2].take(true)
+        if not ((d1 > d0).all() and _spelled(words, d1, flags, true)
+                and all(_spelled(words, at[i], t, index[:, i]) for i, t in enumerate(taus))):
+            return None
+        values, exact = _fixed_point(words, text, d0, d1)
+        for i in np.flatnonzero(~exact).tolist():  # exponents, NaN, infinities: as written
+            cell = text[d0[i]:d1[i]].tobytes()
+            try:
+                values[i] = float(cell)
+            except ValueError:
+                return None
+            if spell(values[i]).encode() != cell:  # float() takes '1_0'; the rows do not
+                return None
+        deltas[row:row + len(ends)] = values * scale
+        pos, row = pos + int(ends[-1]) - 16, row + len(ends)
+    return deltas if row == n_points else None
+
+
 def _meta_count(meta: dict, key: str) -> int:
     """meta[key] as a count: a JSON integer, or the text of one in CSV."""
     if not re.fullmatch(r"-?\d+", str(meta[key])):  # 3.9, '3.9', NaN, true, ...
@@ -434,7 +536,11 @@ def parse_region(data: bytes) -> RegionScan:
             meta = head["meta"]
             if not records:
                 raise KeyError("records")
+            for key in ("n_modes", "nbar", "grid_resolution"):  # numbers: not true, "7.0", ...
+                if key in meta and type(meta[key]) not in (int, float):
+                    raise ValueError(f"region data is malformed: its {key} is {meta[key]!r}")
             read_rows, header = partial(_json_rows, data, records.end()), None
+            fmt, body = "json", records.end() + 2 if data.startswith(b"[\n", records.end()) else 0
         else:
             stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
             meta = {}
@@ -447,6 +553,8 @@ def parse_region(data: bytes) -> RegionScan:
             else:
                 raise ValueError("CSV region data has no header row")
             read_rows, header = partial(_csv_rows, stream), line.strip()
+            head = ("".join(f"# {key}={value}\n" for key, value in meta.items()) + line).encode()
+            fmt, body = "csv", len(head) if data.startswith(head) else 0  # the writer's head
         scale = _nats_per_unit(meta["units"])
         n_modes, grid = _meta_count(meta, "n_modes"), _meta_count(meta, "grid_resolution")
         nbar = float(meta["nbar"])
@@ -457,6 +565,10 @@ def parse_region(data: bytes) -> RegionScan:
         if header not in (None, columns):
             raise ValueError(f"region data is malformed: its CSV header '{header}' "
                              f"is not the columns {columns}")
+        deltas = _written_deltas(data, body, fmt, n_modes, grid, scale)
+        if deltas is not None:
+            return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)
+        # not the writer's rows: read every cell, and say what is wrong
         rounded = np.array([_round12(x) for x in np.linspace(0.0, 1.0, grid).tolist()])
         deltas, start = np.empty(n_points), 0
         for rows in read_rows(n_modes):

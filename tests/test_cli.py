@@ -368,8 +368,13 @@ def test_parse_region_without_data_rows_raises_and_does_not_warn(body):
         lambda obj: {**obj, "meta": 7},
         lambda obj: {**obj, "records": [7] + obj["records"]},
         lambda obj: {**obj, "records": obj["records"][0]},
+        lambda obj: {**obj, "meta": {**obj["meta"], "nbar": True}},
+        lambda obj: {**obj, "meta": {**obj["meta"], "nbar": "7.0"}},
+        lambda obj: {**obj, "meta": {**obj["meta"], "n_modes": "3"}},
+        lambda obj: {**obj, "meta": {**obj["meta"], "grid_resolution": True}},
     ],
-    ids=["meta-not-an-object", "record-not-an-object", "records-an-object"],
+    ids=["meta-not-an-object", "record-not-an-object", "records-an-object", "nbar-a-bool",
+         "nbar-a-string", "modes-a-string", "grid-a-bool"],
 )
 def test_parse_region_rejects_json_of_the_wrong_kind(mangle):
     good = json.loads(serialize_region(region_scan(3, 7.0, 8), "json"))
@@ -504,9 +509,10 @@ def test_json_scan_read_keeps_no_object_tree():
     data = serialize_region(region_scan(4, 20.0, 48), "json", "bits")  # 18 MB, 110,592 rows
     back, read_peak = _traced_peak(lambda: parse_region(data))
     assert back.n_points == 48**3
-    # deltas, flags and one chunk of matched records: 0.4 times the text;
-    # json.loads built a 42 MB object tree, 3.3 times it
-    assert read_peak < 0.6 * len(data), f"reader peak {read_peak / 1e6:.1f} MB"
+    # deltas, flags and one window of the writer's rows: 0.09 times the text; one
+    # chunk of regex-matched records took 0.4 times it, and json.loads built a 42 MB
+    # object tree, 3.3 times it
+    assert read_peak < 0.25 * len(data), f"reader peak {read_peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("units", ["nats", "bits"])
@@ -591,6 +597,126 @@ def test_scan_text_spells_adversarial_deltas_as_the_oracle(units):
     scan = RegionScan(3, 7.0, 448, _adversarial_deltas(np.random.default_rng(2121), 448**2))
     for fmt in ("csv", "json"):
         assert serialize_region(scan, fmt, units) == serialize_region_literal(scan, fmt, units)
+
+
+def _written_scans():
+    yield from (region_scan(*args) for args in [(2, 3.0, 64), (3, 7.0, 16), (4, 15.0, 8),
+                                                (5, 40.0, 8), (3, 7.0, 300)])
+    # signed zeros and infinities, NaN, exponent forms, then %.12g's edges
+    yield RegionScan(3, 7.0, 8, np.resize([-0.0, 0.0, 1e-5, 1.5e13, np.nan, np.inf, -np.inf,
+                                           -1 / 3, 1e-4, -1.23456789012e-4, 123.0], 64))
+    yield RegionScan(3, 7.0, 64, _adversarial_deltas(np.random.default_rng(2222), 64**2))
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parse_region_reads_the_writers_rows_without_a_general_parser(fmt, units, monkeypatch):
+    def general(*args, **kwargs):
+        raise AssertionError("the general reader ran")
+
+    for name in ("_csv_rows", "_json_rows"):
+        monkeypatch.setattr(cli_scan, name, general)
+    monkeypatch.setattr(np, "loadtxt", general)
+    for scan in _written_scans():
+        data = serialize_region(scan, fmt, units)
+        if fmt == "csv":
+            written = parse_region_csv_literal(data)[2]
+        else:
+            written = np.array([record["delta"] for record in json.loads(data)["records"]])
+        back = parse_region(data)
+        expected = written * (LN2 if units == "bits" else 1.0)
+        assert back.deltas.tobytes() == expected.tobytes()  # bit for bit, NaN and -0.0 too
+        assert np.array_equal(back.flags, expected > 0)
+
+
+def _row_cells(lines, fmt):
+    """(taus, delta, flag) cells of a 3-mode scan's data row, from its lines."""
+    if fmt == "csv":
+        *taus, delta, flag = lines[0].split(b",")
+        return taus, delta, flag
+    cells = [line.strip().rstrip(b",").rpartition(b" ")[2] for line in lines]
+    return cells[2:4], cells[5], cells[6]
+
+
+def _row_lines(fmt, taus, delta, flag, lead=None):
+    """The lines of a data row with these cells, laid out as the writer lays them out,
+    or with lead for the bytes between the taus and the delta."""
+    if fmt == "csv":
+        return [b",".join(taus) + (lead or b",") + delta + b"," + flag]
+    return (b'    {\n      "taus": [\n        ' + b",\n        ".join(taus)
+            + (lead or b'\n      ],\n      "delta": ') + delta + b',\n      "advantage": '
+            + flag + b"\n    },").split(b"\n")
+
+
+def _mutated(data, fmt, rng, kind, cell):
+    """data with one seeded data row of a 3-mode scan changed (a cell respelled, a
+    tau dropped, a line put before it), a row too many, bytes after the last row, or
+    the text laid out otherwise."""
+    if kind == "indent":
+        return (json.dumps(json.loads(data), indent=cell) + "\n").encode()
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "tail":
+        return data + cell
+    lines = data.split(b"\n")
+    size = 1 if fmt == "csv" else 8  # lines per row
+    first = 6 if fmt == "csv" else lines.index(b'  "records": [') + 1
+    n_rows = (lines.index(b"  ]") if fmt == "json" else len(lines) - 1) - first
+    at = first + size * int(rng.integers(0, n_rows // size - 1))  # not the last row
+    taus, delta, flag = _row_cells(lines[at:at + size], fmt)
+    if kind == "line":
+        lines.insert(at, cell)
+    elif kind == "extra" and fmt == "csv":
+        lines.insert(first + n_rows, lines[at])
+    elif kind == "extra":  # the last record, then a copy of this one, without its comma
+        end = first + n_rows
+        lines[end - 1:end] = [b"    },"] + _row_lines(fmt, taus, delta, flag)[:-1] + [b"    }"]
+    elif kind == "lead":  # as long as the writer's, but other bytes
+        lead = {"csv": b";", "json": b'\n      ],\n      "Delta": '}[fmt]
+        lines[at:at + size] = _row_lines(fmt, taus, delta, flag, lead)
+    else:
+        if kind == "delta":
+            delta = cell
+        elif kind == "tau":
+            taus[0] = cell or taus[0] + (b"0" if b"." in taus[0] else b".0")
+        else:  # ragged: a tau too few
+            taus = taus[1:]
+        lines[at:at + size] = _row_lines(fmt, taus, delta, flag)
+    return b"\n".join(lines)
+
+
+def _read(data):
+    try:
+        return parse_region(data).deltas.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+_SPELLINGS = [  # (kind, cell, accepted by the general reader: True, False or one format)
+    ("delta", b"0.50", True), ("delta", b"+0.5", "csv"), ("delta", b" 0.5", True),
+    ("delta", b"5e-1", True), ("delta", b"1.50", True), ("delta", b"0.0000000000000001", True),
+    ("tau", None, True), ("crlf", None, True), ("line", b"", True), ("line", b"# a note", "csv"),
+    ("indent", 4, True), ("indent", None, True), ("delta", b"5.", "csv"), ("delta", b".5", "csv"),
+    ("delta", b"1_0", False), ("delta", b"0x1", False), ("delta", b"-", False),
+    ("delta", b"0.1:", False), ("lead", None, False), ("tail", b"0,0,1,true", False),
+    ("ragged", None, False), ("tau", b"0.3", False), ("extra", None, False),
+]
+
+
+@pytest.mark.parametrize("fmt, kind, cell, accepted", [
+    (fmt, *spelling) for spelling in _SPELLINGS for fmt in ("csv", "json")
+    if spelling[0] != "indent" or fmt == "json"
+])
+def test_parse_region_reads_other_spellings_as_the_general_reader(fmt, kind, cell, accepted,
+                                                                  monkeypatch):
+    data = serialize_region(region_scan(3, 7.0, 128), fmt)  # several windows of text
+    rng = np.random.default_rng(list(f"{fmt} {kind} {cell}".encode()))
+    text = _mutated(data, fmt, rng, kind, cell)
+    assert text != data
+    fast = _read(text)
+    monkeypatch.setattr(cli_scan, "_written_deltas", lambda *args: None)
+    assert fast == _read(text)  # the same deltas, or the same message
+    assert isinstance(fast, bytes) == (accepted in (True, fmt)), fast
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "json", "--bits"]])
