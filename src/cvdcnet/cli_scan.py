@@ -264,6 +264,7 @@ _LAYOUTS = {
              ",\n        ", '\n      ],\n      "delta": ', ',\n      "advantage": ',
              "\n    },\n", ".0"),
 }
+_JSON_TAIL = b"\n  ]\n}\n"  # after the records, the last of them without its ",\n"
 _POW10 = 10 ** np.arange(17)
 # 0000..9999 as uint32s of 4 ASCII bytes: all digits, then leading, then trailing zeros as \0
 _DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("S4")[:, 0]
@@ -356,7 +357,7 @@ def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
     for rows in _row_text(scan, fmt, scale):
         yield chunk
         chunk = rows
-    yield chunk[:-2] + b"\n  ]\n}\n"
+    yield chunk[:-2] + _JSON_TAIL
 
 
 def _csv_header(n_modes: int, units: str) -> str:
@@ -466,9 +467,9 @@ def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
     body, which the general reader then reads (README, Numerical notes)."""
     spell, _, _, _, _, end, _ = _LAYOUTS[fmt]
     taus, flags = _fields(fmt, n_modes, grid)
+    newlines = sum(table[0].count(b"\n") for table in [*taus, flags])  # per row
     taus, flags = [_word_table(t) for t in taus], _word_table(flags)
-    newlines, tail, closing = ((1, b"", b"") if fmt == "csv"
-                               else (n_modes + 5, b"\n  ]\n}\n", b",\n"))
+    tail, closing = (b"", b"") if fmt == "csv" else (_JSON_TAIL, b",\n")
     n_points, stop = _grid_points(n_modes, grid), len(data) - len(tail)
     if body < 16 or not data.endswith(tail):
         return None
@@ -517,14 +518,19 @@ def parse_region(data: bytes) -> RegionScan:
     """Rebuild a RegionScan from serialize_region output (either format).
 
     Bits columns are converted back to nats; the advantage flags are
-    recomputed from the sign of delta. The rows, read a chunk at a time,
-    must be the grid the metadata names, each tau its value at 12
-    significant digits; only delta and flag are kept, and JSON keeps the
-    written key order. Malformed input raises ValueError naming what is
-    wrong: a ragged CSV row, a CSV header other than the columns the writer
-    names for the metadata, a bad flag, missing metadata, a fractional count,
-    a budget not finite and >= 0, unknown units, a foreign convention, a wrong
-    row count, a tau off the grid or a JSON value of the wrong kind.
+    recomputed from the sign of delta. The rows must be the grid the
+    metadata names, each tau its value at 12 significant digits; only delta
+    and flag are kept, and JSON keeps the written key order. Text that is,
+    byte for byte, the rows the writer writes for that grid (each delta in
+    any -?D+(.D+)? spelling or the writer's own) is checked a window at a
+    time and its deltas parsed exactly, with no general parser; any other
+    text is read again cell by cell, a chunk at a time, to the same values
+    (README, Numerical notes). Malformed input raises ValueError naming what
+    is wrong: a ragged CSV row, a CSV header other than the columns the
+    writer names for the metadata, a bad flag, missing metadata, a fractional
+    count, a budget not finite and >= 0, unknown units, a foreign convention,
+    a wrong row count, a tau off the grid or a JSON value of the wrong kind
+    (JSON metadata counts and nbar are numbers, not strings or booleans).
     """
     try:
         if re.match(rb"\s*\{", data):
