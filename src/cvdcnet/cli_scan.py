@@ -22,6 +22,7 @@ import argparse
 import io
 import itertools
 import json
+import math
 import re
 import sys
 import warnings
@@ -101,6 +102,12 @@ class RunConfig:
 
 def _round12(x: float) -> float:
     return float("%.12g" % x)
+
+
+def _json_number(x: float) -> str:
+    """json.dumps(_round12(x)); json spells a finite float as repr does."""
+    x = _round12(x)
+    return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
 def _json_bytes(obj) -> bytes:
@@ -260,7 +267,7 @@ def _nats_per_unit(units: str) -> float:
 # before the first tau, each later tau, delta, flag; after the flag; a whole number's point
 _LAYOUTS = {
     "csv": ("%.12g".__mod__, "", ",", ",", ",", "\n", ""),
-    "json": (lambda x: json.dumps(_round12(x)), '    {\n      "taus": [\n        ',
+    "json": (_json_number, '    {\n      "taus": [\n        ',
              ",\n        ", '\n      ],\n      "delta": ', ',\n      "advantage": ',
              "\n    },\n", ".0"),
 }
@@ -308,10 +315,12 @@ def _fields(fmt: str, n_modes: int, grid: int) -> tuple[list[np.ndarray], np.nda
     """fmt's row fields but delta: per tau and grid position, its spelling with the bytes
     before it (the last tau's with those up to delta too); the flag's (false, true)."""
     spell, first, between, before_delta, before_flag, end, _ = _LAYOUTS[fmt]
-    axis = [spell(x) for x in np.linspace(0.0, 1.0, grid).tolist()]
-    around = [(first if i == 0 else between, before_delta if i == n_modes - 2 else "")
-              for i in range(n_modes - 1)]
-    taus = [np.array([(lead + text + trail).encode() for text in axis]) for lead, trail in around]
+    leads, trails = [first] + [between] * (n_modes - 2), [""] * (n_modes - 2) + [before_delta]
+    # _ROWS_PER_CHUNK grid values at a time: no Python string per grid value at once
+    parts = np.split(np.linspace(0.0, 1.0, grid), range(_ROWS_PER_CHUNK, grid, _ROWS_PER_CHUNK))
+    taus = [np.concatenate([np.array([(lead + spell(x) + trail).encode()
+                                      for x in part.tolist()]) for part in parts])
+            for lead, trail in zip(leads, trails)]
     return taus, np.array([(before_flag + word + end).encode() for word in ("false", "true")])
 
 
