@@ -650,14 +650,16 @@ def _row_lines(fmt, taus, delta, flag, lead=None):
 
 def _mutated(data, fmt, rng, kind, cell):
     """data with one seeded data row of a 3-mode scan changed (a cell respelled, a
-    tau dropped, a line put before it), a row too many, bytes after the last row, or
-    the text laid out otherwise."""
+    tau dropped, a line put before it), a row too many, bytes after the last row or in
+    place of the last one, or the text laid out otherwise."""
     if kind == "indent":
         return (json.dumps(json.loads(data), indent=cell) + "\n").encode()
     if kind == "crlf":
         return data.replace(b"\n", b"\r\n")
     if kind == "tail":
         return data + cell
+    if kind == "end":  # the last byte
+        return data[:-1] + cell
     lines = data.split(b"\n")
     size = 1 if fmt == "csv" else 8  # lines per row
     first = 6 if fmt == "csv" else lines.index(b'  "records": [') + 1
@@ -698,7 +700,8 @@ _SPELLINGS = [  # (kind, cell, accepted by the general reader: True, False or on
     ("tau", None, True), ("crlf", None, True), ("line", b"", True), ("line", b"# a note", "csv"),
     ("indent", 4, True), ("indent", None, True), ("delta", b"5.", "csv"), ("delta", b".5", "csv"),
     ("delta", b"1_0", False), ("delta", b"0x1", False), ("delta", b"-", False),
-    ("delta", b"0.1:", False), ("lead", None, False), ("tail", b"0,0,1,true", False),
+    ("delta", b"0.1:", False), ("delta", b"12.3.4", False), ("lead", None, False),
+    ("tail", b"0,0,1,true", False), ("end", b"x", False),
     ("ragged", None, False), ("tau", b"0.3", False), ("extra", None, False),
 ]
 
