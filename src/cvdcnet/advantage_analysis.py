@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dc_protocol import _classical_rates, _quantum_rates, capacity, optimal_params
-from .phase_space import _frozen_array
-from .resource_prep import _mode_count, _validated_taus
+from .dc_protocol import _budget, _classical_rates, _quantum_rates, capacity, optimal_params
+from .phase_space import _frozen_array, _mode_count
+from .resource_prep import _validated_taus
 
 __all__ = [
     "SEARCH_CAP_NBAR",
@@ -66,11 +66,10 @@ def classical_capacity(n_senders: int, nbar):
     x beyond ~1e15. Continuous extension 0 at nbar = 0. Accepts a scalar
     or an array of budgets.
     """
-    if n_senders < 1:
-        raise ValueError(f"need at least one sender, got {n_senders}")
+    n_senders = _mode_count(n_senders, least=1)
     arr = np.asarray(nbar, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError("photon budgets must be finite and >= 0")
+    _budget(arr.min(initial=0.0))  # the budget rule at the extremes, where a NaN is too
+    _budget(arr.max(initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         val = _classical_rates(n_senders, arr)
     val = np.where(arr / n_senders > 0, val, 0.0)
@@ -215,9 +214,7 @@ def tau_boundaries(
     delta at the slice's best point (t = 1/2 on the first axis, t = 0 on
     the others) and at its edge fixes the interval exactly, for any n.
     """
-    n_modes = _mode_count(n_modes)
-    if not np.isfinite(nbar) or nbar <= 0.0:
-        raise ValueError(f"nbar must be finite and > 0, got {nbar}")
+    n_modes, nbar = _mode_count(n_modes), _budget(nbar, positive=True)
     prefix = tuple(fixed_prefix)
     axis = len(prefix)
     if axis >= n_modes - 1:
@@ -247,6 +244,14 @@ def break_even_squeezing(n_modes: int, taus: Sequence[float]) -> float:
     return optimal_params(n_modes, threshold_energy(n_modes, taus)).r
 
 
+def _asymptotic_regime(r_large) -> float:
+    """r_large as a float; ValueError unless it is >= 10, where asymptotic_ratio applies."""
+    r_large = float(r_large)
+    if not r_large >= 10.0:
+        raise ValueError(f"asymptotic regime starts at r_large >= 10, got {r_large}")
+    return r_large
+
+
 def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> float:
     """C_quantum / C_classical at the budget nbar = (n-1) e^r sinh r.
 
@@ -254,8 +259,7 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     ratio approaches n/(n-1) from below as r grows; the approach is
     slow, the gap falls off like 1/r.
     """
-    if not r_large >= 10.0:
-        raise ValueError("asymptotic regime starts at r_large >= 10")
+    r_large = _asymptotic_regime(r_large)
     half_senders = (n_modes - 1) / 2.0
     with np.errstate(over="ignore"):
         nbar = float(half_senders * np.expm1(2.0 * r_large))
@@ -268,11 +272,16 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     return report.c_quantum / report.c_classical
 
 
+def _grid_resolution(grid_resolution) -> int:
+    """grid_resolution as an int; ValueError unless it is a whole number >= 8."""
+    if not (float(grid_resolution).is_integer() and grid_resolution >= 8):
+        raise ValueError(f"grid_resolution must be a whole number >= 8, got {grid_resolution}")
+    return int(grid_resolution)
+
+
 def _grid_points(n_modes: int, grid_resolution: int) -> int:
     """Points of a scan grid; ValueError unless region_scan could make it."""
-    n_modes = _mode_count(n_modes)
-    if grid_resolution < 8:
-        raise ValueError("grid_resolution must be at least 8")
+    n_modes, grid_resolution = _mode_count(n_modes), _grid_resolution(grid_resolution)
     if (n_modes - 1) * math.log2(grid_resolution) > 64:  # too far over the cap to count
         raise ValueError(f"a {n_modes}-mode scan at grid {grid_resolution} has more than "
                          f"2^64 points, over the cap of {_SCAN_MAX_POINTS:,}")
@@ -306,17 +315,17 @@ class RegionScan:
     _adopt: InitVar[bool] = False  # keep deltas, a fresh float array no one else holds
 
     def __post_init__(self, _adopt):
-        n_points = _grid_points(self.n_modes, self.grid_resolution)
-        if not np.isfinite(self.nbar) or self.nbar < 0.0:
-            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
+        n_modes, grid = _mode_count(self.n_modes), _grid_resolution(self.grid_resolution)
+        n_points, nbar = _grid_points(n_modes, grid), _budget(self.nbar)
         deltas = self.deltas if _adopt else _frozen_array(self.deltas)
         deltas.flags.writeable = False
         if deltas.shape != (n_points,):
             raise ValueError(f"the grid has {n_points:,} points, deltas {deltas.shape}")
         flags = deltas > 0
         flags.flags.writeable = False
-        object.__setattr__(self, "n_modes", _mode_count(self.n_modes))
-        object.__setattr__(self, "nbar", float(self.nbar))
+        object.__setattr__(self, "n_modes", n_modes)
+        object.__setattr__(self, "nbar", nbar)
+        object.__setattr__(self, "grid_resolution", grid)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "flags", flags)
 
@@ -348,10 +357,8 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     _SCAN_CHUNK_BYTES; a grid of more than _SCAN_MAX_POINTS points raises
     ValueError before anything is allocated.
     """
-    n_modes = _mode_count(n_modes)
-    n_points = _grid_points(n_modes, grid_resolution)
-    if not np.isfinite(nbar) or nbar < 0.0:
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    n_modes, grid_resolution = _mode_count(n_modes), _grid_resolution(grid_resolution)
+    n_points, nbar = _grid_points(n_modes, grid_resolution), _budget(nbar)
     chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8))
     axis, deltas = np.linspace(0.0, 1.0, grid_resolution), np.empty(n_points)
     c_cl = classical_capacity(n_modes - 1, nbar)

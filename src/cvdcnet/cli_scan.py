@@ -37,8 +37,10 @@ import numpy as np
 from .advantage_analysis import (
     NoAdvantageError,
     RegionScan,
+    _asymptotic_regime,
     _grid_index,
     _grid_points,
+    _grid_resolution,
     asymptotic_ratio,
     break_even_squeezing,
     min_threshold_energy,
@@ -46,15 +48,16 @@ from .advantage_analysis import (
     threshold_energy,
 )
 from .dc_protocol import (
-    MC_MIN_SAMPLES,
     EncodingPlan,
+    _budget,
     _check_sample_count,
     build_channel,
     capacity,
     mutual_information_mc,
     optimal_params,
 )
-from .resource_prep import CONVENTION_FINGERPRINT, ResourceSpec
+from .phase_space import _mode_count, _transmissivity
+from .resource_prep import CONVENTION_FINGERPRINT, ResourceSpec, _validated_taus
 
 __all__ = [
     "CliConfigError",
@@ -121,33 +124,14 @@ def _to_int(name: str, raw: str) -> int:
         raise CliConfigError(f"{name} must be an integer, got '{raw}'") from exc
 
 
-def _to_float(name: str, raw: str) -> float:
+def _to_number(name: str, raw: str) -> float | int:
     try:
         value = float(raw)
     except ValueError as exc:
         raise CliConfigError(f"{name} must be a number, got '{raw}'") from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise CliConfigError(f"{name} must be finite, got '{raw}'")
-    return value
-
-
-def _at_least(convert: Callable[[str, str], Any], low) -> Callable[[str, str], Any]:
-    def parse(name: str, raw: str):
-        value = convert(name, raw)
-        if value < low:
-            raise CliConfigError(f"{name} must be >= {low}, got {value}")
-        return value
-
-    return parse
-
-
-def _to_samples(name: str, raw: str) -> int:
-    samples = _at_least(_to_int, MC_MIN_SAMPLES)(name, raw)
-    try:
-        _check_sample_count(samples)  # the library's cap, before any channel is built
-    except ValueError as exc:
-        raise CliConfigError(str(exc)) from None
-    return samples
+    return int(value) if value.is_integer() else value  # as a caller would write it
 
 
 def _to_seed(name: str, raw: str) -> int:
@@ -161,16 +145,12 @@ def _to_taus(name: str, raw: str) -> tuple[float, ...]:
     parts = raw.split(",")
     if not all(p.strip() for p in parts):
         raise CliConfigError(f"{name} has an empty entry in '{raw}'")
-    taus = tuple(_to_float(name, p) for p in parts)
-    for t in taus:
-        if not 0.0 <= t <= 1.0:
-            raise CliConfigError(f"transmissivities must lie in [0, 1], got {t}")
-    return taus
+    return tuple(_transmissivity(_to_number(name, p)) for p in parts)
 
 
 def _to_format(name: str, raw: str) -> str:
     if raw not in _FORMATS:
-        raise CliConfigError(f"format must be one of {_FORMATS}, got '{raw}'")
+        raise ValueError(f"format must be one of {_FORMATS}, got '{raw}'")  # serialize_region's
     return raw
 
 
@@ -201,15 +181,17 @@ class _Key:
     parse: Callable[[str, str], Any]  # (name, raw text) -> validated value
     help: str
     switch: bool = False  # a bare flag, standing for 'name = true'
+    rule: Callable[[Any], Any] = lambda value: value  # the library's check of that value
 
 
 # In validation order: with several bad values, the first one here is reported
 _KEYS = {
-    "modes": _Key("modes", _at_least(_to_int, 2), "network mode count"),
+    "modes": _Key("modes", _to_number, "network mode count", rule=_mode_count),
     "tau": _Key("taus", _to_taus, "chain transmissivities, e.g. 0.5,0.5"),
-    "nbar": _Key("nbar", _at_least(_to_float, 0), "photon budget per network use"),
-    "grid": _Key("grid", _at_least(_to_int, 8), "grid points per tau axis"),
-    "samples": _Key("samples", _to_samples, "Monte Carlo cross-check sample count"),
+    "nbar": _Key("nbar", _to_number, "photon budget per network use", rule=_budget),
+    "grid": _Key("grid", _to_number, "grid points per tau axis", rule=_grid_resolution),
+    "samples": _Key("samples", _to_int, "Monte Carlo cross-check sample count",
+                    rule=_check_sample_count),
     "seed": _Key("seed", _to_seed, "RNG seed (unsigned 64-bit)"),
     "format": _Key("fmt", _to_format, "output format: csv or json"),
     "bits": _Key(
@@ -218,7 +200,8 @@ _KEYS = {
         "report information quantities in bits instead of nats",
         switch=True,
     ),
-    "squeezing": _Key("squeezing", _to_float, "squeezing strength r (>= 10)"),
+    "squeezing": _Key("squeezing", _to_number, "squeezing strength r (>= 10)",
+                      rule=_asymptotic_regime),
     "out": _Key("out", _to_out_path, "write output to this path"),
 }
 
@@ -345,8 +328,7 @@ def _row_text(scan: RegionScan, fmt: str, scale: float) -> Iterator[bytes]:
 
 def _region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
     """serialize_region's bytes, one chunk of rows at a time."""
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}, got '{fmt}'")
+    _to_format("format", fmt)
     scale = 1.0 / _nats_per_unit(units)
     meta = {
         "n_modes": scan.n_modes,
@@ -406,7 +388,7 @@ def _json_rows(data: bytes, pos: int, n_modes: int) -> Iterator[np.ndarray]:
         + rb'\]\s*,\s*"delta"\s*:' + number
         + rb',\s*"advantage"\s*:\s*(?:true|false)\s*\}\s*)'
     )
-    stop, first = data.rfind(b"]"), pos  # the list's end: only the object's '}' follows
+    stop, first, row = data.rfind(b"]"), pos, 0  # the list's end: only the object's '}' follows
     if stop < pos or not re.fullmatch(rb"\]\s*\}\s*", data[stop:]):
         raise ValueError("region data is malformed: no ']' ends the records")
     while pos < stop:
@@ -415,10 +397,13 @@ def _json_rows(data: bytes, pos: int, n_modes: int) -> Iterator[np.ndarray]:
         cells = record.findall(data, pos, end)  # (record, separator, *numbers) each
         matched = sum(map(len, map(itemgetter(0), cells)))
         if matched != end - pos or list(map(itemgetter(1), cells)).count(b"[") != (pos == first):
-            raise ValueError(f"region data is malformed: records in bytes {pos} to {end}")
+            # the first record that does not match where the one before it ends
+            while (cell := record.match(data, pos, end)) and (cell[2] == b"[") == (pos == first):
+                pos, row = cell.end(), row + 1
+            raise ValueError(f"region data is malformed at data row {row + 1}")
         numbers = itertools.chain.from_iterable(map(itemgetter(slice(2, None)), cells))
         yield np.fromiter(map(float, numbers), float).reshape(-1, n_modes)
-        pos = end
+        pos, row = end, row + len(cells)
 
 
 _WINDOW = 2**18  # bytes of scan text _written_deltas checks at a time
@@ -837,32 +822,32 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse flags plus optional config file into a validated RunConfig.
 
     A subcommand reads only its own keys, each from its flag or else from
-    the config file; file keys for flags it lacks are ignored.
+    the config file; file keys for flags it lacks are ignored. Each value is
+    checked here, in _KEYS order, by the library's own rule where it has one.
     """
     ns = _PARSER.parse_args(argv)
     command = _COMMANDS[ns.command]
     file_values = _load_config_file(ns.config) if ns.config else {}
     fields = {}
-    for name, key in _KEYS.items():
-        if name not in command.keys:
-            continue
-        raw = getattr(ns, name)
-        if raw is None:
-            raw = file_values.get(name)
-        if raw is not None:
-            fields[key.field] = key.parse(name, raw)
-    for name in command.required:
-        if _KEYS[name].field not in fields:
-            raise CliConfigError(f"{ns.command} requires --{name}")
-    if "squeezing" in fields and fields["squeezing"] < 10.0:
-        raise CliConfigError(f"{ns.command} needs --squeezing >= 10")
-    if "samples" in fields and fields.get("nbar") == 0.0:
-        raise CliConfigError("a Monte Carlo cross-check (--samples) needs --nbar > 0")
-    modes, taus = fields.get("modes"), fields.get("taus")
-    if taus is not None and modes is not None and len(taus) != modes - 1:
-        raise CliConfigError(
-            f"{modes}-mode chain needs {modes - 1} transmissivities, got {len(taus)}"
-        )
+    try:
+        for name, key in _KEYS.items():
+            if name not in command.keys:
+                continue
+            raw = getattr(ns, name)
+            if raw is None:
+                raw = file_values.get(name)
+            if raw is not None:
+                fields[key.field] = key.rule(key.parse(name, raw))
+        for name in command.required:
+            if _KEYS[name].field not in fields:
+                raise CliConfigError(f"{ns.command} requires --{name}")
+        if "samples" in fields and fields.get("nbar") == 0.0:
+            raise CliConfigError("a Monte Carlo cross-check (--samples) needs --nbar > 0")
+        for name, rule in (("tau", _validated_taus), ("grid", _grid_points)):  # with --modes
+            if _KEYS[name].field in fields:
+                rule(fields["modes"], fields[_KEYS[name].field])
+    except ValueError as exc:  # a library rule's words, under the flag they are about
+        raise CliConfigError(f"--{name}: {exc}") from None
     return RunConfig(command=ns.command, **fields)
 
 

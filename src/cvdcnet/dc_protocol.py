@@ -31,14 +31,15 @@ from .phase_space import (
     Quadrature,
     SymplecticTransform,
     _frozen_array,
+    _mode_count,
     _symmetrized,
     apply_symplectic,
 )
 from .resource_prep import (
     ResourceSpec,
     _chain_adjoint,
-    _mode_count,
     _quadrature_lift,
+    _squeezing,
     _validated_taus,
     alternating_pattern,
 )
@@ -286,8 +287,8 @@ class MCEstimate(NamedTuple):
     std_error: float
 
 
-def _check_sample_count(n_samples: int) -> None:
-    """ValueError unless MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES."""
+def _check_sample_count(n_samples: int) -> int:
+    """n_samples; ValueError unless MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES."""
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
     if n_samples > MC_MAX_SAMPLES:
@@ -295,6 +296,7 @@ def _check_sample_count(n_samples: int) -> None:
             f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: "
             f"their values alone would take {8 * n_samples / 2**30:.1f} GiB"
         )
+    return n_samples
 
 
 def mutual_information_mc(
@@ -361,9 +363,9 @@ def photon_constraint(n_modes: int, r: float, sigma_msg_sq: float) -> float:
     the n message components add sigma_msg_sq / 2 displacement photons
     apiece on average.
     """
-    n_modes = _mode_count(n_modes)
-    if not (0.0 <= r < np.inf and 0.0 <= sigma_msg_sq < np.inf):
-        raise ValueError(f"r and sigma_msg_sq must be finite and >= 0, got {r}, {sigma_msg_sq}")
+    n_modes, r = _mode_count(n_modes), _squeezing(r)
+    if not 0.0 <= sigma_msg_sq < math.inf:
+        raise ValueError(f"sigma_msg_sq must be finite and >= 0, got {sigma_msg_sq}")
     return float((n_modes - 1) * np.sinh(r) ** 2 + n_modes * sigma_msg_sq / 2.0)
 
 
@@ -374,15 +376,21 @@ class OptimalParams(NamedTuple):
     sigma_msg_sq: float
 
 
+def _budget(nbar, positive: bool = False) -> float:
+    """nbar as a float; ValueError unless it is finite and >= 0 (> 0 if positive)."""
+    nbar = float(nbar)
+    if not (0.0 < nbar < math.inf or nbar == 0.0 and not positive):
+        raise ValueError(f"nbar must be finite and {'>' if positive else '>='} 0, got {nbar}")
+    return nbar
+
+
 def optimal_params(n_modes: int, nbar: float) -> OptimalParams:
     """Capacity-achieving (r, sigma_msg^2) under the photon budget nbar.
 
     r = (1/2) ln(1 + 2 nbar / (n-1)) and
     sigma^2 = (n-1) sinh(2r) / n; photon_constraint round-trips to nbar.
     """
-    n_modes = _mode_count(n_modes)
-    if not np.isfinite(nbar) or nbar < 0:
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    n_modes, nbar = _mode_count(n_modes), _budget(nbar)
     x = 2.0 * nbar / (n_modes - 1)
     r = 0.5 * np.log1p(x)
     sinh_2r = x * (2.0 + x) / (2.0 * (1.0 + x))
@@ -404,11 +412,9 @@ class CapacityReport:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        object.__setattr__(self, "taus", _validated_taus(self.n_modes, self.taus))
         for name in ("nbar", "r", "sigma_msg_sq", "c_quantum", "c_classical", "delta"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if len(self.taus) != self.n_modes - 1:
-            raise ValueError("taus length does not match n_modes")
         if self.c_quantum < 0 or self.c_classical < 0:
             raise ValueError("capacities cannot be negative")
 
@@ -420,8 +426,8 @@ def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport
     sigma^2 in closed form, from one O(n) transfer pass down the chain that
     builds no matrix; the classical benchmark rides along in the report.
     """
-    n_modes = _mode_count(n_modes)
     taus = _validated_taus(n_modes, taus)
+    n_modes = len(taus) + 1
     r, sigma_sq = optimal_params(n_modes, nbar)
     c_q = max(0.0, float(_quantum_rates(taus, nbar)))
     c_cl = float(_classical_rates(n_modes - 1, nbar)) if nbar > 0 else 0.0

@@ -64,6 +64,21 @@ def _frozen_array(values) -> np.ndarray:
     return out
 
 
+def _mode_count(n_modes, least: int = 2) -> int:
+    """n_modes as an int; ValueError unless it is a whole number >= least."""
+    if not (float(n_modes).is_integer() and n_modes >= least):
+        raise ValueError(f"the mode count must be a whole number >= {least}, got {n_modes}")
+    return int(n_modes)
+
+
+def _transmissivity(tau) -> float:
+    """tau as a float; ValueError unless it lies in [0, 1]."""
+    tau = float(tau)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {tau}")
+    return tau
+
+
 def _symmetrized(c: np.ndarray, name: str) -> np.ndarray:
     """(c + c^T)/2, after checking that c is symmetric to SYMMETRY_ATOL
     relative to its largest entry."""
@@ -114,9 +129,7 @@ class GaussianState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        if int(self.n_modes) < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        n = int(self.n_modes)
+        n = _mode_count(self.n_modes, least=1)
         d = np.asarray(self.displacement, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         if d.shape != (2 * n,):
@@ -143,9 +156,7 @@ class SymplecticTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if int(self.n_modes) < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        n = int(self.n_modes)
+        n = _mode_count(self.n_modes, least=1)
         s = np.asarray(self.matrix, dtype=float)
         if s.shape != (2 * n, 2 * n):
             raise ValueError(f"matrix shape {s.shape}, expected ({2 * n}, {2 * n})")
@@ -182,8 +193,7 @@ class PhysicalityCheck(NamedTuple):
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal J = diag([[0, 1], [-1, 0]], ...) for n_modes modes."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+    n_modes = _mode_count(n_modes, least=1)
     j = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         j[2 * k, 2 * k + 1] = 1.0
@@ -193,8 +203,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 def vacuum(n_modes: int) -> GaussianState:
     """The n_modes-mode vacuum: zero mean, covariance I/2."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+    n_modes = _mode_count(n_modes, least=1)
     return GaussianState(
         n_modes, np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes)
     )
@@ -217,6 +226,7 @@ def single_mode_squeezer(
     conjugate grows by e^{r}. Negative r is allowed and reverses the roles,
     so squeezer(r) @ squeezer(-r) is the identity.
     """
+    n_modes = _mode_count(n_modes, least=1)
     if not 0 <= mode_index < n_modes:
         raise ValueError(f"mode_index {mode_index} out of range for {n_modes} modes")
     diag = np.ones(2 * n_modes)
@@ -244,13 +254,12 @@ def beam_splitter(n_modes: int, mode_i: int, mode_j: int, tau: float) -> Symplec
     (see resource_prep.CONVENTION_FINGERPRINT) and must not be changed
     independently of the resource-preparation and decoding code.
     """
+    n_modes, tau = _mode_count(n_modes, least=1), _transmissivity(tau)
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
     for m in (mode_i, mode_j):
         if not 0 <= m < n_modes:
             raise ValueError(f"mode index {m} out of range for {n_modes} modes")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {tau}")
     t = np.sqrt(tau)
     rfl = np.sqrt(1.0 - tau)
     s = np.eye(2 * n_modes)

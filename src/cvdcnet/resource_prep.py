@@ -15,6 +15,7 @@ here independently of the circuit so tests can pin the sign conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .phase_space import (
     Quadrature,
     QuadratureSelection,
     SymplecticTransform,
+    _mode_count,
+    _transmissivity,
     apply_symplectic,
     vacuum,
 )
@@ -56,13 +59,9 @@ class ResourceSpec:
     taus: tuple[float, ...]
 
     def __post_init__(self):
-        n = _mode_count(self.n_modes)
-        taus = _validated_taus(n, self.taus)
-        r = float(self.r)
-        if not np.isfinite(r) or r < 0.0:
-            raise ValueError(f"squeezing strength must be finite and >= 0, got {r}")
-        object.__setattr__(self, "n_modes", n)
-        object.__setattr__(self, "r", r)
+        taus = _validated_taus(self.n_modes, self.taus)
+        object.__setattr__(self, "n_modes", len(taus) + 1)
+        object.__setattr__(self, "r", _squeezing(self.r))
         object.__setattr__(self, "taus", taus)
 
 
@@ -77,23 +76,19 @@ def alternating_pattern(n_modes: int) -> QuadratureSelection:
     )
 
 
-def _mode_count(n_modes, least: int = 2) -> int:
-    """n_modes as an int; ValueError unless it is a whole number >= least."""
-    if not float(n_modes).is_integer():
-        raise ValueError(f"the mode count must be a whole number, got {n_modes}")
-    if n_modes < least:
-        raise ValueError(f"need at least {least} mode{'s' * (least > 1)}, got {n_modes}")
-    return int(n_modes)
+def _squeezing(r) -> float:
+    """r as a float; ValueError unless it is finite and >= 0."""
+    r = float(r)
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"squeezing strength must be finite and >= 0, got {r}")
+    return r
 
 
-def _validated_taus(n: int, taus) -> tuple[float, ...]:
-    """taus as a tuple of floats, checked: n - 1 of them (n whole, >= 2), each in [0, 1]."""
-    out = tuple(float(t) for t in taus)
-    if len(out) != _mode_count(n) - 1:
+def _validated_taus(n, taus) -> tuple[float, ...]:
+    """taus as a tuple of floats, checked: n whole and >= 2, each tau in [0, 1], n - 1 of them."""
+    n, out = _mode_count(n), tuple(map(_transmissivity, taus))
+    if len(out) != n - 1:
         raise ValueError(f"{n}-mode chain needs {n - 1} transmissivities, got {len(out)}")
-    for t in out:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
     return out
 
 
@@ -140,11 +135,7 @@ def three_mode_reference_cov(r: float, tau1: float, tau2: float) -> np.ndarray:
     squeeze alternation. At tau1 = tau2 = 1 the first mode decouples as
     diag(e^{2r}, e^{-2r})/2; at r = 0 the whole matrix is I/2.
     """
-    for name, t in (("tau1", tau1), ("tau2", tau2)):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {t}")
-    if r < 0.0:
-        raise ValueError(f"squeezing strength must be >= 0, got {r}")
+    tau1, tau2, r = _transmissivity(tau1), _transmissivity(tau2), _squeezing(r)
     e2r = np.exp(2.0 * r)
     em2r = np.exp(-2.0 * r)
     e4r_m1 = np.expm1(4.0 * r)

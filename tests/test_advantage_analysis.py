@@ -111,7 +111,7 @@ def test_classical_capacity_stays_finite_down_to_the_least_subnormal():
 
 
 def test_classical_capacity_rejects_bad_input():
-    with pytest.raises(ValueError, match="sender"):
+    with pytest.raises(ValueError, match="whole number >= 1, got 0"):
         classical_capacity(0, 1.0)
     with pytest.raises(ValueError, match="finite"):
         classical_capacity(2, -1.0)
@@ -314,9 +314,9 @@ def test_min_threshold_rejects_tiny_grids():
     with pytest.raises(TypeError, match="grid_resolution"):  # no grid is searched
         min_threshold_energy(3, grid_resolution=4)
     for n_modes in (1, 0):
-        with pytest.raises(ValueError, match="need at least 2 modes"):
+        with pytest.raises(ValueError, match="mode count must be a whole number >= 2"):
             min_threshold_energy(n_modes)
-    with pytest.raises(ValueError, match="whole number, got 2.5"):
+    with pytest.raises(ValueError, match="whole number >= 2, got 2.5"):
         min_threshold_energy(2.5)
 
 
@@ -631,15 +631,15 @@ def test_boundary_intervals_are_never_clamped_and_their_edges_cut_the_chain():
 def test_threshold_energy_takes_a_whole_mode_count():
     # these said "3.5-mode chain needs 2.5 transmissivities, got 2"
     for call in (threshold_energy, break_even_squeezing, dc_protocol.decoding_symplectic):
-        with pytest.raises(ValueError, match="whole number, got 3.5"):
+        with pytest.raises(ValueError, match="whole number >= 2, got 3.5"):
             call(3.5, (0.5, 0.5))
     assert threshold_energy(3.0, (0.5, 0.5)) == threshold_energy(3, (0.5, 0.5))
 
 
 def test_boundary_input_validation():
-    with pytest.raises(ValueError, match="at least 2 modes"):
+    with pytest.raises(ValueError, match="mode count must be a whole number >= 2"):
         tau_boundaries(1, 7.0)
-    with pytest.raises(ValueError, match="whole number, got 3.5"):  # was a bare TypeError
+    with pytest.raises(ValueError, match="whole number >= 2, got 3.5"):  # was a bare TypeError
         tau_boundaries(3.5, 7.0)
     assert tau_boundaries(3.0, 7.0) == tau_boundaries(3, 7.0)
     with pytest.raises(ValueError, match="pins every"):
@@ -696,9 +696,9 @@ def test_region_scan_validation_and_strict_flags():
     with pytest.raises(ValueError, match="overflows"):
         region_scan(3, 1e160, 8)
     for n_modes in (1, 0):
-        with pytest.raises(ValueError, match="need at least 2 modes"):
+        with pytest.raises(ValueError, match="mode count must be a whole number >= 2"):
             region_scan(n_modes, 7.0, 8)
-    with pytest.raises(ValueError, match="whole number, got 2.5"):
+    with pytest.raises(ValueError, match="whole number >= 2, got 2.5"):
         region_scan(2.5, 7.0, 8)
     good = region_scan(3, 7.0, 8)
     for scan in (region_scan(3.0, 7.0, 8), RegionScan(3.0, 7.0, 8, good.deltas)):

@@ -122,7 +122,7 @@ def test_capacity_rejects_samples_over_the_cap_before_drawing(monkeypatch, capsy
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {over} samples exceed the cap of {MC_MAX_SAMPLES}")
+    assert err.startswith(f"error: --samples: {over} samples exceed the cap of {MC_MAX_SAMPLES}")
     assert err.count("\n") == 1 and "GiB" in err
 
 
@@ -137,7 +137,7 @@ def test_samples_over_the_cap_are_refused_with_the_flags(monkeypatch, capsys):
     with pytest.raises(CliConfigError, match=f"{over} samples exceed the cap"):
         parse_args(argv + [over])
     assert main(argv + [over]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {over} samples exceed the cap")
+    assert capsys.readouterr().err.startswith(f"error: --samples: {over} samples exceed the cap")
     assert parse_args(argv + [str(MC_MAX_SAMPLES)]).samples == MC_MAX_SAMPLES
 
 
@@ -183,11 +183,12 @@ def test_shared_config_file_drives_every_subcommand(tmp_path, capsys):
         argv = [command, "--config", str(cfg), *overrides.get(command, [])]
         assert main(argv) in (0, 2), capsys.readouterr().err
         assert capsys.readouterr().err == ""
-    with pytest.raises(CliConfigError, match="samples must be >= 10000"):
+    with pytest.raises(CliConfigError, match="--samples: need at least 10000 samples, got 5000"):
         parse_args(["capacity", "--config", str(cfg)])
     with pytest.raises(CliConfigError, match="format must be one of"):
         parse_args(["scan", "--config", str(cfg)])
-    with pytest.raises(CliConfigError, match="ratio needs --squeezing >= 10"):
+    regime = "--squeezing: asymptotic regime starts at r_large >= 10, got 5.0"
+    with pytest.raises(CliConfigError, match=re.escape(regime)):
         parse_args(["ratio", "--config", str(cfg)])
 
 
@@ -380,6 +381,17 @@ def test_parse_region_rejects_json_of_the_wrong_kind(mangle):
     good = json.loads(serialize_region(region_scan(3, 7.0, 8), "json"))
     with pytest.raises(ValueError, match="region data is malformed"):
         parse_region(json.dumps(mangle(good)).encode())
+
+
+def test_the_json_reader_names_the_first_bad_record_by_its_data_row():
+    data = serialize_region(region_scan(3, 7.0, 128), "json")  # 16,384 records, two MiB windows
+    lines = data.split(b"\n")
+    first = lines.index(b'  "records": [') + 1  # a 3-mode record is 8 lines, delta its 6th
+    for row in (1, 5, 11148):  # in the first window, its first record, and the second window
+        text = list(lines)
+        text[first + 8 * (row - 1) + 5] = b'      "delta": +0.5,'
+        with pytest.raises(ValueError, match=f"^region data is malformed at data row {row}$"):
+            parse_region(b"\n".join(text))
 
 
 def _region_text(fmt, meta=(), rows=None):
@@ -742,8 +754,24 @@ def test_scan_over_the_point_cap_fails_before_building_the_grid(monkeypatch, cap
     monkeypatch.setattr(advantage_analysis, "_grid_index", no_grid)
     assert main(["scan", "--modes", "6", "--nbar", "7", "--grid", "64"]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: a 6-mode scan at grid 64 has 1,073,741,824 points (about 9.66 GB)"
+        "error: --grid: a 6-mode scan at grid 64 has 1,073,741,824 points (about 9.66 GB)"
     )
+
+
+@pytest.mark.parametrize("modes, grid, size", [
+    (5000, 8, "more than 2^64 points"), (9, 64, "281,474,976,710,656 points (about 2.53e+06 GB)"),
+])
+def test_scan_refuses_a_grid_over_the_cap_while_parsing(modes, grid, size, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("region_scan ran before the grid size was checked")
+
+    monkeypatch.setattr(cli_scan, "region_scan", no_scan)
+    argv = ["scan", "--modes", str(modes), "--nbar", "7", "--grid", str(grid)]
+    message = f"--grid: a {modes}-mode scan at grid {grid} has {size}, over the cap of 16,777,216"
+    with pytest.raises(CliConfigError, match=re.escape(message)):
+        parse_args(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_scan_command_exit_codes_and_files(tmp_path):

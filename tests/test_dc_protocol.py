@@ -82,9 +82,9 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="twice"):
         EncodingPlan(3, 1.0, ((0, Q), (0, Q), (1, P)))
     for n_modes in (2.5, 3.5):  # 3.5 was a bare TypeError from range()
-        with pytest.raises(ValueError, match=f"whole number, got {n_modes}"):
+        with pytest.raises(ValueError, match=f"whole number >= 2, got {n_modes}"):
             EncodingPlan.standard(n_modes, 1.0)
-    with pytest.raises(ValueError, match="need at least 2 modes, got 1"):
+    with pytest.raises(ValueError, match="whole number >= 2, got 1"):
         EncodingPlan(1, 1.0, ((0, Q),))
     assert EncodingPlan.standard(3.0, 1.0) == EncodingPlan.standard(3, 1.0)
 
@@ -437,9 +437,9 @@ def test_optimal_params_known_relations():
         with pytest.raises(ValueError, match="finite and >= 0"):  # was nan or inf
             photon_constraint(3, r, sig_sq)
     for n_modes in (1, 2.5):
-        with pytest.raises(ValueError, match="need at least 2 modes|whole number"):
+        with pytest.raises(ValueError, match=f"whole number >= 2, got {n_modes}"):
             photon_constraint(n_modes, 0.5, 1.0)
-        with pytest.raises(ValueError, match="need at least 2 modes|whole number"):
+        with pytest.raises(ValueError, match=f"whole number >= 2, got {n_modes}"):
             optimal_params(n_modes, 1.0)
 
 
@@ -545,7 +545,7 @@ def test_capacity_increases_with_budget():
 def test_capacity_takes_a_whole_mode_count_and_reports_an_int():
     report = capacity(3.0, (0.5, 0.5), 8.15)  # was reported as n_modes = 3.0
     assert type(report.n_modes) is int and report == capacity(3, (0.5, 0.5), 8.15)
-    with pytest.raises(ValueError, match="whole number, got 2.5"):
+    with pytest.raises(ValueError, match="whole number >= 2, got 2.5"):
         capacity(2.5, (0.5,), 8.15)
 
 

@@ -1,0 +1,272 @@
+"""One rule per input: each value is checked once, in the lowest module that
+owns it, with one message text, and every entry point and CLI flag reuses it."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cvdcnet
+from cvdcnet import (
+    CapacityReport,
+    EncodingPlan,
+    GaussianState,
+    Quadrature,
+    RegionScan,
+    ResourceSpec,
+    SymplecticTransform,
+    alternating_pattern,
+    asymptotic_ratio,
+    beam_splitter,
+    break_even_squeezing,
+    build_channel,
+    capacity,
+    classical_capacity,
+    decoding_symplectic,
+    main,
+    min_threshold_energy,
+    mutual_information_mc,
+    optimal_params,
+    photon_constraint,
+    quantum_advantage,
+    region_scan,
+    single_mode_squeezer,
+    symplectic_form,
+    tau_boundaries,
+    three_mode_reference_cov,
+    threshold_energy,
+    vacuum,
+)
+
+PACKAGE = Path(cvdcnet.__file__).parent
+Q, P = Quadrature.POSITION, Quadrature.MOMENTUM
+
+# each rule's one message text, and the module and function that raise it
+RULES = {
+    "mode count": ("phase_space", "_mode_count",
+                   "the mode count must be a whole number >= {least}, got {value}"),
+    "transmissivity": ("phase_space", "_transmissivity",
+                       "transmissivity must lie in [0, 1], got {value}"),
+    "tau count": ("resource_prep", "_validated_taus",
+                  "{n}-mode chain needs {n_taus} transmissivities, got {value}"),
+    "nbar": ("dc_protocol", "_budget", "nbar must be finite and >= 0, got {value}"),
+    "r": ("resource_prep", "_squeezing",
+          "squeezing strength must be finite and >= 0, got {value}"),
+    "grid": ("advantage_analysis", "_grid_resolution",
+             "grid_resolution must be a whole number >= 8, got {value}"),
+    "samples": ("dc_protocol", "_check_sample_count", "need at least 10000 samples, got {value}"),
+    "ratio regime": ("advantage_analysis", "_asymptotic_regime",
+                     "asymptotic regime starts at r_large >= 10, got {value}"),
+}
+
+# (rule, bad values, the entry points that take the value, as name: call(value))
+_MODES_1 = {  # least = 1
+    "GaussianState": lambda n: GaussianState(n, np.zeros(4), 0.5 * np.eye(4)),
+    "SymplecticTransform": lambda n: SymplecticTransform(n, np.eye(4)),
+    "symplectic_form": symplectic_form,
+    "vacuum": vacuum,
+    "single_mode_squeezer": lambda n: single_mode_squeezer(n, 0, 0.5, Q),
+    "beam_splitter": lambda n: beam_splitter(n, 0, 1, 0.5),
+    "alternating_pattern": alternating_pattern,
+    "classical_capacity": lambda n: classical_capacity(n, 1.0),  # its sender count
+}
+_MODES_2 = {  # least = 2
+    "ResourceSpec": lambda n: ResourceSpec(n, 0.5, (0.5,)),
+    "EncodingPlan": lambda n: EncodingPlan(n, 1.0, ((0, Q), (0, P))),
+    "EncodingPlan.standard": lambda n: EncodingPlan.standard(n, 1.0),
+    "decoding_symplectic": lambda n: decoding_symplectic(n, (0.5,)),
+    "photon_constraint": lambda n: photon_constraint(n, 0.5, 1.0),
+    "optimal_params": lambda n: optimal_params(n, 1.0),
+    "capacity": lambda n: capacity(n, (0.5,), 1.0),
+    "CapacityReport": lambda n: CapacityReport(n, (0.5,), 1.0, 0.5, 1.0, 1.0, 1.0, 0.0),
+    "quantum_advantage": lambda n: quantum_advantage(n, (0.5,), 1.0),
+    "threshold_energy": lambda n: threshold_energy(n, (0.5,)),
+    "min_threshold_energy": min_threshold_energy,
+    "tau_boundaries": lambda n: tau_boundaries(n, 7.0),
+    "break_even_squeezing": lambda n: break_even_squeezing(n, (0.5,)),
+    "asymptotic_ratio": lambda n: asymptotic_ratio(n, (0.5,), 20.0),
+    "region_scan": lambda n: region_scan(n, 7.0, 8),
+    "RegionScan": lambda n: RegionScan(n, 7.0, 8, np.zeros(8)),
+}
+_TABLE = [
+    ("mode count", (2.5, 0), _MODES_1),
+    ("mode count", (2.5, 1), _MODES_2),
+    ("transmissivity", (-0.1, 1.5, math.nan), {
+        "beam_splitter": lambda t: beam_splitter(2, 0, 1, t),
+        "three_mode_reference_cov tau1": lambda t: three_mode_reference_cov(0.5, t, 0.5),
+        "three_mode_reference_cov tau2": lambda t: three_mode_reference_cov(0.5, 0.5, t),
+        "ResourceSpec": lambda t: ResourceSpec(3, 0.5, (0.5, t)),
+        "decoding_symplectic": lambda t: decoding_symplectic(3, (t, 0.5)),
+        "capacity": lambda t: capacity(3, (0.5, t), 8.0),
+        "CapacityReport": lambda t: CapacityReport(3, (0.5, t), 8.0, 1.0, 1.0, 1.0, 1.0, 0.0),
+        "quantum_advantage": lambda t: quantum_advantage(3, (t, 0.5), 8.0),
+        "threshold_energy": lambda t: threshold_energy(3, (0.5, t)),
+        "tau_boundaries": lambda t: tau_boundaries(3, 7.0, (t,)),
+        "break_even_squeezing": lambda t: break_even_squeezing(3, (t, 0.5)),
+        "asymptotic_ratio": lambda t: asymptotic_ratio(3, (0.5, t), 20.0),
+    }),
+    ("tau count", (1, 3), {
+        "ResourceSpec": lambda k: ResourceSpec(3, 0.5, (0.5,) * k),
+        "decoding_symplectic": lambda k: decoding_symplectic(3, (0.5,) * k),
+        "capacity": lambda k: capacity(3, (0.5,) * k, 8.0),
+        "CapacityReport": lambda k: CapacityReport(3, (0.5,) * k, 8.0, 1.0, 1.0, 1.0, 1.0, 0.0),
+        "quantum_advantage": lambda k: quantum_advantage(3, (0.5,) * k, 8.0),
+        "threshold_energy": lambda k: threshold_energy(3, (0.5,) * k),
+        "break_even_squeezing": lambda k: break_even_squeezing(3, (0.5,) * k),
+        "asymptotic_ratio": lambda k: asymptotic_ratio(3, (0.5,) * k, 20.0),
+    }),
+    ("nbar", (-1.0, math.nan, math.inf), {
+        "optimal_params": lambda nbar: optimal_params(3, nbar),
+        "capacity": lambda nbar: capacity(3, (0.5, 0.5), nbar),
+        "quantum_advantage": lambda nbar: quantum_advantage(3, (0.5, 0.5), nbar),
+        "classical_capacity": lambda nbar: classical_capacity(2, nbar),
+        "classical_capacity array": lambda nbar: classical_capacity(2, np.array([1.0, nbar])),
+        "region_scan": lambda nbar: region_scan(3, nbar, 8),
+        "RegionScan": lambda nbar: RegionScan(3, nbar, 8, np.zeros(64)),
+    }),
+    ("r", (-1.0, math.nan, math.inf), {
+        "ResourceSpec": lambda r: ResourceSpec(3, r, (0.5, 0.5)),
+        "photon_constraint": lambda r: photon_constraint(3, r, 1.0),
+        "three_mode_reference_cov": lambda r: three_mode_reference_cov(r, 0.5, 0.5),
+    }),
+    ("grid", (7, 8.5), {
+        "region_scan": lambda grid: region_scan(3, 7.0, grid),
+        "RegionScan": lambda grid: RegionScan(3, 7.0, grid, np.zeros(64)),
+    }),
+    ("samples", (9_999,), {
+        "mutual_information_mc": lambda samples: mutual_information_mc(
+            build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0)),
+            samples, 0),
+    }),
+    ("ratio regime", (5.0, math.nan), {
+        "asymptotic_ratio": lambda r: asymptotic_ratio(3, (0.5, 0.5), r),
+    }),
+]
+
+
+def _text(rule, value, least=2):
+    """The rule's text for a bad value; tau counts are of a 3-mode chain."""
+    return RULES[rule][2].format(least=least, value=value, n=3, n_taus=2)
+
+
+@pytest.mark.parametrize("rule, value, least, call", [
+    pytest.param(rule, value, 1 if calls is _MODES_1 else 2, call, id=f"{rule}-{value}-{name}")
+    for rule, values, calls in _TABLE for value in values for name, call in calls.items()
+])
+def test_every_entry_point_raises_the_rule_of_a_bad_value(rule, value, least, call):
+    # no bare TypeError, no truncation to a valid value, no RuntimeWarning (an error here)
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == _text(rule, value, least)
+
+
+def test_tau_boundaries_keeps_its_stricter_budget_floor():
+    for nbar in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError) as info:
+            tau_boundaries(3, nbar)
+        assert str(info.value) == f"nbar must be finite and > 0, got {nbar}"
+
+
+@pytest.mark.parametrize("rule, value, flag, argv", [
+    ("mode count", 2.5, "modes", ["threshold", "--modes", "2.5"]),
+    ("mode count", 1, "modes", ["breakeven", "--modes", "1", "--tau", "0.5"]),
+    ("transmissivity", -0.1, "tau", ["capacity", "--modes", "3", "--tau", "0.5,-0.1",
+                                     "--nbar", "8"]),
+    ("transmissivity", 1.5, "tau", ["threshold", "--modes", "3", "--tau", "1.5,0.5"]),
+    ("tau count", 1, "tau", ["capacity", "--modes", "3", "--tau", "0.5", "--nbar", "8"]),
+    ("tau count", 3, "tau", ["ratio", "--modes", "3", "--tau", "0.5,0.5,0.5"]),
+    ("nbar", -1.0, "nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "-1"]),
+    ("grid", 7, "grid", ["scan", "--modes", "3", "--nbar", "7", "--grid", "7"]),
+    ("grid", 8.5, "grid", ["scan", "--modes", "3", "--nbar", "7", "--grid", "8.5"]),
+    ("samples", 9_999, "samples", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar",
+                                   "8", "--samples", "9999"]),
+    ("ratio regime", 5.0, "squeezing", ["ratio", "--modes", "3", "--tau", "0.5,0.5",
+                                        "--squeezing", "5"]),
+])
+def test_every_flag_reports_the_library_text_under_its_name(rule, value, flag, argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --{flag}: {_text(rule, value)}\n"
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("tau", ["threshold", "--modes", "3", "--tau", "0.5,nan"]),
+    ("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "nan"]),
+    ("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"]),
+    ("squeezing", ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "nan"]),
+])
+def test_a_value_that_is_no_finite_number_stops_at_the_cli_text_parse(flag, argv, capsys):
+    assert main(argv) == 1
+    entry = argv[-1].split(",")[-1]
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got '{entry}'\n"
+
+
+def _static_text(node) -> str:
+    """A message expression's literal text, each formatted or computed value as {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_static_text(part) if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    if isinstance(node, ast.BinOp):
+        return _static_text(node.left) + _static_text(node.right)
+    return "{}"
+
+
+def _raise_sites(tree: ast.Module):
+    """(enclosing function, message text) of every raise of a call with a message."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and child.exc.args):
+                yield function, _static_text(child.exc.args[0])
+            yield from walk(child, function)
+
+    return list(walk(tree, None))
+
+
+# a rule's words, and other wordings a copy of the rule might use
+_SPELLINGS = {
+    "mode count": r"mode count must|n_modes must|at least \{\} modes?|at least one sender",
+    "transmissivity": r"must lie in \[0, 1\]",
+    "tau count": r"transmissivities, got|taus length",
+    "nbar": r"nbar must|budgets must",
+    "r": r"squeezing strength|\br (and \w+ )?must",
+    "grid": r"grid_resolution must|grid must",
+    "samples": r"at least \{\} samples|samples must be >=",
+    "ratio regime": r"asymptotic regime|squeezing >=",
+}
+
+
+def test_each_rule_is_raised_at_one_site_in_its_owner():
+    sites = [(path.stem, function, text) for path in sorted(PACKAGE.glob("*.py"))
+             for function, text in _raise_sites(ast.parse(path.read_text()))]
+    for rule, (module, function, text) in RULES.items():
+        found = [(m, f) for m, f, t in sites if re.search(_SPELLINGS[rule], t)]
+        assert found == [(module, function)], (rule, found)
+        owned = [re.escape(t).replace(r"\{\}", ".*") for m, f, t in sites
+                 if (m, f) == (module, function)]
+        assert any(re.fullmatch(raised, _text(rule, 7)) for raised in owned), (rule, owned)
+
+
+def test_the_raise_walk_reads_every_message_spelling():
+    source = '''
+def rule(n):
+    if n:
+        raise ValueError(f"need at least {n} modes, got {n!r}")
+    raise ValueError("plain " + f"{n} joined")
+
+class Spec:
+    def __post_init__(self):
+        raise ValueError("taus length does not match n_modes") from None
+'''
+    assert _raise_sites(ast.parse(source)) == [
+        ("rule", "need at least {} modes, got {}"), ("rule", "plain {} joined"),
+        ("__post_init__", "taus length does not match n_modes"),
+    ]

@@ -30,7 +30,7 @@ def test_spec_validation():
         ResourceSpec(3, 0.5, (0.5, 1.5))
     with pytest.raises(ValueError):
         ResourceSpec(3, -0.1, (0.5, 0.5))
-    with pytest.raises(ValueError, match="whole number, got 2.5"):  # was cut to 2 modes
+    with pytest.raises(ValueError, match="whole number >= 2, got 2.5"):  # was cut to 2 modes
         ResourceSpec(2.5, 0.1, (0.5,))
     spec = ResourceSpec(3, 0.5, [0.1, 0.9])  # lists are fine, stored as tuple
     assert spec.taus == (0.1, 0.9)
@@ -38,9 +38,9 @@ def test_spec_validation():
 
 
 def test_alternating_pattern_takes_a_whole_mode_count():
-    with pytest.raises(ValueError, match="whole number, got 2.5"):  # was a bare TypeError
+    with pytest.raises(ValueError, match="whole number >= 1, got 2.5"):  # was a bare TypeError
         alternating_pattern(2.5)
-    with pytest.raises(ValueError, match="at least 1 mode, got 0"):
+    with pytest.raises(ValueError, match="whole number >= 1, got 0"):
         alternating_pattern(0)
     assert alternating_pattern(3.0) == alternating_pattern(3)
     assert alternating_pattern(1).choices == (Quadrature.MOMENTUM,)
