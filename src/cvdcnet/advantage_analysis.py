@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dc_protocol import _budget, _classical_rates, _quantum_rates, capacity, optimal_params
-from .phase_space import _frozen_array, _mode_count
+from .phase_space import _frozen_array, _is_whole, _mode_count
 from .resource_prep import _validated_taus
 
 __all__ = [
@@ -85,30 +85,29 @@ def _threshold(n_modes: int, taus: tuple[float, ...], tol: float) -> float:
     """Threshold budget for one chain, within tol/2 of a proven sign change of
     delta; inf where delta stays <= 0 up to SEARCH_CAP_NBAR.
 
-    Safeguarded Newton in u = ln nbar (README, Numerical notes) until a step in
-    nbar is <= tol/4; delta at x -/+ tol/2 then certifies the root, or it is
-    bisected until hi - lo <= tol. Each delta (and slope) is one O(n) transfer
-    pass on Python floats. The floor 1e-6 never holds an advantage: P(v) <= 1, so
+    Safeguarded secant in u = ln nbar (README, Numerical notes), from the cap point,
+    until a step in nbar is <= tol/4; delta at x -/+ tol/2 then certifies the root, or
+    it is bisected until hi - lo <= tol. Each delta is one O(n) transfer pass on
+    Python floats. The floor 1e-6 never holds an advantage: P(v) <= 1, so
     C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 there,
     while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5.
     """
     def delta_at(nbar):  # right for budgets in (0, SEARCH_CAP_NBAR]
-        return _quantum_rates(taus, nbar) - _classical_rates(n_modes - 1, nbar)
+        return float(_quantum_rates(taus, nbar) - _classical_rates(n_modes - 1, nbar))
 
-    d_cap = float(delta_at(SEARCH_CAP_NBAR))
-    if not d_cap > 0.0:
-        return np.inf
     lo, hi = math.log(1e-6), math.log(SEARCH_CAP_NBAR)  # ln nbar where delta <= 0, > 0
-    u = hi - d_cap if d_cap < hi - lo else 0.5 * (lo + hi)  # full rank: delta ~ u + c
+    u_last, d_last = hi, delta_at(SEARCH_CAP_NBAR)  # the secant's previous point
+    if not d_last > 0.0:
+        return np.inf
+    u = hi - d_last if d_last < hi - lo else 0.5 * (lo + hi)  # full rank: delta ~ u + c
     nbar = np.inf  # no step taken yet
-    with np.errstate(divide="ignore", invalid="ignore"):  # a flat delta: no Newton step
-        while abs(math.exp(u) - nbar) > 0.25 * tol:  # until a step is <= tol/4 or u stops
-            nbar = math.exp(u)
-            half, slope = _quantum_rates(taus, nbar, slope=True)
-            delta = half - _classical_rates(n_modes - 1, nbar)
-            lo, hi = (lo, u) if delta > 0.0 else (u, hi)
-            newton = float(u - delta / (slope - nbar * math.log1p((n_modes - 1) / nbar)))
-            u = newton if lo < newton < hi or newton == u else 0.5 * (lo + hi)
+    while abs(math.exp(u) - nbar) > 0.25 * tol:  # until a step is <= tol/4 or u stops
+        nbar = math.exp(u)
+        delta = delta_at(nbar)
+        lo, hi = (lo, u) if delta > 0.0 else (u, hi)
+        secant = u - delta * (u - u_last) / (delta - d_last) if delta != d_last else math.nan
+        u_last, d_last = u, delta
+        u = secant if lo < secant < hi or secant == u else 0.5 * (lo + hi)
     x, lo, hi = math.exp(u), math.exp(lo), math.exp(hi)
     if delta_at(min(x + 0.5 * tol, hi)) > 0.0 >= delta_at(max(x - 0.5 * tol, lo)):
         return x
@@ -125,7 +124,7 @@ def threshold_energy(
     """Photon budget where the advantage turns positive for fixed taus.
 
     Solved inside [1e-6, SEARCH_CAP_NBAR] to within tol/2 of a proven sign
-    change of delta, by a safeguarded Newton iteration with a bisection
+    change of delta, by a safeguarded secant iteration with a bisection
     fallback (_threshold). delta rises through zero only once, so the root is
     unique. Raises NoAdvantageError if delta never turns positive below the
     cap, and ValueError unless tol > 0.
@@ -274,7 +273,7 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
 
 def _grid_resolution(grid_resolution) -> int:
     """grid_resolution as an int; ValueError unless it is a whole number >= 8."""
-    if not (float(grid_resolution).is_integer() and grid_resolution >= 8):
+    if not (_is_whole(grid_resolution) and grid_resolution >= 8):
         raise ValueError(f"grid_resolution must be a whole number >= 8, got {grid_resolution}")
     return int(grid_resolution)
 

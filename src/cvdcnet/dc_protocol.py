@@ -32,6 +32,8 @@ from .phase_space import (
     SymplecticTransform,
     _frozen_array,
     _mode_count,
+    _mode_index,
+    _quadrature,
     _symmetrized,
     apply_symplectic,
 )
@@ -93,18 +95,12 @@ class EncodingPlan:
         sigma = float(self.sigma_msg)
         if not np.isfinite(sigma) or sigma <= 0.0:
             raise ValueError(f"sigma_msg must be finite and > 0, got {sigma}")
-        comps = tuple((int(m), q) for m, q in self.components)
+        # the n - 1 senders hold modes 0..n-2: the receiver's mode carries no message
+        comps = tuple((_mode_index(m, n - 1), _quadrature(q)) for m, q in self.components)
         if len(comps) != n:
             raise ValueError(
                 f"{n}-mode plan needs exactly {n} message components, got {len(comps)}"
             )
-        for m, q in comps:
-            if not isinstance(q, Quadrature):
-                raise TypeError(f"not a Quadrature: {q!r}")
-            if not 0 <= m <= n - 2:
-                raise ValueError(
-                    f"component on mode {m}: senders hold modes 0..{n - 2} only"
-                )
         if len(set(comps)) != len(comps):
             raise ValueError("a (mode, quadrature) slot is used twice")
         object.__setattr__(self, "n_modes", n)
@@ -447,63 +443,53 @@ def channel_matrix_batch(n_modes: int, taus_grid) -> np.ndarray:
 
 
 def _log_transfer(taus, v, u):
-    """ln P(v) and v P'(v) / P(v), where det(I + g M M^T) = x^n P(1/x),
-    for n - 1 taus that are floats or (C,) columns, v = 1/x and u = 1 - v = 2g/x.
+    """ln P(v), where det(I + g M M^T) = x^n P(1/x), for n - 1 taus that are floats or
+    (C,) columns, v = 1/x and u = 1 - v = 2g/x.
 
     P = P_p P_q (README, Numerical notes): per parity block, (e, f) = (mode k + 1
     empty, full) runs down the chain by [[r, 0], [t v, 1]] where mode k is a slot,
-    else by [[1, t], [0, r]]. Beside it run its v-derivative and its deficit
-    against v = 1, 1 - P to full relative accuracy, which gives ln P where P > 1/2;
-    a slot step, the only one that shrinks the state, renormalizes it, as does a q block
-    start below _Q_START_FLOOR (about v at tau_1 = 1), which a slot step could shrink by
-    v again. v = 0 gives ln P(0) = ln c_n."""
+    else by [[1, t], [0, r]]. Beside it runs its deficit against v = 1, 1 - P to full
+    relative accuracy, which gives ln P where P > 1/2; a slot step, the only one that
+    shrinks the state, renormalizes it, as does a q block start below _Q_START_FLOOR
+    (about v at tau_1 = 1), which a slot step could shrink by v again. v = 0 gives
+    ln P(0) = ln c_n, which is ln 0 on a cut chain."""
     t0 = taus[0]
-    p, p_v, deficit = 1.0, 0.0, 0.0  # P and dP/dv over e^log_scale, 1 - P, so far
+    p, deficit = 1.0, 0.0  # P over e^log_scale, 1 - P, so far
     scale, log_scale = 1.0, 0.0  # e^log_scale feeds the deficits, and may underflow
     for block, (in_0, in_1) in enumerate(((t0, 1.0 - t0), (1.0 - t0, t0))):  # after BS_0
         e, f = in_0 * p, in_1 * v * p
-        e_v, f_v = in_0 * p_v, in_1 * (p + v * p_v)
         d_e, d_f = in_0 * deficit, in_1 * (u * scale * p + deficit)
         if block and v < _Q_START_FLOOR:  # the q block start may be as small as v
             norm = np.where(e + f < _Q_START_FLOOR, e + f + _TINY, 1.0)
-            e, f, e_v, f_v = e / norm, f / norm, e_v / norm, f_v / norm
+            e, f = e / norm, f / norm
             scale, log_scale = scale * norm, log_scale + np.log(norm)
         for k in range(1, len(taus)):
             t = taus[k]
             r = 1.0 - t
             if (k + 1) % 2 == block:  # mode k is a slot: a fermion leaving it exits
                 d_e, d_f = r * d_e, d_f + t * (d_e + u * scale * e)
-                e_v, f_v = r * e_v, f_v + t * (e + v * e_v)
                 e, f = r * e, f + t * v * e
                 norm = e + f + _TINY  # > 0 at v = 0 too
-                e, f, e_v, f_v = e / norm, f / norm, e_v / norm, f_v / norm
+                e, f = e / norm, f / norm
                 scale, log_scale = scale * norm, log_scale + np.log(norm)
             else:  # mode k + 1 starts empty, mode k is no slot
                 d_e, d_f = d_e + t * d_f, r * d_f
-                e_v, f_v = e_v + t * f_v, r * f_v
                 e, f = e + t * f, r * f
-        p, p_v, deficit = e + f, e_v + f_v, d_e + d_f
-    log_p = np.where(deficit < 0.5, np.log1p(-np.minimum(deficit, 0.5)), np.log(p) + log_scale)
-    return log_p, np.divide(v * p_v, p)
+        p, deficit = e + f, d_e + d_f
+    return np.where(deficit < 0.5, np.log1p(-np.minimum(deficit, 0.5)), np.log(p) + log_scale)
 
 
-def _quantum_rates(taus, nbar: float, slope: bool = False):
+def _quantum_rates(taus, nbar: float):
     """C_q = (1/2) (n ln x + ln P(1/x)) at one budget per point of _log_transfer's taus,
-    g = e^{2r} sigma^2 at the optimal working point; with slope, also dC_q/d ln nbar =
-    (E[j]/2) d ln x/d ln nbar, E[j] = n - v P'/P the mean exit count. Exactly 0 at
-    nbar = 0 (P = 1, no deficit); an overflowing gain (nbar beyond ~1e154) raises
-    ValueError before the kernel runs."""
+    g = e^{2r} sigma^2 at the optimal working point. Exactly 0 at nbar = 0 (P = 1, no
+    deficit); an overflowing gain (nbar beyond ~1e154) raises ValueError before the
+    kernel runs."""
     n, nbar = len(taus) + 1, float(nbar)
     gain = 2.0 * nbar * (nbar + n - 1) / ((n - 1) * n)
     x = 1.0 + 2.0 * gain
     if not math.isfinite(x):
         raise ValueError(f"photon budget {nbar:g} overflows the determinant")
-    log_p, v_slope = _log_transfer(taus, 1.0 / x, 2.0 * gain / x)
-    half = 0.5 * (n * math.log1p(2.0 * gain) + log_p)
-    if slope:
-        rate = 4.0 * nbar * (2.0 * nbar + n - 1) / ((n - 1) * n * x)
-        return half, 0.5 * (n - v_slope) * rate
-    return half
+    return 0.5 * (n * math.log1p(2.0 * gain) + _log_transfer(taus, 1.0 / x, 2.0 * gain / x))
 
 
 def _classical_rates(n_senders: int, nbar):

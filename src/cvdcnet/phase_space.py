@@ -64,11 +64,34 @@ def _frozen_array(values) -> np.ndarray:
     return out
 
 
+def _is_whole(value) -> bool:
+    """Whether value is a whole number that a float holds: an int past the float
+    range is not one, where float() would raise OverflowError."""
+    try:
+        return float(value).is_integer()
+    except OverflowError:
+        return False
+
+
 def _mode_count(n_modes, least: int = 2) -> int:
     """n_modes as an int; ValueError unless it is a whole number >= least."""
-    if not (float(n_modes).is_integer() and n_modes >= least):
+    if not (_is_whole(n_modes) and n_modes >= least):
         raise ValueError(f"the mode count must be a whole number >= {least}, got {n_modes}")
     return int(n_modes)
+
+
+def _mode_index(m, n_modes: int) -> int:
+    """m as an int; ValueError unless it is one of the modes 0..n_modes - 1."""
+    if not (_is_whole(m) and 0 <= m < n_modes):
+        raise ValueError(f"the mode index must be one of the modes 0..{n_modes - 1}, got {m}")
+    return int(m)
+
+
+def _quadrature(q) -> Quadrature:
+    """q; TypeError unless it is a Quadrature."""
+    if not isinstance(q, Quadrature):
+        raise TypeError(f"not a Quadrature: {q!r}")
+    return q
 
 
 def _transmissivity(tau) -> float:
@@ -95,12 +118,9 @@ class QuadratureSelection:
     choices: tuple[Quadrature, ...]
 
     def __post_init__(self):
-        choices = tuple(self.choices)
+        choices = tuple(map(_quadrature, self.choices))
         if not choices:
             raise ValueError("selection must cover at least one mode")
-        for c in choices:
-            if not isinstance(c, Quadrature):
-                raise TypeError(f"not a Quadrature: {c!r}")
         object.__setattr__(self, "choices", choices)
 
     def __len__(self) -> int:
@@ -227,17 +247,11 @@ def single_mode_squeezer(
     so squeezer(r) @ squeezer(-r) is the identity.
     """
     n_modes = _mode_count(n_modes, least=1)
-    if not 0 <= mode_index < n_modes:
-        raise ValueError(f"mode_index {mode_index} out of range for {n_modes} modes")
+    squeezed = 2 * _mode_index(mode_index, n_modes)
+    squeezed += _quadrature(squeezed_quadrature) is Quadrature.MOMENTUM
     diag = np.ones(2 * n_modes)
-    if squeezed_quadrature is Quadrature.POSITION:
-        diag[2 * mode_index] = np.exp(-r)
-        diag[2 * mode_index + 1] = np.exp(r)
-    elif squeezed_quadrature is Quadrature.MOMENTUM:
-        diag[2 * mode_index] = np.exp(r)
-        diag[2 * mode_index + 1] = np.exp(-r)
-    else:
-        raise TypeError(f"not a Quadrature: {squeezed_quadrature!r}")
+    diag[squeezed] = np.exp(-r)
+    diag[squeezed ^ 1] = np.exp(r)  # the conjugate quadrature of the same mode
     return SymplecticTransform(n_modes, np.diag(diag))
 
 
@@ -255,11 +269,9 @@ def beam_splitter(n_modes: int, mode_i: int, mode_j: int, tau: float) -> Symplec
     independently of the resource-preparation and decoding code.
     """
     n_modes, tau = _mode_count(n_modes, least=1), _transmissivity(tau)
+    mode_i, mode_j = _mode_index(mode_i, n_modes), _mode_index(mode_j, n_modes)
     if mode_i == mode_j:
         raise ValueError("beam splitter needs two distinct modes")
-    for m in (mode_i, mode_j):
-        if not 0 <= m < n_modes:
-            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
     t = np.sqrt(tau)
     rfl = np.sqrt(1.0 - tau)
     s = np.eye(2 * n_modes)
@@ -279,9 +291,7 @@ def displace(state: GaussianState, mode_index: int, alpha: complex) -> GaussianS
     <q> shifts by sqrt(2) Re(alpha), <p> by sqrt(2) Im(alpha); the
     covariance is untouched.
     """
-    if not 0 <= mode_index < state.n_modes:
-        raise ValueError(f"mode_index {mode_index} out of range for {state.n_modes} modes")
-    a = complex(alpha)
+    mode_index, a = _mode_index(mode_index, state.n_modes), complex(alpha)
     d = np.array(state.displacement)
     d[2 * mode_index] += np.sqrt(2.0) * a.real
     d[2 * mode_index + 1] += np.sqrt(2.0) * a.imag
@@ -290,14 +300,11 @@ def displace(state: GaussianState, mode_index: int, alpha: complex) -> GaussianS
 
 def marginal(state: GaussianState, kept_modes: Sequence[int]) -> GaussianState:
     """Reduced state on kept_modes (in the order given)."""
-    kept = [int(m) for m in kept_modes]
+    kept = [_mode_index(m, state.n_modes) for m in kept_modes]
     if not kept:
         raise ValueError("must keep at least one mode")
     if len(set(kept)) != len(kept):
         raise ValueError("kept_modes contains duplicates")
-    for m in kept:
-        if not 0 <= m < state.n_modes:
-            raise ValueError(f"mode index {m} out of range for {state.n_modes} modes")
     idx = np.array([2 * m + off for m in kept for off in (0, 1)], dtype=int)
     return GaussianState(
         len(kept),

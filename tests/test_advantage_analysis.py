@@ -222,10 +222,12 @@ def test_threshold_solver_needs_few_kernel_passes(monkeypatch):
             taus = tuple(float(t) for t in rng.uniform(size=n - 1))
         passes[0] = 0
         try:
-            threshold_energy(n, taus)
+            x = threshold_energy(n, taus)
         except NoAdvantageError:
             continue
         per_call.append(passes[0])
+        assert quantum_advantage(n, taus, x - 0.5 * BISECT_TOL) <= 0.0 < quantum_advantage(
+            n, taus, x + 0.5 * BISECT_TOL), (n, taus)
     assert len(per_call) >= 50
     assert np.median(per_call) <= 8
     assert max(per_call) < 35
@@ -399,7 +401,7 @@ def test_advantage_tends_to_ln_nbar_plus_its_full_rank_constant(n_modes, taus, c
     # c_n > 0: delta = ln nbar + c + o(1), with c_n = P(0), the kernel's v = 0 limit, and
     # c = (n/2) ln(4/(n(n-1))) + (1/2) ln c_n + (n-1) ln(n-1) - (n-1)
     n = n_modes
-    ln_cn = float(_log_transfer(taus, 0.0, 1.0)[0])
+    ln_cn = float(_log_transfer(taus, 0.0, 1.0))
     assert ln_cn == pytest.approx(exit_log_weights(n, np.array([taus]))[-1, 0], rel=1e-14)
     assert np.exp(ln_cn) == pytest.approx(c_n, rel=1e-14)
     c = 0.5 * n * np.log(4.0 / (n * (n - 1))) + 0.5 * ln_cn + (n - 1) * np.log(n - 1) - (n - 1)
@@ -585,8 +587,8 @@ def test_a_tail_splitter_at_one_cuts_the_chain_and_every_advantage():
         taus = rng.uniform(size=n - 1)
         taus[rng.integers(1, n - 1)] = 1.0
         assert exit_log_weights(n, taus[None])[-1, 0] == -np.inf
-        with np.errstate(all="ignore"):  # the kernel at v = 0, where P = c_n = 0
-            assert _log_transfer(tuple(taus), 0.0, 1.0)[0] == -np.inf
+        with np.errstate(divide="ignore"):  # the kernel at v = 0: ln P = ln c_n = ln 0
+            assert _log_transfer(tuple(taus), 0.0, 1.0) == -np.inf
         for nbar in (1e-3, 1.0, 30.0, 1e4, 1e8, 1e12):
             assert quantum_advantage(n, tuple(taus), nbar) < 0.0, (n, taus, nbar)
 
@@ -615,8 +617,8 @@ def test_boundary_intervals_are_never_clamped_and_their_edges_cut_the_chain():
         prefix[rng.uniform(size=axis) < 0.2] = 0.0
         prefix[rng.uniform(size=axis) < 0.2] = 1.0
         edge = tuple(prefix.tolist()) + (float(axis > 0),) + (0.0,) * (n - 2 - axis)
-        with np.errstate(all="ignore"):  # the kernel at v = 0, where P = c_n = 0
-            assert _log_transfer(edge, 0.0, 1.0)[0] == -np.inf
+        with np.errstate(divide="ignore"):  # the kernel at v = 0: ln P = ln c_n = ln 0
+            assert _log_transfer(edge, 0.0, 1.0) == -np.inf
         interval = tau_boundaries(n, nbar, tuple(prefix.tolist()))
         assert interval.clamped is False
         if interval.empty:

@@ -15,6 +15,7 @@ from cvdcnet import (
     EncodingPlan,
     GaussianState,
     Quadrature,
+    QuadratureSelection,
     RegionScan,
     ResourceSpec,
     SymplecticTransform,
@@ -26,10 +27,13 @@ from cvdcnet import (
     capacity,
     classical_capacity,
     decoding_symplectic,
+    displace,
     main,
+    marginal,
     min_threshold_energy,
     mutual_information_mc,
     optimal_params,
+    parse_region,
     photon_constraint,
     quantum_advantage,
     region_scan,
@@ -40,6 +44,8 @@ from cvdcnet import (
     threshold_energy,
     vacuum,
 )
+from cvdcnet.cli_scan import serialize_region
+from cvdcnet.phase_space import _mode_count
 
 PACKAGE = Path(cvdcnet.__file__).parent
 Q, P = Quadrature.POSITION, Quadrature.MOMENTUM
@@ -48,6 +54,9 @@ Q, P = Quadrature.POSITION, Quadrature.MOMENTUM
 RULES = {
     "mode count": ("phase_space", "_mode_count",
                    "the mode count must be a whole number >= {least}, got {value}"),
+    "mode index": ("phase_space", "_mode_index",
+                   "the mode index must be one of the modes 0..2, got {value}"),
+    "quadrature": ("phase_space", "_quadrature", "not a Quadrature: {value!r}"),
     "transmissivity": ("phase_space", "_transmissivity",
                        "transmissivity must lie in [0, 1], got {value}"),
     "tau count": ("resource_prep", "_validated_taus",
@@ -61,6 +70,9 @@ RULES = {
     "ratio regime": ("advantage_analysis", "_asymptotic_regime",
                      "asymptotic regime starts at r_large >= 10, got {value}"),
 }
+
+# the one rule on a value's kind rather than its range raises TypeError
+ERRORS = {"quadrature": TypeError}
 
 # (rule, bad values, the entry points that take the value, as name: call(value))
 _MODES_1 = {  # least = 1
@@ -91,9 +103,36 @@ _MODES_2 = {  # least = 2
     "region_scan": lambda n: region_scan(n, 7.0, 8),
     "RegionScan": lambda n: RegionScan(n, 7.0, 8, np.zeros(8)),
 }
+_SCAN_JSON = serialize_region(region_scan(3, 7.0, 8), "json")
+
+
+def _scan_json_with(key, value):
+    """The JSON of a three-mode, grid-8 scan, with one metadata count replaced."""
+    default = {"n_modes": 3, "grid_resolution": 8}[key]
+    return parse_region(_SCAN_JSON.replace(f'"{key}": {default},'.encode(),
+                                           f'"{key}": {value},'.encode()))
+
+
 _TABLE = [
     ("mode count", (2.5, 0), _MODES_1),
     ("mode count", (2.5, 1), _MODES_2),
+    ("mode count", (10**400,), {  # past the float range: was an OverflowError
+        "_mode_count": _mode_count,
+        "parse_region": lambda n: _scan_json_with("n_modes", n),
+    }),
+    ("mode index", (1.5, -1, 3, math.nan), {  # 1.5 was an IndexError, or cut to 1
+        "single_mode_squeezer": lambda m: single_mode_squeezer(3, m, 0.5, Q),
+        "beam_splitter i": lambda m: beam_splitter(3, m, 0, 0.5),
+        "beam_splitter j": lambda m: beam_splitter(3, 0, m, 0.5),
+        "displace": lambda m: displace(vacuum(3), m, 0.5),
+        "marginal": lambda m: marginal(vacuum(3), [m]),
+        "EncodingPlan": lambda m: EncodingPlan(4, 1.0, ((0, Q), (0, P), (1, P), (m, Q))),
+    }),
+    ("quadrature", ("q", None), {
+        "QuadratureSelection": lambda q: QuadratureSelection((P, q)),
+        "single_mode_squeezer": lambda q: single_mode_squeezer(3, 0, 0.5, q),
+        "EncodingPlan": lambda q: EncodingPlan(3, 1.0, ((0, Q), (0, P), (1, q))),
+    }),
     ("transmissivity", (-0.1, 1.5, math.nan), {
         "beam_splitter": lambda t: beam_splitter(2, 0, 1, t),
         "three_mode_reference_cov tau1": lambda t: three_mode_reference_cov(0.5, t, 0.5),
@@ -136,6 +175,10 @@ _TABLE = [
         "region_scan": lambda grid: region_scan(3, 7.0, grid),
         "RegionScan": lambda grid: RegionScan(3, 7.0, grid, np.zeros(64)),
     }),
+    ("grid", (10**400,), {  # past the float range: was an OverflowError
+        "region_scan": lambda grid: region_scan(3, 7.0, grid),
+        "parse_region": lambda grid: _scan_json_with("grid_resolution", grid),
+    }),
     ("samples", (9_999,), {
         "mutual_information_mc": lambda samples: mutual_information_mc(
             build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0)),
@@ -148,17 +191,26 @@ _TABLE = [
 
 
 def _text(rule, value, least=2):
-    """The rule's text for a bad value; tau counts are of a 3-mode chain."""
+    """The rule's text for a bad value; tau counts are of a 3-mode chain, and mode
+    indices of a 3-mode state or transform, or of a 4-mode plan's 3 senders."""
     return RULES[rule][2].format(least=least, value=value, n=3, n_taus=2)
 
 
+def _label(value) -> str:
+    """A bad value as a test id spells it: a power of ten past the float range as 10^k."""
+    text = str(value)
+    return f"10^{len(text) - 1}" if len(text) > 300 else text
+
+
 @pytest.mark.parametrize("rule, value, least, call", [
-    pytest.param(rule, value, 1 if calls is _MODES_1 else 2, call, id=f"{rule}-{value}-{name}")
+    pytest.param(rule, value, 1 if calls is _MODES_1 else 2, call,
+                 id=f"{rule}-{_label(value)}-{name}")
     for rule, values, calls in _TABLE for value in values for name, call in calls.items()
 ])
 def test_every_entry_point_raises_the_rule_of_a_bad_value(rule, value, least, call):
-    # no bare TypeError, no truncation to a valid value, no RuntimeWarning (an error here)
-    with pytest.raises(ValueError) as info:
+    # no bare TypeError or OverflowError, no truncation to a valid value, no
+    # RuntimeWarning (an error here); a kind rule's TypeError is its own
+    with pytest.raises(ERRORS.get(rule, ValueError)) as info:
         call(value)
     assert str(info.value) == _text(rule, value, least)
 
@@ -234,6 +286,8 @@ def _raise_sites(tree: ast.Module):
 # a rule's words, and other wordings a copy of the rule might use
 _SPELLINGS = {
     "mode count": r"mode count must|n_modes must|at least \{\} modes?|at least one sender",
+    "mode index": r"mode.?index|out of range|senders hold",
+    "quadrature": r"not a Quadrature",
     "transmissivity": r"must lie in \[0, 1\]",
     "tau count": r"transmissivities, got|taus length",
     "nbar": r"nbar must|budgets must",
