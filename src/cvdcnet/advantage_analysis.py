@@ -258,7 +258,7 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
     ratio approaches n/(n-1) from below as r grows; the approach is
     slow, the gap falls off like 1/r.
     """
-    r_large = _asymptotic_regime(r_large)
+    n_modes, r_large = _mode_count(n_modes), _asymptotic_regime(r_large)
     half_senders = (n_modes - 1) / 2.0
     with np.errstate(over="ignore"):
         nbar = float(half_senders * np.expm1(2.0 * r_large))
@@ -351,8 +351,8 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     Rows are ordered with the first transmissivity slowest, matching
     sorted-tuple order, so serialized scans are directly comparable.
     The O(n) transfer kernel runs on (C,) columns of C consecutive points,
-    whose working set (their (n - 1, C) taus and grid positions, about ten
-    (C,) arrays of kernel state: 8 (2n + 8) bytes a point) fits
+    whose working set (their (n - 1, C) taus and grid positions, and at most
+    eleven (C,) arrays of kernel state: about 8 (2n + 8) bytes a point) fits
     _SCAN_CHUNK_BYTES; a grid of more than _SCAN_MAX_POINTS points raises
     ValueError before anything is allocated.
     """

@@ -71,7 +71,6 @@ MC_MIN_SAMPLES = 10_000
 MC_MAX_SAMPLES = 2**27  # 8 B of values per sample: at most 1 GiB
 _MC_CHUNK_BYTES = 2**18  # each (chunk, k) sample array, sized to stay in cache
 _TINY = float(np.finfo(float).tiny)  # a Python float, so scalar passes stay on floats
-_Q_START_FLOOR = 2.0**-500  # _log_transfer renormalizes a q block start below this: no v^2 underflow
 
 
 @dataclass(frozen=True)
@@ -447,36 +446,29 @@ def _log_transfer(taus, v, u):
     (C,) columns, v = 1/x and u = 1 - v = 2g/x.
 
     P = P_p P_q (README, Numerical notes): per parity block, (e, f) = (mode k + 1
-    empty, full) runs down the chain by [[r, 0], [t v, 1]] where mode k is a slot,
-    else by [[1, t], [0, r]]. Beside it runs its deficit against v = 1, 1 - P to full
-    relative accuracy, which gives ln P where P > 1/2; a slot step, the only one that
-    shrinks the state, renormalizes it, as does a q block start below _Q_START_FLOOR
-    (about v at tau_1 = 1), which a slot step could shrink by v again. v = 0 gives
-    ln P(0) = ln c_n, which is ln 0 on a cut chain."""
-    t0 = taus[0]
-    p, deficit = 1.0, 0.0  # P over e^log_scale, 1 - P, so far
-    scale, log_scale = 1.0, 0.0  # e^log_scale feeds the deficits, and may underflow
-    for block, (in_0, in_1) in enumerate(((t0, 1.0 - t0), (1.0 - t0, t0))):  # after BS_0
-        e, f = in_0 * p, in_1 * v * p
-        d_e, d_f = in_0 * deficit, in_1 * (u * scale * p + deficit)
-        if block and v < _Q_START_FLOOR:  # the q block start may be as small as v
-            norm = np.where(e + f < _Q_START_FLOOR, e + f + _TINY, 1.0)
-            e, f = e / norm, f / norm
-            scale, log_scale = scale * norm, log_scale + np.log(norm)
+    empty, full) runs from (1, 0) down the chain by [[r, 0], [t v, 1]] where mode k is
+    a slot, else by [[1, t], [0, r]], which keeps e + f. BS_0 is each block's first slot
+    step. A slot step renormalizes its input to e + f = 1 and loses y = t u e of it, so
+    1 - P = d, with d <- d + y (1 - d), to full relative accuracy: ln P = log1p(-d)
+    where P > 1/2. v = 0 gives ln P(0) = ln c_n, which is ln 0 on a cut chain."""
+    t1 = taus[0]
+    log_p, d = 0.0, 0.0  # ln P and 1 - P so far
+    for block, (t, r) in enumerate(((1.0 - t1, t1), (t1, 1.0 - t1))):  # BS_0 in the p, q block
+        e, f = r, t * v  # BS_0, the block's first slot step, from (1, 0)
+        d = d + t * u * (1.0 - d)
         for k in range(1, len(taus)):
             t = taus[k]
             r = 1.0 - t
             if (k + 1) % 2 == block:  # mode k is a slot: a fermion leaving it exits
-                d_e, d_f = r * d_e, d_f + t * (d_e + u * scale * e)
-                e, f = r * e, f + t * v * e
                 norm = e + f + _TINY  # > 0 at v = 0 too
                 e, f = e / norm, f / norm
-                scale, log_scale = scale * norm, log_scale + np.log(norm)
+                y = t * u * e
+                log_p, d = log_p + np.log(norm), d + y * (1.0 - d)
+                e, f = r * e, f + t * v * e
             else:  # mode k + 1 starts empty, mode k is no slot
-                d_e, d_f = d_e + t * d_f, r * d_f
                 e, f = e + t * f, r * f
-        p, deficit = e + f, d_e + d_f
-    return np.where(deficit < 0.5, np.log1p(-np.minimum(deficit, 0.5)), np.log(p) + log_scale)
+        log_p = log_p + np.log(e + f)
+    return np.where(d < 0.5, np.log1p(-np.minimum(d, 0.5)), log_p)
 
 
 def _quantum_rates(taus, nbar: float):

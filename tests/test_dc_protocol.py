@@ -551,8 +551,8 @@ def test_capacity_takes_a_whole_mode_count_and_reports_an_int():
 
 def test_capacity_with_every_splitter_at_one_is_one_squeezed_channel():
     # every tau = 1: M has a single nonzero singular value sqrt(2), so C_q = (1/2) log1p(2g)
-    # exactly. The q block starts near v = 1/x then, and a slot step's v^2 underflowed
-    # once v < ~1e-154: n = 4 read 0.0 from nbar = 1e82 on, with a RuntimeWarning
+    # exactly. The q block's first slot steps then shrink its state by v = 1/x twice, and
+    # v^2 is subnormal once v < ~1e-154: C_q holds past that, up to nbar = 1e153
     for n in range(2, 65):
         for nbar in np.geomspace(1e-3, 1e153, 53):
             expected = 0.5 * np.log1p(2.0 * signal_gain(n, nbar))
@@ -561,8 +561,8 @@ def test_capacity_with_every_splitter_at_one_is_one_squeezed_channel():
 
 
 def test_capacity_of_cut_chains_at_the_largest_budgets_matches_the_exit_weights():
-    # chains that open with tau_1 = 1, where the q block starts near v, at budgets whose v^2
-    # underflows: 0.0 or digits lost to subnormals before the q block start was renormalized
+    # chains that open with tau_1 = 1, where the q block's BS_0 shrinks its state to v, at
+    # budgets whose v^2 underflows: C_q keeps its digits, with no 0.0 and no subnormal
     rng = np.random.default_rng(8150)
     for _ in range(300):
         n = int(rng.integers(3, 10))
@@ -629,6 +629,23 @@ def test_capacity_matches_60_digit_chain_for_2_to_64_modes():
         assert abs(got - expected) <= 1e-12 * expected, (n, nbar, tuple(taus))
 
 
+def test_capacity_at_tiny_gains_matches_60_digits():
+    # near v = 1 the kernel's ln P is log1p(-(1 - P)), with 1 - P summed from each slot
+    # step's loss: ln P from the state alone lost up to 2e-7 relative on these draws
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1009)
+    for _ in range(300):
+        n = int(rng.integers(2, 25))
+        taus = rng.uniform(size=n - 1)
+        taus[rng.uniform(size=n - 1) < 0.2] = 0.0
+        taus[rng.uniform(size=n - 1) < 0.2] = 1.0
+        nbar = float(10 ** rng.uniform(-9, -2))
+        with mp.workdps(60):
+            expected = capacity_mp(mp, n, taus, nbar)
+        got = capacity(n, tuple(taus), nbar).c_quantum
+        assert abs(got - expected) <= 2e-15 * expected, (n, nbar, tuple(taus))
+
+
 def _dense_log_det(n, taus, gain):
     m = build_channel(ResourceSpec(n, 1.0, tuple(taus)), EncodingPlan.standard(n, 1.0)).matrix
     sign, log_det = np.linalg.slogdet(np.eye(n) + gain * m @ m.T)
@@ -670,7 +687,7 @@ def test_transfer_kernel_is_the_exit_weight_sum_at_one_x():
                             rtol=1e-14, atol=0.0)
             for row, batched in zip(taus, half):  # one point, on Python floats
                 one = _quantum_rates(tuple(float(t) for t in row), nbar)
-                assert abs(one - batched) <= 1e-15 * batched, (n, target, tuple(row))
+                assert one == batched, (n, target, tuple(row))  # one kernel, bit for bit
 
 
 def test_capacity_of_a_cut_64_mode_chain_matches_60_digits():

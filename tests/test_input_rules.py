@@ -114,8 +114,8 @@ def _scan_json_with(key, value):
 
 
 _TABLE = [
-    ("mode count", (2.5, 0), _MODES_1),
-    ("mode count", (2.5, 1), _MODES_2),
+    ("mode count", (2.5, 0, 10**400), _MODES_1),
+    ("mode count", (2.5, 1, 10**400), _MODES_2),
     ("mode count", (10**400,), {  # past the float range: was an OverflowError
         "_mode_count": _mode_count,
         "parse_region": lambda n: _scan_json_with("n_modes", n),
