@@ -246,7 +246,7 @@ def _nats_per_unit(units: str) -> float:
     return LN2 if units == "bits" else 1.0
 
 
-# Per format: a float's spelling (taus, deltas the digit groups cannot prove), the bytes
+# Per format: a float's spelling (the values the digit groups cannot prove), the bytes
 # before the first tau, each later tau, delta, flag; after the flag; a whole number's point
 _LAYOUTS = {
     "csv": ("%.12g".__mod__, "", ",", ",", ",", "\n", ""),
@@ -255,19 +255,22 @@ _LAYOUTS = {
              "\n    },\n", ".0"),
 }
 _JSON_TAIL = b"\n  ]\n}\n"  # after the records, the last of them without its ",\n"
+_FLAGS = np.array([b"false", b"true"])
 _POW10 = 10 ** np.arange(17)
+# in column k = 0..16: 16 bytes, the last k of them 0xFF, as little-endian words (lo, hi)
+_TOP = (np.uint8(255) * (np.arange(16) >= 16 - np.arange(17)[:, None])).view("<u8").T.copy()
 # 0000..9999 as uint32s of 4 ASCII bytes: all digits, then leading, then trailing zeros as \0
 _DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("S4")[:, 0]
 _GROUPS = np.concatenate([_DIGITS, np.char.lstrip(_DIGITS, b"0"), np.char.rstrip(_DIGITS, b"0")])
 _GROUPS = _GROUPS.view(np.uint32)
 
 
-def _spelled_deltas(values: np.ndarray, spell: Callable[[float], str], signs: np.ndarray,
-                    points: np.ndarray) -> np.ndarray:
-    """Records of \\0-padded bytes that spell the values: sign, integer part,
+def _spelled(values: np.ndarray, fmt: str) -> np.ndarray:
+    """Records of \\0-padded bytes that spell the values in fmt: sign, integer part,
     point, fraction, from N = rint(|d| 10^(11-e)), e = floor(log10 |d|), in
     4-digit groups where N provably holds the 12 digits %.12g rounds to, and
-    spell(d) elsewhere (README, Numerical notes)."""
+    fmt's per-value spelling elsewhere (README, Numerical notes)."""
+    spell, *_, point = _LAYOUTS[fmt]
     with np.errstate(divide="ignore", invalid="ignore"):  # of zeros, NaN and infinities
         e = np.clip(np.nan_to_num(np.floor(np.log10(np.abs(values)))), -5, 11).astype(int)
         p = np.abs(values) * _POW10[11 - e]  # below 2^40: within 2^-14 of |d| 10^(11-e)
@@ -276,9 +279,10 @@ def _spelled_deltas(values: np.ndarray, spell: Callable[[float], str], signs: np
                  & (e_out >= -4) & (e_out <= 11))  # fixed-point
     k = np.where(exact, 11 - e, 0)  # N's digits after the point
     whole, part = np.divmod(np.where(exact, np.rint(p), 0).astype(np.int64), _POW10[k])
-    out = np.empty(len(values), [("sign", signs.dtype)] + [(f"i{j}", np.uint32) for j in (2, 1, 0)]
+    out = np.empty(len(values), [("sign", "S1")] + [(f"i{j}", np.uint32) for j in (2, 1, 0)]
                    + [("point", "S2")] + [(f"f{j}", np.uint32) for j in (3, 2, 1, 0)])
-    out["sign"] = signs[(np.signbit(values) & exact).view(np.uint8)]
+    out["sign"] = np.where(np.signbit(values) & exact, b"-", b"")
+    points = np.array([b"0.", b".", point.encode()])
     out["point"] = points[(whole != 0) * (1 + (part == 0))]  # "0.", ".", or a whole number's
     part *= _POW10[16 - k]  # 16 digits
     lead = trail = True  # in the integer part's leading zeros, the fraction's trailing ones
@@ -294,33 +298,58 @@ def _spelled_deltas(values: np.ndarray, spell: Callable[[float], str], signs: np
     return out.view(f"V{out.itemsize}")  # plain bytes: copied whole, not field by field
 
 
-def _fields(fmt: str, n_modes: int, grid: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """fmt's row fields but delta: per tau and grid position, its spelling with the bytes
-    before it (the last tau's with those up to delta too); the flag's (false, true)."""
-    spell, first, between, before_delta, before_flag, end, _ = _LAYOUTS[fmt]
-    leads, trails = [first] + [between] * (n_modes - 2), [""] * (n_modes - 2) + [before_delta]
-    # _ROWS_PER_CHUNK grid values at a time: no Python string per grid value at once
-    parts = np.split(np.linspace(0.0, 1.0, grid), range(_ROWS_PER_CHUNK, grid, _ROWS_PER_CHUNK))
-    taus = [np.concatenate([np.array([(lead + spell(x) + trail).encode()
-                                      for x in part.tolist()]) for part in parts])
-            for lead, trail in zip(leads, trails)]
-    return taus, np.array([(before_flag + word + end).encode() for word in ("false", "true")])
+def _entries(lead: str, cells: np.ndarray, trail: str) -> tuple[np.ndarray, ...]:
+    """lead + cell + trail for each \\0-padded cell, its \\0s dropped: as '<u8' words (word j
+    of every entry in row j), the masks of its bytes in them, its length and its bytes."""
+    raw = np.char.add(np.char.add(lead.encode(), cells.view(f"S{cells.itemsize}")), trail.encode())
+    raw = raw.view(np.uint8).reshape(len(cells), -1)
+    lengths = np.count_nonzero(raw, 1)
+    j = 8 * np.arange(-(-lengths.max() // 8))[:, None]
+    flat = np.concatenate([raw[raw != 0], np.zeros(len(j) * 8, np.uint8)])  # end to end
+    masks = ~_TOP[1].take(8 - np.clip(lengths - j, 0, 8))  # a word's low bytes: not its top
+    words = np.ndarray(len(flat) - 7, "<u8", flat, strides=(1,))  # one at each byte
+    words = words[np.cumsum(lengths) - lengths + j] & masks
+    text = np.ascontiguousarray(words.T).view(f"S{8 * len(j)}")[:, 0]
+    return words, masks, lengths, text.astype(f"S{lengths.max()}")
+
+
+class _TauTables:
+    """Per tau, build(_entries) of its spellings in fmt with the bytes before each (the last
+    tau's with those up to delta too), over a range of grid positions, kept while the ones
+    asked for stay in it: the whole axis where it has at most _ROWS_PER_CHUNK values (for
+    n >= 3 always), else _ROWS_PER_CHUNK or more from the least one asked for."""
+
+    def __init__(self, fmt: str, n_modes: int, grid: int, build: Callable = lambda e: e):
+        _, first, between, before_delta, *_ = _LAYOUTS[fmt]
+        leads, trails = [first] + [between] * (n_modes - 2), [""] * (n_modes - 2) + [before_delta]
+        self.seps = list(zip(leads, trails))
+        self.fmt, self.grid, self.build, self.lo, self.hi = fmt, grid, build, 0, 0
+
+    def __call__(self, index: np.ndarray) -> tuple[list, np.ndarray]:
+        """The tables that hold the (C, n - 1) grid positions, and the positions in them."""
+        if self.hi - self.lo < self.grid and (index.min() < self.lo or index.max() >= self.hi):
+            lo, hi = int(index.min()), int(index.max()) + 1
+            self.lo, self.hi = lo, min(max(hi, lo + _ROWS_PER_CHUNK), self.grid)
+            i = np.arange(self.lo, self.hi)  # np.linspace(0.0, 1.0, grid)[i], as it computes them
+            taus = _spelled(np.where(i == self.grid - 1, 1.0, i * (1 / (self.grid - 1))), self.fmt)
+            self.tables = [self.build(_entries(lead, taus, trail)) for lead, trail in self.seps]
+        return self.tables, index - self.lo
 
 
 def _row_text(scan: RegionScan, fmt: str, scale: float) -> Iterator[bytes]:
     """serialize_region's rows, _ROWS_PER_CHUNK at a time: a record array of \\0-padded
     byte fields (each tau, delta and flag with the bytes around it), every \\0 dropped."""
-    spell, *_, whole = _LAYOUTS[fmt]
-    taus, flags = _fields(fmt, scan.n_modes, scan.grid_resolution)
-    signs, points = np.array([b"", b"-"]), np.array([b"0.", b".", whole.encode()])
-    fields = [(f"tau{i}", taus[i].dtype) for i in range(scan.n_modes - 1)]
+    *_, before_flag, end, _ = _LAYOUTS[fmt]
+    taus = _TauTables(fmt, scan.n_modes, scan.grid_resolution, itemgetter(3))
+    flags = _entries(before_flag, _FLAGS, end)[3]
     for start in range(0, scan.n_points, _ROWS_PER_CHUNK):
         stop = min(start + _ROWS_PER_CHUNK, scan.n_points)
-        index = _grid_index(scan.n_modes, scan.grid_resolution, start, stop)
-        delta = _spelled_deltas(scan.deltas[start:stop] * scale, spell, signs, points)
+        tables, index = taus(_grid_index(scan.n_modes, scan.grid_resolution, start, stop))
+        delta = _spelled(scan.deltas[start:stop] * scale, fmt)
+        fields = [(f"tau{i}", table.dtype) for i, table in enumerate(tables)]
         rec = np.empty(stop - start, fields + [("delta", delta.dtype), ("flag", flags.dtype)])
-        for i, (name, _) in enumerate(fields):
-            rec[name] = taus[i][index[:, i]]
+        for i, table in enumerate(tables):
+            rec[f"tau{i}"] = table[index[:, i]]
         rec["delta"], rec["flag"] = delta, flags[scan.flags[start:stop].view(np.uint8)]
         raw = rec.view(np.uint8)
         yield raw[raw != 0].tobytes()
@@ -372,7 +401,8 @@ def _csv_rows(stream: io.TextIOBase, n_modes: int) -> Iterator[np.ndarray]:
         if bad.size:
             cell = rows["flag"][bad[0]].decode("latin-1")  # as loadtxt encoded it
             raise ValueError(f"data row {start + bad[0] + 1}: flag '{cell}' is not true or false")
-        yield rows["cells"]
+        if len(rows):
+            yield rows["cells"]
         if len(rows) < _ROWS_PER_CHUNK:
             return
 
@@ -407,23 +437,13 @@ def _json_rows(data: bytes, pos: int, n_modes: int) -> Iterator[np.ndarray]:
 
 
 _WINDOW = 2**18  # bytes of scan text _written_deltas checks at a time
-# in column k = 0..16: 16 bytes, the last k of them 0xFF, as little-endian words (lo, hi)
-_TOP = (np.uint8(255) * (np.arange(16) >= 16 - np.arange(17)[:, None])).view("<u8").T.copy()
+_PAD = 72  # bytes after a window's last row: the words of the widest entry, 30 + 17 + 25
 
 
-def _word_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A bytes table's entries as \\0-padded '<u8' words (word j of every entry in
-    row j), the masks of their own bytes in those words, and their lengths."""
-    padded = table.astype(f"S{-(-table.itemsize // 8) * 8}")
-    masks = (padded.view(np.uint8) != 0).astype(np.uint8) * np.uint8(255)
-    words, masks = (a.view("<u8").reshape(len(table), -1).T.copy() for a in (padded, masks))
-    return words, masks, np.char.str_len(table)
-
-
-def _spelled(words: np.ndarray, at: np.ndarray, table: tuple, index) -> bool:
+def _matches(words: np.ndarray, at: np.ndarray, table: tuple, index) -> bool:
     """Whether each entry table[index] is spelled where it starts, at."""
     return not any(((words[at + 8 * j] ^ expect.take(index)) & mask.take(index)).any()
-                   for j, (expect, mask) in enumerate(zip(table[0], table[1])))
+                   for j, (expect, mask) in enumerate(zip(*table[:2])))
 
 
 def _fixed_point(words: np.ndarray, text: np.ndarray, d0: np.ndarray, d1: np.ndarray):
@@ -459,33 +479,32 @@ def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
     """The deltas of a body that is, byte for byte, the rows _row_text writes for the
     grid, each delta in any -?D+(.D+)? spelling or in fmt's own; None for any other
     body, which the general reader then reads (README, Numerical notes)."""
-    spell, _, _, _, _, end, _ = _LAYOUTS[fmt]
-    taus, flags = _fields(fmt, n_modes, grid)
-    newlines = sum(table[0].count(b"\n") for table in [*taus, flags])  # per row
-    taus, flags = [_word_table(t) for t in taus], _word_table(flags)
+    spell, *_, before_flag, end, _ = _LAYOUTS[fmt]
+    taus, flags = _TauTables(fmt, n_modes, grid), _entries(before_flag, _FLAGS, end)
+    newlines = "".join(map("".join, taus.seps)).count("\n") + (before_flag + end).count("\n")
     tail, closing = (b"", b"") if fmt == "csv" else (_JSON_TAIL, b",\n")
     n_points, stop = _grid_points(n_modes, grid), len(data) - len(tail)
     if body < 16 or not data.endswith(tail):
         return None
     deltas, row, pos = np.empty(n_points), 0, body
     while pos < stop:
-        # 16 bytes before the window for the words that end a cell, 8 after for the last row
+        # 16 bytes before the window for the words that end a cell, _PAD after its last row
         last = stop - pos <= _WINDOW
-        buf = (data[pos - 16:stop] + closing + bytes(8) if last
-               else memoryview(data)[pos - 16:pos + _WINDOW + 8])
+        buf = (data[pos - 16:stop] + closing + bytes(_PAD) if last
+               else memoryview(data)[pos - 16:pos + _WINDOW + _PAD])
         text = np.frombuffer(buf, np.uint8)
         words = np.ndarray(len(text) - 7, "<u8", buf, strides=(1,))
-        ends = (np.flatnonzero(text[16:-8] == ord("\n")) + 17)[newlines - 1::newlines]
+        ends = (np.flatnonzero(text[16:-_PAD] == ord("\n")) + 17)[newlines - 1::newlines]
         if not len(ends) or row + len(ends) > n_points:
             return None
-        index = _grid_index(n_modes, grid, row, row + len(ends))
+        tables, index = taus(_grid_index(n_modes, grid, row, row + len(ends)))
         at = [np.concatenate(([16], ends[:-1]))]  # where each row's fields start
-        for i, table in enumerate(taus):
+        for i, table in enumerate(tables):
             at.append(at[-1] + table[2].take(index[:, i]))
         true = (text[ends - len(end) - 4] == ord("t")).astype(np.intp)  # 'a' of false
         d0, d1 = at[-1], ends - flags[2].take(true)
-        if not ((d1 > d0).all() and _spelled(words, d1, flags, true)
-                and all(_spelled(words, at[i], t, index[:, i]) for i, t in enumerate(taus))):
+        if not ((d1 > d0).all() and _matches(words, d1, flags, true)
+                and all(_matches(words, at[i], t, index[:, i]) for i, t in enumerate(tables))):
             return None
         values, exact = _fixed_point(words, text, d0, d1)
         for i in np.flatnonzero(~exact).tolist():  # exponents, NaN, infinities: as written
@@ -569,13 +588,15 @@ def parse_region(data: bytes) -> RegionScan:
         if deltas is not None:
             return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)
         # not the writer's rows: read every cell, and say what is wrong
-        rounded = np.array([_round12(x) for x in np.linspace(0.0, 1.0, grid).tolist()])
+        # each tau as the writer spells it in CSV, as a float
+        taus = _TauTables("csv", n_modes, grid, lambda e: np.char.strip(e[3], b",").astype(float))
         deltas, start = np.empty(n_points), 0
         for rows in read_rows(n_modes):
             stop = start + len(rows)
             if stop > n_points:
                 raise ValueError(f"region data has more than the {n_points:,} rows of its grid")
-            expected = rounded[_grid_index(n_modes, grid, start, stop)]
+            tables, index = taus(_grid_index(n_modes, grid, start, stop))
+            expected = tables[0][index]
             off = np.flatnonzero(rows[:, :-1] != expected)
             if off.size:
                 row, k = divmod(off[0], n_modes - 1)

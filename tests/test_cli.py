@@ -500,6 +500,57 @@ def test_scan_text_memory_stays_near_its_arrays_and_bytes():
     assert read_peak < 0.5 * len(data), f"reader peak {read_peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_two_mode_scan_text_memory_is_flat_in_the_grid(fmt):
+    def stream(scan):
+        for _ in cli_scan._region_chunks(scan, fmt, "nats"):
+            pass  # each chunk is dropped as the next one is made, as the CLI writes them
+
+    peaks = []
+    for k in (15, 18):
+        scan = region_scan(2, 7.0, 2**k)  # one tau axis: the whole scan
+        _, write_peak = _traced_peak(lambda: stream(scan))
+        data = serialize_region(scan, fmt)
+        back, read_peak = _traced_peak(lambda: parse_region(data))
+        peaks.append((write_peak, read_peak - back.deltas.nbytes - back.flags.nbytes))
+    # text tables of a chunk's or a window's taus, not of the grid's: from 2^16 to 2^18
+    # rows, tables of the whole axis took the read from 6.9 to 27.5 MB (CSV), 23 to 92 (JSON)
+    for small, large in zip(*peaks):
+        assert large <= 1.25 * small + 1e6, f"{small / 1e6:.1f} MB, then {large / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_general_reader_checks_two_mode_taus_over_several_chunks(fmt):
+    scan = region_scan(2, 7.0, 3 * 2**14 + 5)
+    data = serialize_region(scan, fmt)
+    crlf = data.replace(b"\n", b"\r\n")  # not the writer's bytes: read cell by cell
+    assert parse_region(crlf).deltas.tobytes() == parse_region(data).deltas.tobytes()
+    tau = b"%.12g" % np.linspace(0.0, 1.0, scan.grid_resolution)[39_999]
+    off = tau[:-1] + b"%d" % ((int(tau[-1:]) + 1) % 10)
+    assert crlf.count(tau) == 1
+    with pytest.raises(ValueError, match=f"data row 40000: tau1 = {off.decode()} is off the "
+                                         f"49157-point grid, where it is {tau.decode()}"):
+        parse_region(crlf.replace(tau, off))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_short_text_naming_a_huge_grid_is_read_in_memory_of_its_rows(fmt):
+    head = serialize_region(RegionScan(2, 7.0, 8, np.full(8, 0.5)), fmt)
+    if fmt == "csv":
+        lines = head.replace(b"grid_resolution=8", b"grid_resolution=%d" % 2**20).split(b"\n")
+        data = b"\n".join(lines[:7]) + b"\n"  # five '#' lines, the header, the first row
+    else:
+        obj = json.loads(head)
+        obj["meta"]["grid_resolution"], obj["records"] = 2**20, obj["records"][:1]
+        data = (json.dumps(obj, indent=2) + "\n").encode()
+    assert len(data) < 400  # the first of 2^20 rows, as the writer writes it
+    error, peak = _traced_peak(lambda: pytest.raises(ValueError, parse_region, data))
+    assert "has 1 of the 1,048,576 rows of its grid" in str(error.value)
+    # the deltas, 8 B a point, and tables of a chunk's taus; tables of the whole axis
+    # took hundreds of MB and several seconds
+    assert peak - 8 * 2**20 < 32e6, f"{peak / 1e6:.1f} MB"
+
+
 def test_scan_read_keeps_its_fresh_deltas(monkeypatch):
     # parse_region froze a copy of the deltas it had just filled: 8 MB of the
     # 17.0 MB traced peak of reading the 1M-row CSV of region_scan(3, 10, 1000)
@@ -569,17 +620,18 @@ def _hand_built_scan():
 @pytest.mark.parametrize("units", ["nats", "bits"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
-    "make_scan",
+    "make_scan, chunks",
     [
-        lambda: region_scan(3, 7.0, 300),
-        _hand_built_scan,
+        (lambda: region_scan(3, 7.0, 300), 5),
+        # one tau axis over four chunks, its first taus below 1e-4: in exponent form
+        (lambda: region_scan(2, 7.0, 3 * 2**14 + 5), 3),
+        (_hand_built_scan, 0),
     ],
-    ids=["several_chunks", "hand_built"],
+    ids=["several_chunks", "two_modes", "hand_built"],
 )
-def test_chunked_scan_text_matches_the_oracle(make_scan, fmt, units):
+def test_chunked_scan_text_matches_the_oracle(make_scan, chunks, fmt, units):
     scan = make_scan()
-    if scan.grid_resolution > 8:
-        assert scan.n_points > 5 * _ROWS_PER_CHUNK  # the grid scan spans several chunks
+    assert scan.n_points > chunks * _ROWS_PER_CHUNK  # the grid scans span several chunks
     assert serialize_region(scan, fmt, units) == serialize_region_literal(scan, fmt, units)
 
 
@@ -613,7 +665,10 @@ def test_scan_text_spells_adversarial_deltas_as_the_oracle(units):
 
 def _written_scans():
     yield from (region_scan(*args) for args in [(2, 3.0, 64), (3, 7.0, 16), (4, 15.0, 8),
-                                                (5, 40.0, 8), (3, 7.0, 300)])
+                                                (5, 40.0, 8), (3, 7.0, 300),
+                                                (2, 7.0, 3 * 2**14 + 5)])
+    # exponent-form taus, and a last row shorter than the widest of them
+    yield RegionScan(2, 7.0, 2**14, np.full(2**14, 0.5))
     # signed zeros and infinities, NaN, exponent forms, then %.12g's edges
     yield RegionScan(3, 7.0, 8, np.resize([-0.0, 0.0, 1e-5, 1.5e13, np.nan, np.inf, -np.inf,
                                            -1 / 3, 1e-4, -1.23456789012e-4, 123.0], 64))
