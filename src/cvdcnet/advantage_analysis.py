@@ -301,6 +301,13 @@ def _grid_index(n_modes: int, grid_resolution: int, start: int, stop: int) -> np
     return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
 
 
+def _grid_taus(index: np.ndarray, grid_resolution: int) -> np.ndarray:
+    """np.linspace(0.0, 1.0, grid_resolution)[index] bit for bit, with no whole axis."""
+    taus = index * (1 / (grid_resolution - 1))
+    taus[index == grid_resolution - 1] = 1.0
+    return taus
+
+
 @dataclass(frozen=True)
 class RegionScan:
     """delta at one budget over the lexicographic grid, grid_resolution taus per axis."""
@@ -332,7 +339,7 @@ class RegionScan:
     def taus(self) -> np.ndarray:
         """(n_points, n_modes - 1) grid, read-only, built on each access."""
         index = _grid_index(self.n_modes, self.grid_resolution, 0, self.n_points)
-        taus = np.linspace(0.0, 1.0, self.grid_resolution)[index]
+        taus = _grid_taus(index, self.grid_resolution)
         taus.flags.writeable = False
         return taus
 
@@ -359,9 +366,10 @@ def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     n_modes, grid_resolution = _mode_count(n_modes), _grid_resolution(grid_resolution)
     n_points, nbar = _grid_points(n_modes, grid_resolution), _budget(nbar)
     chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8))
-    axis, deltas = np.linspace(0.0, 1.0, grid_resolution), np.empty(n_points)
+    deltas = np.empty(n_points)
     c_cl = classical_capacity(n_modes - 1, nbar)
     for start in range(0, n_points, chunk):
         index = _grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))
-        deltas[start:start + chunk] = _quantum_rates(axis[index.T], nbar) - c_cl
+        taus = _grid_taus(index.T, grid_resolution)
+        deltas[start:start + chunk] = _quantum_rates(taus, nbar) - c_cl
     return RegionScan(n_modes, nbar, grid_resolution, deltas, _adopt=True)

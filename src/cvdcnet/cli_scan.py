@@ -41,6 +41,7 @@ from .advantage_analysis import (
     _grid_index,
     _grid_points,
     _grid_resolution,
+    _grid_taus,
     asymptotic_ratio,
     break_even_squeezing,
     min_threshold_energy,
@@ -330,8 +331,7 @@ class _TauTables:
         if self.hi - self.lo < self.grid and (index.min() < self.lo or index.max() >= self.hi):
             lo, hi = int(index.min()), int(index.max()) + 1
             self.lo, self.hi = lo, min(max(hi, lo + _ROWS_PER_CHUNK), self.grid)
-            i = np.arange(self.lo, self.hi)  # np.linspace(0.0, 1.0, grid)[i], as it computes them
-            taus = _spelled(np.where(i == self.grid - 1, 1.0, i * (1 / (self.grid - 1))), self.fmt)
+            taus = _spelled(_grid_taus(np.arange(self.lo, self.hi), self.grid), self.fmt)
             self.tables = [self.build(_entries(lead, taus, trail)) for lead, trail in self.seps]
         return self.tables, index - self.lo
 

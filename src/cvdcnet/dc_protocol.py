@@ -20,6 +20,8 @@ e^{-2r}/2 on every output, for which the mutual information is
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -302,13 +304,16 @@ def mutual_information_mc(
     Averages ln p(beta|alpha) - ln p(beta) over joint draws. The draw
     order is fixed (all messages first, then all noise, one PCG64 stream
     seeded with `seed`) so results are reproducible bit for bit across
-    runs for the same channel, sample count and seed.
+    runs for the same channel, sample count and seed. A worker thread, joined
+    before the call ends, redraws the messages to reach the noise and works out
+    the noise side beside the caller's message side; its errors are raised
+    here, and an error or interrupt here cancels it.
 
     Samples are processed in chunks whose arrays fit _MC_CHUNK_BYTES, so
     memory is 8 bytes per sample (the per-sample values, kept for the
-    standard error; np.std copies them once more) plus a fixed chunk.
+    standard error; np.std copies them once more) plus a few fixed chunks.
     More than MC_MAX_SAMPLES samples (1 GiB of values) raise ValueError
-    before any work.
+    before any work or thread.
     """
     _check_sample_count(n_samples)
     try:
@@ -328,22 +333,50 @@ def mutual_information_mc(
     # whole-array pass and the values match it bit for bit.
     width = max(channel.n_messages, channel.n_outputs)
     chunk = min(n_samples, max(1, _MC_CHUNK_BYTES // (8 * width)))
-    z = np.empty((chunk, channel.n_messages))
-    white_noise = np.empty((chunk, channel.n_outputs))
-    # The noise follows all n_samples x n_messages message normals in the stream:
-    # a second generator skips past them, then the two draw chunk by chunk.
-    msg_rng, noise_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for start in range(0, n_samples, chunk):
-        noise_rng.standard_normal(out=z[: min(chunk, n_samples - start)])
-    values = np.empty(n_samples)
-    for start in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - start)
-        msg_rng.standard_normal(out=z[:m])
-        noise_rng.standard_normal(out=white_noise[:m])
-        white_marg = z @ a_t + white_noise @ b_t
-        # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
-        quad = 0.5 * (np.sum(white_marg**2, axis=1) - np.sum(white_noise**2, axis=1))
-        values[start : start + m] = (quad + log_det_ratio)[:m]
+    spans = [(start, min(chunk, n_samples - start)) for start in range(0, n_samples, chunk)]
+    # The noise follows all n_samples x n_messages message normals in the stream. A
+    # worker's generator skips past them, then puts chunk i's white_noise @ b_t and
+    # squared norms in ring slot i % 2; Generator fills, BLAS and ufuncs drop the GIL.
+    noise_b, noise_sq = np.empty((2, chunk, channel.n_outputs)), np.empty((2, chunk))
+    free, filled, cancel = threading.Semaphore(2), queue.SimpleQueue(), threading.Event()
+
+    def noise_side():
+        try:
+            rng, white_noise = np.random.default_rng(seed), np.empty((chunk, channel.n_outputs))
+            skip = np.empty((chunk, channel.n_messages))
+            for _, m in spans:
+                if not cancel.is_set():
+                    rng.standard_normal(out=skip[:m])
+            for i, (_, m) in enumerate(spans):
+                free.acquire()
+                if cancel.is_set():
+                    return
+                rng.standard_normal(out=white_noise[:m])
+                np.matmul(white_noise, b_t, out=noise_b[i % 2])
+                np.sum(white_noise**2, axis=1, out=noise_sq[i % 2])
+                filled.put(None)
+        except BaseException as exc:  # raised again in the caller
+            filled.put(exc)
+
+    worker = threading.Thread(target=noise_side, name="mutual_information_mc noise")
+    worker.start()
+    try:
+        msg_rng, z = np.random.default_rng(seed), np.empty((chunk, channel.n_messages))
+        values = np.empty(n_samples)
+        for i, (start, m) in enumerate(spans):
+            msg_rng.standard_normal(out=z[:m])
+            signal = z @ a_t
+            if (error := filled.get()) is not None:
+                raise error
+            white_marg = signal + noise_b[i % 2]
+            # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
+            quad = 0.5 * (np.sum(white_marg**2, axis=1) - noise_sq[i % 2])
+            free.release()
+            values[start : start + m] = (quad + log_det_ratio)[:m]
+    finally:  # wake a worker waiting for a free slot, and let it end before returning
+        cancel.set()
+        free.release()
+        worker.join()
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples))
     return MCEstimate(estimate, std_error)
@@ -426,8 +459,10 @@ def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport
     r, sigma_sq = optimal_params(n_modes, nbar)
     c_q = max(0.0, float(_quantum_rates(taus, nbar)))
     c_cl = float(_classical_rates(n_modes - 1, nbar)) if nbar > 0 else 0.0
-    return CapacityReport(n_modes=n_modes, taus=taus, nbar=nbar, r=r, sigma_msg_sq=sigma_sq,
-                          c_quantum=c_q, c_classical=c_cl, delta=c_q - c_cl)
+    report = object.__new__(CapacityReport)  # every field is checked above: no __post_init__
+    report.__dict__.update(n_modes=n_modes, taus=taus, nbar=float(nbar), r=r, sigma_msg_sq=sigma_sq,
+                           c_quantum=c_q, c_classical=c_cl, delta=c_q - c_cl)
+    return report
 
 
 def channel_matrix_batch(n_modes: int, taus_grid) -> np.ndarray:

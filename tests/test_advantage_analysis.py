@@ -785,6 +785,26 @@ def test_region_scan_keeps_its_fresh_deltas():
     assert np.array_equal(public.deltas, scan.deltas) and public.n_advantage == scan.n_advantage
 
 
+def test_two_mode_region_scan_memory_is_its_deltas_and_flags():
+    # the deltas and the flags take 9 B a point; the scan held a whole linspace tau
+    # axis beside them, 8 B a point more when the one axis is the whole grid
+    tracemalloc.start()
+    try:
+        scan = region_scan(2, 7.0, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 9 * scan.n_points < 2e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("grid", [8, 9, 10, 100, 999, 1000, 3 * 2**14 + 5, 2**20])
+def test_grid_taus_are_linspace_bit_for_bit(grid):
+    axis = np.linspace(0.0, 1.0, grid)
+    index = np.random.default_rng(grid).integers(grid, size=(500, 3))
+    assert np.array_equal(advantage_analysis._grid_taus(np.arange(grid), grid), axis)
+    assert np.array_equal(advantage_analysis._grid_taus(index, grid), axis[index])
+
+
 def test_region_scan_memory_stays_near_its_deltas():
     tracemalloc.start()
     try:

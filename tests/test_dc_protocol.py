@@ -1,4 +1,10 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from cvdcnet.dc_protocol import (
     _MC_CHUNK_BYTES,
     MC_MAX_SAMPLES,
     MC_MIN_SAMPLES,
+    CapacityReport,
     EncodingPlan,
     LinearGaussianChannel,
     _quantum_rates,
@@ -405,10 +412,118 @@ def test_mc_rejects_sample_counts_over_the_cap_before_any_work(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew samples past the cap")
 
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread past the cap")
+
     monkeypatch.setattr(dc_protocol.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(dc_protocol.threading, "Thread", no_thread)
     ch = build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0))
     with pytest.raises(ValueError, match=rf"{MC_MAX_SAMPLES + 1} samples exceed .* GiB"):
         mutual_information_mc(ch, MC_MAX_SAMPLES + 1, seed=0)
+
+
+def test_mc_joins_its_worker_before_returning():
+    ch = build_channel(ResourceSpec(4, 0.5, (0.5, 0.3, 0.6)), EncodingPlan.standard(4, 1.0))
+    threads = threading.active_count()
+    for n_samples in (MC_MIN_SAMPLES, 100_003):
+        mutual_information_mc(ch, n_samples, seed=8)
+        assert threading.active_count() == threads
+
+
+def _call_with_failing_fills(monkeypatch, side, error, fills):
+    """Run one 10-chunk call on a thread of its own, with the generator of one side
+    ("noise" on the worker, "messages" on the caller) raising error on fill number
+    fills + 1. The error the call raised; fails if the call hangs or leaves a thread."""
+    real_rng, raised = np.random.default_rng, []
+
+    class FailingGenerator:
+        def __init__(self, seed):
+            self.rng, self.fills = real_rng(seed), 0
+
+        def standard_normal(self, **kwargs):
+            self.fills += 1
+            if self.fills > fills:
+                raise error
+            return self.rng.standard_normal(**kwargs)
+
+    def default_rng(seed):
+        on_caller = threading.current_thread() is caller
+        return FailingGenerator(seed) if on_caller == (side == "messages") else real_rng(seed)
+
+    def call():
+        try:
+            mutual_information_mc(ch, 100_003, seed=5)
+        except BaseException as exc:
+            raised.append(exc)
+
+    ch = build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0))
+    assert -(-100_003 // (_MC_CHUNK_BYTES // 24)) == 10  # chunks a pass
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", default_rng)
+    threads = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the call hung"
+    assert threading.active_count() == threads
+    return raised
+
+
+@pytest.mark.parametrize("fills", [2, 13])  # in the skip pass, in the noise pass
+def test_mc_reraises_a_noise_side_error_and_leaves_no_thread(monkeypatch, fills):
+    error = RuntimeError("noise fill failed")
+    assert _call_with_failing_fills(monkeypatch, "noise", error, fills) == [error]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("message fill failed"), KeyboardInterrupt()])
+@pytest.mark.parametrize("fills", [0, 4])  # before the first noise chunk, past two of them
+def test_mc_cancels_and_joins_its_worker_when_the_caller_side_raises(monkeypatch, error, fills):
+    assert _call_with_failing_fills(monkeypatch, "messages", error, fills) == [error]
+
+
+def test_mc_calls_on_several_threads_keep_their_bits():
+    # three callers and their three workers, more threads than most boxes have cores,
+    # switching every microsecond
+    ch = build_channel(ResourceSpec(5, 0.7, (0.5, 0.3, 0.6, 0.2)), EncodingPlan.standard(5, 1.3))
+    want = [mutual_information_mc_literal(ch, 30_011, seed) for seed in range(3)]
+    got = [None] * 3
+
+    def call(seed):
+        got[seed] = mutual_information_mc(ch, 30_011, seed)
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_mc_on_one_cpu_keeps_every_bit():
+    # the caller and the worker share one core: no deadlock, and the same values
+    script = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cvdcnet import EncodingPlan, ResourceSpec, build_channel, mutual_information_mc
+from helpers import mutual_information_mc_literal
+for n, taus in ((3, (0.5, 0.3)), (5, (0.5, 0.3, 0.6, 0.2))):
+    ch = build_channel(ResourceSpec(n, 0.7, taus), EncodingPlan.standard(n, 1.3))
+    for n_samples in (10_000, 100_003):
+        got = mutual_information_mc(ch, n_samples, 11)
+        assert got == mutual_information_mc_literal(ch, n_samples, 11), (n, n_samples)
+assert len(os.sched_getaffinity(0)) == 1
+"""
+    path = [str(Path(dc_protocol.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- working point ------------------------------------------------------------
@@ -452,6 +567,25 @@ def test_capacity_report_three_mode_balanced_frozen_point():
     assert rep.delta == pytest.approx(rep.c_quantum - rep.c_classical, abs=1e-15)
     assert rep.delta == pytest.approx(-9.0594203e-05, abs=1e-9)
     assert rep.n_modes == 3 and rep.taus == (0.5, 0.5) and rep.nbar == 8.15
+
+
+def test_capacity_checks_its_taus_once_and_builds_the_public_report(monkeypatch):
+    checks = []
+
+    def counted(n_modes, taus):
+        checks.append(taus)
+        return validated(n_modes, taus)
+
+    validated = dc_protocol._validated_taus
+    monkeypatch.setattr(dc_protocol, "_validated_taus", counted)
+    for n_modes, nbar in ((2, 0.0), (3, 8.15), (9, 1e6)):
+        checks.clear()
+        report = capacity(n_modes, list(np.linspace(0.1, 0.9, n_modes - 1)), nbar)
+        assert len(checks) == 1
+        assert type(report.taus) is tuple and all(type(t) is float for t in report.taus)
+        assert all(type(getattr(report, name)) is float for name in
+                   ("nbar", "r", "sigma_msg_sq", "c_quantum", "c_classical", "delta"))
+        assert report == CapacityReport(**dataclasses.asdict(report))
 
 
 def test_capacity_zero_budget_is_zero():
