@@ -475,18 +475,18 @@ def _fixed_point(words: np.ndarray, text: np.ndarray, d0: np.ndarray, d1: np.nda
 
 
 def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
-                    scale: float) -> Optional[np.ndarray]:
-    """The deltas of a body that is, byte for byte, the rows _row_text writes for the
-    grid, each delta in any -?D+(.D+)? spelling or in fmt's own; None for any other
-    body, which the general reader then reads (README, Numerical notes)."""
+                    scale: float, deltas: np.ndarray) -> bool:
+    """Fill deltas from a body that is, byte for byte, the rows _row_text writes for the
+    grid, each delta in any -?D+(.D+)? spelling or in fmt's own; False for any other
+    body, which the general reader then reads into deltas (README, Numerical notes)."""
     spell, *_, before_flag, end, _ = _LAYOUTS[fmt]
     taus, flags = _TauTables(fmt, n_modes, grid), _entries(before_flag, _FLAGS, end)
     newlines = "".join(map("".join, taus.seps)).count("\n") + (before_flag + end).count("\n")
     tail, closing = (b"", b"") if fmt == "csv" else (_JSON_TAIL, b",\n")
-    n_points, stop = _grid_points(n_modes, grid), len(data) - len(tail)
+    n_points, stop = len(deltas), len(data) - len(tail)
     if body < 16 or not data.endswith(tail):
-        return None
-    deltas, row, pos = np.empty(n_points), 0, body
+        return False
+    row, pos = 0, body
     while pos < stop:
         # 16 bytes before the window for the words that end a cell, _PAD after its last row
         last = stop - pos <= _WINDOW
@@ -496,7 +496,7 @@ def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
         words = np.ndarray(len(text) - 7, "<u8", buf, strides=(1,))
         ends = (np.flatnonzero(text[16:-_PAD] == ord("\n")) + 17)[newlines - 1::newlines]
         if not len(ends) or row + len(ends) > n_points:
-            return None
+            return False
         tables, index = taus(_grid_index(n_modes, grid, row, row + len(ends)))
         at = [np.concatenate(([16], ends[:-1]))]  # where each row's fields start
         for i, table in enumerate(tables):
@@ -505,19 +505,19 @@ def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
         d0, d1 = at[-1], ends - flags[2].take(true)
         if not ((d1 > d0).all() and _matches(words, d1, flags, true)
                 and all(_matches(words, at[i], t, index[:, i]) for i, t in enumerate(tables))):
-            return None
+            return False
         values, exact = _fixed_point(words, text, d0, d1)
         for i in np.flatnonzero(~exact).tolist():  # exponents, NaN, infinities: as written
             cell = text[d0[i]:d1[i]].tobytes()
             try:
                 values[i] = float(cell)
             except ValueError:
-                return None
+                return False
             if spell(values[i]).encode() != cell:  # float() takes '1_0'; the rows do not
-                return None
+                return False
         deltas[row:row + len(ends)] = values * scale
         pos, row = pos + int(ends[-1]) - 16, row + len(ends)
-    return deltas if row == n_points else None
+    return row == n_points
 
 
 def _meta_count(meta: dict, key: str) -> int:
@@ -584,13 +584,13 @@ def parse_region(data: bytes) -> RegionScan:
         if header not in (None, columns):
             raise ValueError(f"region data is malformed: its CSV header '{header}' "
                              f"is not the columns {columns}")
-        deltas = _written_deltas(data, body, fmt, n_modes, grid, scale)
-        if deltas is not None:
+        deltas = np.empty(n_points)  # for whichever reader fills it
+        if _written_deltas(data, body, fmt, n_modes, grid, scale, deltas):
             return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)
         # not the writer's rows: read every cell, and say what is wrong
         # each tau as the writer spells it in CSV, as a float
         taus = _TauTables("csv", n_modes, grid, lambda e: np.char.strip(e[3], b",").astype(float))
-        deltas, start = np.empty(n_points), 0
+        start = 0
         for rows in read_rows(n_modes):
             stop = start + len(rows)
             if stop > n_points:

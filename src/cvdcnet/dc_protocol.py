@@ -296,6 +296,16 @@ def _check_sample_count(n_samples: int) -> int:
     return n_samples
 
 
+def _row_sums(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.sum(sq, axis=1, out=out), bit for bit, without a NumPy loop call per row."""
+    if sq.shape[1] >= 8:  # NumPy's 8-way pairwise rule; rows this long pay for their call
+        return np.sum(sq, axis=1, out=out)
+    np.copyto(out, sq[:, 0])  # under 8 values NumPy adds a row left to right, as these passes do
+    for column in sq.T[1:]:
+        out += column
+    return out
+
+
 def mutual_information_mc(
     channel: LinearGaussianChannel, n_samples: int, seed: int
 ) -> MCEstimate:
@@ -336,7 +346,7 @@ def mutual_information_mc(
     spans = [(start, min(chunk, n_samples - start)) for start in range(0, n_samples, chunk)]
     # The noise follows all n_samples x n_messages message normals in the stream. A
     # worker's generator skips past them, then puts chunk i's white_noise @ b_t and
-    # squared norms in ring slot i % 2; Generator fills, BLAS and ufuncs drop the GIL.
+    # squared norms (_row_sums) in ring slot i % 2; fills, BLAS and ufuncs drop the GIL.
     noise_b, noise_sq = np.empty((2, chunk, channel.n_outputs)), np.empty((2, chunk))
     free, filled, cancel = threading.Semaphore(2), queue.SimpleQueue(), threading.Event()
 
@@ -353,7 +363,7 @@ def mutual_information_mc(
                     return
                 rng.standard_normal(out=white_noise[:m])
                 np.matmul(white_noise, b_t, out=noise_b[i % 2])
-                np.sum(white_noise**2, axis=1, out=noise_sq[i % 2])
+                _row_sums(white_noise**2, noise_sq[i % 2])
                 filled.put(None)
         except BaseException as exc:  # raised again in the caller
             filled.put(exc)
@@ -362,7 +372,7 @@ def mutual_information_mc(
     worker.start()
     try:
         msg_rng, z = np.random.default_rng(seed), np.empty((chunk, channel.n_messages))
-        values = np.empty(n_samples)
+        values, marg_sq = np.empty(n_samples), np.empty(chunk)
         for i, (start, m) in enumerate(spans):
             msg_rng.standard_normal(out=z[:m])
             signal = z @ a_t
@@ -370,7 +380,7 @@ def mutual_information_mc(
                 raise error
             white_marg = signal + noise_b[i % 2]
             # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
-            quad = 0.5 * (np.sum(white_marg**2, axis=1) - noise_sq[i % 2])
+            quad = 0.5 * (_row_sums(white_marg**2, marg_sq) - noise_sq[i % 2])
             free.release()
             values[start : start + m] = (quad + log_det_ratio)[:m]
     finally:  # wake a worker waiting for a free slot, and let it end before returning

@@ -789,6 +789,24 @@ def test_parse_region_reads_other_spellings_as_the_general_reader(fmt, kind, cel
     assert isinstance(fast, bytes) == (accepted in (True, fmt)), fast
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parse_region_allocates_the_grids_deltas_once(fmt, monkeypatch):
+    # the writer-checked reader reads windows of this text, then gives up at a delta
+    # in exponent form, and the general reader reads it into the same deltas
+    scan = region_scan(3, 7.0, 128)
+    text = _mutated(serialize_region(scan, fmt), fmt, np.random.default_rng(9), "delta", b"5e-1")
+    want = _read(text)
+    real_empty, sizes = np.empty, []
+
+    def empty(shape, *args, **kwargs):
+        sizes.append(shape)
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    assert _read(text) == want and isinstance(want, bytes)
+    assert [size for size in sizes if size in (scan.n_points, (scan.n_points,))] == [scan.n_points]
+
+
 @pytest.mark.parametrize("extra", [[], ["--format", "json", "--bits"]])
 def test_scan_out_file_matches_stdout(extra, tmp_path, capsys):
     argv = ["scan", "--modes", "3", "--nbar", "7", "--grid", "300", *extra]

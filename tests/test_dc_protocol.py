@@ -20,6 +20,7 @@ from cvdcnet.dc_protocol import (
     EncodingPlan,
     LinearGaussianChannel,
     _quantum_rates,
+    _row_sums,
     build_channel,
     capacity,
     channel_matrix_batch,
@@ -385,6 +386,18 @@ def test_mc_matches_whole_array_pass_bit_for_bit():
         LinearGaussianChannel(rng.normal(size=(4, 3)), a @ a.T + 0.1 * np.eye(4),
                               b @ b.T + 0.2 * np.eye(3))
     )
+    # 8 or more outputs, where the squared norms are NumPy's own pairwise sums
+    wide = np.random.default_rng(52)
+    for n in (8, 9, 17):
+        taus = tuple(wide.uniform(0.05, 0.95, size=n - 1))
+        spec = ResourceSpec(n, float(wide.uniform(0.1, 1.5)), taus)
+        plan = EncodingPlan.standard(n, float(wide.uniform(0.3, 2.0)))
+        channels.append(build_channel(spec, plan))
+    a, b = wide.normal(size=(9, 9)), wide.normal(size=(4, 4))
+    channels.append(
+        LinearGaussianChannel(wide.normal(size=(9, 4)), a @ a.T + 0.1 * np.eye(9),
+                              b @ b.T + 0.2 * np.eye(4))
+    )
     for ch in channels:
         for n_samples in _mc_sample_counts(max(ch.matrix.shape)):
             seed = int(rng.integers(2**32))
@@ -392,6 +405,18 @@ def test_mc_matches_whole_array_pass_bit_for_bit():
             want = mutual_information_mc_literal(ch, n_samples, seed)
             assert got.estimate == want.estimate, (ch.matrix.shape, n_samples)
             assert got.std_error == want.std_error, (ch.matrix.shape, n_samples)
+
+
+@pytest.mark.parametrize("width", [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 255, 256,
+                                   257, 300])
+def test_row_sums_are_numpys_row_sums_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((1001, width)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(1001, 1))
+    ring = np.full((2, 1001), np.nan)  # written in one slot, as the worker writes its ring
+    got = _row_sums(x**2, ring[1])
+    want = np.sum(x**2, axis=1)
+    assert got.tobytes() == ring[1].tobytes() == want.tobytes()
+    assert np.isnan(ring[0]).all()
 
 
 def test_mc_memory_is_eight_bytes_per_sample_plus_a_chunk():
