@@ -81,26 +81,36 @@ def quantum_advantage(n_modes: int, taus: Sequence[float], nbar: float) -> float
     return capacity(n_modes, taus, nbar).delta
 
 
-def _threshold(n_modes: int, taus: tuple[float, ...], tol: float) -> float:
-    """Threshold budget for one chain, within tol/2 of a proven sign change of
-    delta; inf where delta stays <= 0 up to SEARCH_CAP_NBAR.
+def threshold_energy(
+    n_modes: int, taus: Sequence[float], tol: float = BISECT_TOL
+) -> float:
+    """Photon budget where the advantage turns positive for fixed taus.
 
-    Safeguarded secant in u = ln nbar (README, Numerical notes), from the cap point,
-    until a step in nbar is <= tol/4; delta at x -/+ tol/2 then certifies the root, or
-    it is bisected until hi - lo <= tol. Each delta is one O(n) transfer pass on
-    Python floats. The floor 1e-6 never holds an advantage: P(v) <= 1, so
+    Solved inside [1e-6, SEARCH_CAP_NBAR] to within tol/2 of a proven sign change
+    of delta. delta rises through zero only once, so the root is unique. Safeguarded
+    secant in u = ln nbar (README, Numerical notes), from the cap point, until a step
+    in nbar is <= tol/4; delta at x -/+ tol/2 then certifies the root, or it is
+    bisected until hi - lo <= tol. Each delta is one O(n) transfer pass on Python
+    floats. The floor 1e-6 never holds an advantage: P(v) <= 1, so
     C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 there,
-    while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5.
+    while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5. Raises NoAdvantageError if
+    delta never turns positive below the cap, and ValueError unless tol is finite
+    and > 0.
     """
+    taus = _validated_taus(n_modes, taus)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol}")
+
     def delta_at(nbar):  # right for budgets in (0, SEARCH_CAP_NBAR]
         return float(_quantum_rates(taus, nbar) - _classical_rates(n_modes - 1, nbar))
 
     lo, hi = math.log(1e-6), math.log(SEARCH_CAP_NBAR)  # ln nbar where delta <= 0, > 0
     u_last, d_last = hi, delta_at(SEARCH_CAP_NBAR)  # the secant's previous point
     if not d_last > 0.0:
-        return np.inf
+        raise NoAdvantageError(f"no quantum advantage up to nbar = {SEARCH_CAP_NBAR:g} "
+                               f"for {n_modes}-mode taus {taus}")
     u = hi - d_last if d_last < hi - lo else 0.5 * (lo + hi)  # full rank: delta ~ u + c
-    nbar = np.inf  # no step taken yet
+    nbar = math.inf  # no step taken yet
     while abs(math.exp(u) - nbar) > 0.25 * tol:  # until a step is <= tol/4 or u stops
         nbar = math.exp(u)
         delta = delta_at(nbar)
@@ -116,29 +126,6 @@ def _threshold(n_modes: int, taus: tuple[float, ...], tol: float) -> float:
         lo, hi = (lo, mid) if delta_at(mid) > 0.0 else (mid, hi)
         mid = 0.5 * (lo + hi)
     return mid
-
-
-def threshold_energy(
-    n_modes: int, taus: Sequence[float], tol: float = BISECT_TOL
-) -> float:
-    """Photon budget where the advantage turns positive for fixed taus.
-
-    Solved inside [1e-6, SEARCH_CAP_NBAR] to within tol/2 of a proven sign
-    change of delta, by a safeguarded secant iteration with a bisection
-    fallback (_threshold). delta rises through zero only once, so the root is
-    unique. Raises NoAdvantageError if delta never turns positive below the
-    cap, and ValueError unless tol > 0.
-    """
-    taus = _validated_taus(n_modes, taus)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    nbar_th = _threshold(n_modes, taus, tol)
-    if not np.isfinite(nbar_th):
-        raise NoAdvantageError(
-            f"no quantum advantage up to nbar = {SEARCH_CAP_NBAR:g} "
-            f"for {n_modes}-mode taus {taus}"
-        )
-    return nbar_th
 
 
 @dataclass(frozen=True)
@@ -166,18 +153,12 @@ def min_threshold_energy(n_modes: int) -> MinThresholdResult:
     C_q = [ln(1 + 2g tau1) + ln(1 + 2g (1 - tau1)) + (n-2) ln(1 + 2g)] / 2,
     symmetric and strictly concave in tau1. So at every budget delta is
     largest at tau1 = 1/2, and the global threshold is the fixed-taus
-    threshold there, solved to tol 1e-9; no other point is searched.
-    Raises NoAdvantageError if delta never turns positive below the cap.
+    threshold there, threshold_energy at tol 1e-9; no other point is searched.
+    Its NoAdvantageError, if delta never turns positive below the cap, names those taus.
     """
     n_modes = _mode_count(n_modes)
     taus = (0.5,) + (0.0,) * (n_modes - 2)
-    nbar_th = _threshold(n_modes, taus, tol=1e-9)
-    if not np.isfinite(nbar_th):
-        raise NoAdvantageError(
-            f"no transmissivity choice gives an advantage below "
-            f"nbar = {SEARCH_CAP_NBAR:g} for {n_modes} modes"
-        )
-    return MinThresholdResult(nbar_th, taus)
+    return MinThresholdResult(threshold_energy(n_modes, taus, tol=1e-9), taus)
 
 
 @dataclass(frozen=True)

@@ -704,6 +704,26 @@ def _run_ratio(config: RunConfig) -> int:
     return 0
 
 
+# (name, computation, expected value, tolerance, "abs" or "rel"): the paper's numbers.
+# The computations are lambdas, so each looks its library function up when it runs.
+_CHECKPOINTS = (
+    ("three_mode_threshold_at_balanced_taus",
+     lambda: threshold_energy(3, (0.5, 0.5)), 8.15, 0.01, "abs"),
+    ("four_mode_threshold_at_balanced_taus",
+     lambda: threshold_energy(4, (0.5, 0.5, 0.5)), 24.87, 0.01, "abs"),
+    ("three_mode_minimum_threshold", lambda: min_threshold_energy(3).nbar_th, 5.38, 0.02, "abs"),
+    ("four_mode_minimum_threshold", lambda: min_threshold_energy(4).nbar_th, 11.45, 0.02, "abs"),
+    ("three_mode_break_even_squeezing",
+     lambda: break_even_squeezing(3, (0.5, 0.5)), 1.10685, 0.001, "abs"),
+    ("four_mode_break_even_squeezing",
+     lambda: break_even_squeezing(4, (0.5, 0.5, 0.5)), 1.433, 0.002, "abs"),
+    ("three_mode_capacity_ratio_at_r20",
+     lambda: asymptotic_ratio(3, (0.5, 0.5), 20.0), 1.5, 0.01, "rel"),
+    ("four_mode_capacity_ratio_at_r20",
+     lambda: asymptotic_ratio(4, (0.5, 0.5, 0.5), 20.0), 4.0 / 3.0, 0.01, "rel"),
+)
+
+
 def run_checkpoints() -> list[dict]:
     """Evaluate the eight reference checkpoints.
 
@@ -711,39 +731,11 @@ def run_checkpoints() -> list[dict]:
     tolerance (absolute or relative) and a pass flag.
     """
     records = []
-
-    def check(name, value, expected, tol, kind):
-        if kind == "abs":
-            passed = abs(value - expected) <= tol
-        else:
-            passed = abs(value - expected) <= tol * abs(expected)
-        records.append(
-            {
-                "name": name,
-                "value": _round12(value),
-                "expected": _round12(expected),
-                "tolerance": tol,
-                "kind": kind,
-                "passed": bool(passed),
-            }
-        )
-
-    check("three_mode_threshold_at_balanced_taus",
-          threshold_energy(3, (0.5, 0.5)), 8.15, 0.01, "abs")
-    check("four_mode_threshold_at_balanced_taus",
-          threshold_energy(4, (0.5, 0.5, 0.5)), 24.87, 0.01, "abs")
-    check("three_mode_minimum_threshold",
-          min_threshold_energy(3).nbar_th, 5.38, 0.02, "abs")
-    check("four_mode_minimum_threshold",
-          min_threshold_energy(4).nbar_th, 11.45, 0.02, "abs")
-    check("three_mode_break_even_squeezing",
-          break_even_squeezing(3, (0.5, 0.5)), 1.10685, 0.001, "abs")
-    check("four_mode_break_even_squeezing",
-          break_even_squeezing(4, (0.5, 0.5, 0.5)), 1.433, 0.002, "abs")
-    check("three_mode_capacity_ratio_at_r20",
-          asymptotic_ratio(3, (0.5, 0.5), 20.0), 1.5, 0.01, "rel")
-    check("four_mode_capacity_ratio_at_r20",
-          asymptotic_ratio(4, (0.5, 0.5, 0.5), 20.0), 4.0 / 3.0, 0.01, "rel")
+    for name, compute, expected, tol, kind in _CHECKPOINTS:
+        value = compute()
+        passed = abs(value - expected) <= (tol if kind == "abs" else tol * abs(expected))
+        records.append({"name": name, "value": _round12(value), "expected": _round12(expected),
+                        "tolerance": tol, "kind": kind, "passed": bool(passed)})
     return records
 
 

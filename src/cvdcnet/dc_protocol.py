@@ -33,6 +33,7 @@ from .phase_space import (
     Quadrature,
     SymplecticTransform,
     _frozen_array,
+    _is_whole,
     _mode_count,
     _mode_index,
     _quadrature,
@@ -193,6 +194,7 @@ def decoded_quadrature_variances(n_modes: int, r: float) -> np.ndarray:
     in closed form because the numerically decoded covariance loses the
     small variances to e^{2r}-scale cancellation once r >~ 15.
     """
+    n_modes, r = _mode_count(n_modes, least=1), _squeezing(r)
     v = np.full(2 * n_modes, 0.5 * np.exp(2.0 * r))
     v[alternating_pattern(n_modes).flat_indices()] = 0.5 * np.exp(-2.0 * r)
     return v
@@ -284,16 +286,17 @@ class MCEstimate(NamedTuple):
     std_error: float
 
 
-def _check_sample_count(n_samples: int) -> int:
-    """n_samples; ValueError unless MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES."""
-    if n_samples < MC_MIN_SAMPLES:
+def _check_sample_count(n_samples) -> int:
+    """n_samples as an int; ValueError unless it is a whole number in
+    [MC_MIN_SAMPLES, MC_MAX_SAMPLES]."""
+    if not (_is_whole(n_samples) and n_samples >= MC_MIN_SAMPLES):
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
     if n_samples > MC_MAX_SAMPLES:
         raise ValueError(
             f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: "
             f"their values alone would take {8 * n_samples / 2**30:.1f} GiB"
         )
-    return n_samples
+    return int(n_samples)
 
 
 def _row_sums(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -325,7 +328,7 @@ def mutual_information_mc(
     More than MC_MAX_SAMPLES samples (1 GiB of values) raise ValueError
     before any work or thread.
     """
-    _check_sample_count(n_samples)
+    n_samples = _check_sample_count(n_samples)
     try:
         msg_chol = np.linalg.cholesky(channel.msg_cov)
     except LinAlgError as exc:

@@ -13,7 +13,14 @@ from numpy.testing import assert_allclose
 
 import cvdcnet
 from cvdcnet import advantage_analysis, cli_scan, dc_protocol
-from cvdcnet.advantage_analysis import RegionScan, region_scan, threshold_energy
+from cvdcnet.advantage_analysis import (
+    RegionScan,
+    asymptotic_ratio,
+    break_even_squeezing,
+    min_threshold_energy,
+    region_scan,
+    threshold_energy,
+)
 from cvdcnet.cli_scan import (
     _ROWS_PER_CHUNK,
     LN2,
@@ -998,6 +1005,20 @@ def test_checkpoint_records_are_self_consistent():
     assert len(records) == 8
     assert all(set(r) == {"name", "value", "expected", "tolerance", "kind", "passed"}
                for r in records)
+    # each value is the library call its name describes, to 12 digits
+    described = {
+        "three_mode_threshold_at_balanced_taus": lambda: threshold_energy(3, (0.5, 0.5)),
+        "four_mode_threshold_at_balanced_taus": lambda: threshold_energy(4, (0.5, 0.5, 0.5)),
+        "three_mode_minimum_threshold": lambda: min_threshold_energy(3).nbar_th,
+        "four_mode_minimum_threshold": lambda: min_threshold_energy(4).nbar_th,
+        "three_mode_break_even_squeezing": lambda: break_even_squeezing(3, (0.5, 0.5)),
+        "four_mode_break_even_squeezing": lambda: break_even_squeezing(4, (0.5, 0.5, 0.5)),
+        "three_mode_capacity_ratio_at_r20": lambda: asymptotic_ratio(3, (0.5, 0.5), 20.0),
+        "four_mode_capacity_ratio_at_r20": lambda: asymptotic_ratio(4, (0.5, 0.5, 0.5), 20.0),
+    }
+    assert [r["name"] for r in records] == list(described)
+    for rec in records:
+        assert rec["value"] == float("%.12g" % described[rec["name"]]()), rec["name"]
 
 
 # --- process-level smoke -----------------------------------------------------------

@@ -44,7 +44,9 @@ from cvdcnet import (
     threshold_energy,
     vacuum,
 )
+from cvdcnet import dc_protocol
 from cvdcnet.cli_scan import serialize_region
+from cvdcnet.dc_protocol import decoded_quadrature_variances
 from cvdcnet.phase_space import _mode_count
 
 PACKAGE = Path(cvdcnet.__file__).parent
@@ -84,6 +86,7 @@ _MODES_1 = {  # least = 1
     "beam_splitter": lambda n: beam_splitter(n, 0, 1, 0.5),
     "alternating_pattern": alternating_pattern,
     "classical_capacity": lambda n: classical_capacity(n, 1.0),  # its sender count
+    "decoded_quadrature_variances": lambda n: decoded_quadrature_variances(n, 0.5),
 }
 _MODES_2 = {  # least = 2
     "ResourceSpec": lambda n: ResourceSpec(n, 0.5, (0.5,)),
@@ -104,6 +107,7 @@ _MODES_2 = {  # least = 2
     "RegionScan": lambda n: RegionScan(n, 7.0, 8, np.zeros(8)),
 }
 _SCAN_JSON = serialize_region(region_scan(3, 7.0, 8), "json")
+_CHANNEL = build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0))
 
 
 def _scan_json_with(key, value):
@@ -170,6 +174,7 @@ _TABLE = [
         "ResourceSpec": lambda r: ResourceSpec(3, r, (0.5, 0.5)),
         "photon_constraint": lambda r: photon_constraint(3, r, 1.0),
         "three_mode_reference_cov": lambda r: three_mode_reference_cov(r, 0.5, 0.5),
+        "decoded_quadrature_variances": lambda r: decoded_quadrature_variances(3, r),
     }),
     ("grid", (7, 8.5), {
         "region_scan": lambda grid: region_scan(3, 7.0, grid),
@@ -179,10 +184,8 @@ _TABLE = [
         "region_scan": lambda grid: region_scan(3, 7.0, grid),
         "parse_region": lambda grid: _scan_json_with("grid_resolution", grid),
     }),
-    ("samples", (9_999,), {
-        "mutual_information_mc": lambda samples: mutual_information_mc(
-            build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0)),
-            samples, 0),
+    ("samples", (9_999, 10_000.5, math.nan), {  # 10_000.5 was a TypeError, NaN a NaN estimate
+        "mutual_information_mc": lambda samples: mutual_information_mc(_CHANNEL, samples, 0),
     }),
     ("ratio regime", (5.0, math.nan), {
         "asymptotic_ratio": lambda r: asymptotic_ratio(3, (0.5, 0.5), r),
@@ -213,6 +216,18 @@ def test_every_entry_point_raises_the_rule_of_a_bad_value(rule, value, least, ca
     with pytest.raises(ERRORS.get(rule, ValueError)) as info:
         call(value)
     assert str(info.value) == _text(rule, value, least)
+
+
+def test_a_sample_count_is_any_whole_number_and_is_checked_before_any_draw(monkeypatch):
+    assert mutual_information_mc(_CHANNEL, 1e5, 0) == mutual_information_mc(_CHANNEL, 100_000, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples or started a thread")
+
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", refuse)
+    monkeypatch.setattr(dc_protocol.threading, "Thread", refuse)
+    with pytest.raises(ValueError, match="got 10000.5"):
+        mutual_information_mc(_CHANNEL, 10_000.5, 0)
 
 
 def test_tau_boundaries_keeps_its_stricter_budget_floor():
