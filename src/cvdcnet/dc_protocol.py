@@ -288,13 +288,15 @@ class MCEstimate(NamedTuple):
 
 def _check_sample_count(n_samples) -> int:
     """n_samples as an int; ValueError unless it is a whole number in
-    [MC_MIN_SAMPLES, MC_MAX_SAMPLES]."""
-    if not (_is_whole(n_samples) and n_samples >= MC_MIN_SAMPLES):
+    [MC_MIN_SAMPLES, MC_MAX_SAMPLES], an int past the float range included."""
+    whole = isinstance(n_samples, int) or _is_whole(n_samples)
+    if not (whole and n_samples >= MC_MIN_SAMPLES):
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
     if n_samples > MC_MAX_SAMPLES:
+        tenths, rest = divmod(80 * int(n_samples), 2**30)  # GiB / 10 in ints, past any float
         raise ValueError(
-            f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: "
-            f"their values alone would take {8 * n_samples / 2**30:.1f} GiB"
+            f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: at 8 B a sample, their "
+            f"values would take {'over ' if rest else ''}{tenths // 10}.{tenths % 10} GiB"
         )
     return int(n_samples)
 
@@ -324,7 +326,7 @@ def mutual_information_mc(
 
     Samples are processed in chunks whose arrays fit _MC_CHUNK_BYTES, so
     memory is 8 bytes per sample (the per-sample values, kept for the
-    standard error; np.std copies them once more) plus a few fixed chunks.
+    standard error, which is worked out in them in place) plus a few fixed chunks.
     More than MC_MAX_SAMPLES samples (1 GiB of values) raise ValueError
     before any work or thread.
     """
@@ -390,9 +392,12 @@ def mutual_information_mc(
         cancel.set()
         free.release()
         worker.join()
-    estimate = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / np.sqrt(n_samples))
-    return MCEstimate(estimate, std_error)
+    # np.mean, then np.std(ddof=1)'s own steps done in place: the same values bit for bit
+    mean = np.mean(values)
+    values -= mean
+    np.square(values, out=values)
+    std_error = np.sqrt(np.sum(values) / (n_samples - 1)) / np.sqrt(n_samples)
+    return MCEstimate(float(mean), float(std_error))
 
 
 def photon_constraint(n_modes: int, r: float, sigma_msg_sq: float) -> float:

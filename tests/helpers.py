@@ -6,6 +6,8 @@ classical-limit formulas) before the library was written. Tests compare
 the library against these, not against itself.
 """
 
+import tracemalloc
+
 import numpy as np
 
 # --- frozen reference values ------------------------------------------------
@@ -261,6 +263,15 @@ def boundary4_tau3_literal(nbar, tau1, tau2):
 
 
 # --- generic utilities ---------------------------------------------------------
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak of its traced allocations in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def bisect_root(f, lo, hi, tol=1e-10):
     """Root of f by bisection; f(lo) and f(hi) must differ in sign."""

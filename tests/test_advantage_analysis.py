@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +49,7 @@ from helpers import (
     exit_log_weights,
     mi_oracle,
     signal_gain,
+    traced_peak,
 )
 
 
@@ -781,12 +781,7 @@ def test_region_scan_freezes_copies_not_caller_arrays():
 def test_region_scan_keeps_its_fresh_deltas():
     # it froze a copy of the deltas it had just allocated: 8 MB of a 17.1 MB
     # traced peak for region_scan(3, 10, 1000)
-    tracemalloc.start()
-    try:
-        scan = region_scan(3, 10.0, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scan, peak = traced_peak(region_scan, 3, 10.0, 1000)
     assert peak < 17.1e6 - 7e6, f"peak {peak / 1e6:.1f} MB"
     assert not scan.deltas.flags.writeable
     deltas = np.array(scan.deltas)  # a public build still copies
@@ -798,12 +793,7 @@ def test_region_scan_keeps_its_fresh_deltas():
 def test_two_mode_region_scan_memory_is_its_deltas_and_flags():
     # the deltas and the flags take 9 B a point; the scan held a whole linspace tau
     # axis beside them, 8 B a point more when the one axis is the whole grid
-    tracemalloc.start()
-    try:
-        scan = region_scan(2, 7.0, 2**20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scan, peak = traced_peak(region_scan, 2, 7.0, 2**20)
     assert peak - 9 * scan.n_points < 2e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -816,12 +806,7 @@ def test_grid_taus_are_linspace_bit_for_bit(grid):
 
 
 def test_region_scan_memory_stays_near_its_deltas():
-    tracemalloc.start()
-    try:
-        scan = region_scan(3, 10.0, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scan, peak = traced_peak(region_scan, 3, 10.0, 1000)
     # the deltas and the flags (1.2 times the deltas); a frozen copy of the
     # deltas beside them took 2.1 times, a meshgrid and stacked taus 8.5 times
     assert peak < 3 * scan.deltas.nbytes, f"peak {peak / 1e6:.1f} MB"

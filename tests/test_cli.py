@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -44,6 +43,7 @@ from helpers import (
     TH3_BALANCED,
     parse_region_csv_literal,
     serialize_region_literal,
+    traced_peak,
 )
 
 
@@ -484,22 +484,13 @@ def test_parse_region_rejects_a_tau_one_digit_off_the_grid(fmt):
         parse_region(off)
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_scan_text_memory_stays_near_its_arrays_and_bytes():
     scan = region_scan(3, 7.0, 448)  # 200,704 rows, 13 chunks
-    data, write_peak = _traced_peak(lambda: serialize_region(scan))
+    data, write_peak = traced_peak(serialize_region, scan)
     # one chunk's strings beside the output (1.4 times it here), not a list
     # of strings per column (2.0 times)
     assert write_peak < 1.6 * len(data), f"writer peak {write_peak / 1e6:.1f} MB"
-    back, read_peak = _traced_peak(lambda: parse_region(data))
+    back, read_peak = traced_peak(parse_region, data)
     arrays = back.deltas.nbytes + back.flags.nbytes
     # deltas, flags and one chunk of rows: 4.2 MB here, 0.41 times the text;
     # one loadtxt of the whole body, taus too, took 11.6 MB. The bound, 5.2 MB,
@@ -516,9 +507,9 @@ def test_two_mode_scan_text_memory_is_flat_in_the_grid(fmt):
     peaks = []
     for k in (15, 18):
         scan = region_scan(2, 7.0, 2**k)  # one tau axis: the whole scan
-        _, write_peak = _traced_peak(lambda: stream(scan))
+        _, write_peak = traced_peak(stream, scan)
         data = serialize_region(scan, fmt)
-        back, read_peak = _traced_peak(lambda: parse_region(data))
+        back, read_peak = traced_peak(parse_region, data)
         peaks.append((write_peak, read_peak - back.deltas.nbytes - back.flags.nbytes))
     # text tables of a chunk's or a window's taus, not of the grid's: from 2^16 to 2^18
     # rows, tables of the whole axis took the read from 6.9 to 27.5 MB (CSV), 23 to 92 (JSON)
@@ -551,7 +542,7 @@ def test_a_short_text_naming_a_huge_grid_is_read_in_memory_of_its_rows(fmt):
         obj["meta"]["grid_resolution"], obj["records"] = 2**20, obj["records"][:1]
         data = (json.dumps(obj, indent=2) + "\n").encode()
     assert len(data) < 400  # the first of 2^20 rows, as the writer writes it
-    error, peak = _traced_peak(lambda: pytest.raises(ValueError, parse_region, data))
+    error, peak = traced_peak(pytest.raises, ValueError, parse_region, data)
     assert "has 1 of the 1,048,576 rows of its grid" in str(error.value)
     # the deltas, 8 B a point, and tables of a chunk's taus; tables of the whole axis
     # took hundreds of MB and several seconds
@@ -577,7 +568,7 @@ def test_scan_read_keeps_its_fresh_deltas(monkeypatch):
 
 def test_json_scan_read_keeps_no_object_tree():
     data = serialize_region(region_scan(4, 20.0, 48), "json", "bits")  # 18 MB, 110,592 rows
-    back, read_peak = _traced_peak(lambda: parse_region(data))
+    back, read_peak = traced_peak(parse_region, data)
     assert back.n_points == 48**3
     # deltas, flags and one window of the writer's rows: 0.09 times the text; one
     # chunk of regex-matched records took 0.4 times it, and json.loads built a 42 MB

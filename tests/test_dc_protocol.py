@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +62,7 @@ from helpers import (
     log_det_from_exit_weights,
     mutual_information_mc_literal,
     signal_gain,
+    traced_peak,
 )
 
 Q = Quadrature.POSITION
@@ -405,6 +405,12 @@ def test_mc_matches_whole_array_pass_bit_for_bit():
             want = mutual_information_mc_literal(ch, n_samples, seed)
             assert got.estimate == want.estimate, (ch.matrix.shape, n_samples)
             assert got.std_error == want.std_error, (ch.matrix.shape, n_samples)
+    # past 2^20 samples, where NumPy's pairwise sums of the values, and of their squared
+    # deviations worked out in place, run deepest
+    got = mutual_information_mc(channels[1], 1_000_003, 7)
+    want = mutual_information_mc_literal(channels[1], 1_000_003, 7)
+    assert channels[1].matrix.shape == (3, 3)
+    assert got.estimate == want.estimate and got.std_error == want.std_error
 
 
 @pytest.mark.parametrize("width", [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 255, 256,
@@ -420,15 +426,12 @@ def test_row_sums_are_numpys_row_sums_bit_for_bit(width):
 
 
 def test_mc_memory_is_eight_bytes_per_sample_plus_a_chunk():
-    # one 1e6-sample call at n = 5: the whole-array pass peaks near 216 MB
-    ch = build_channel(ResourceSpec(5, 0.7, (0.5, 0.3, 0.6, 0.2)), EncodingPlan.standard(5, 1.3))
-    tracemalloc.start()
-    try:
-        mutual_information_mc(ch, 1_000_000, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * 1_000_000, f"peak {peak / 1e6:.1f} MB"
+    # the values, 8 B a sample, and a fixed 2.7 MB of chunk arrays at both counts; the
+    # copy np.std made of the values put the peak 10.1 and 35.2 MB over the values
+    ch = build_channel(ResourceSpec(3, 0.7, (0.5, 0.3)), EncodingPlan.standard(3, 1.3))
+    for n_samples in (2**20, 2**22):
+        _, peak = traced_peak(mutual_information_mc, ch, n_samples, seed=3)
+        assert peak - 8 * n_samples < 4e6, f"{n_samples} samples: peak {peak / 1e6:.1f} MB"
 
 
 def test_mc_rejects_sample_counts_over_the_cap_before_any_work(monkeypatch):

@@ -230,6 +230,32 @@ def test_a_sample_count_is_any_whole_number_and_is_checked_before_any_draw(monke
         mutual_information_mc(_CHANNEL, 10_000.5, 0)
 
 
+_CAP_TEXT = (f"{{}} samples exceed the cap of {dc_protocol.MC_MAX_SAMPLES}: at 8 B a sample, "
+             "their values would take {} GiB")
+
+
+# 8 x 10^400 B = 5^27 x 10^373 GiB exactly; one sample past the cap is a few bytes past 1 GiB
+@pytest.mark.parametrize("samples, gib", [(dc_protocol.MC_MAX_SAMPLES + 1, "over 1.0"),
+                                          (10**400, f"{5**27 * 10**373}.0")],
+                         ids=["cap+1", "10^400"])
+def test_every_whole_count_over_the_sample_cap_gets_the_cap_text(samples, gib, monkeypatch,
+                                                                  capsys):
+    # 10^400 was told it needed at least 10000 samples, and cap + 1 read "1.0 GiB"
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples or started a thread")
+
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", refuse)
+    monkeypatch.setattr(dc_protocol.threading, "Thread", refuse)
+    text = _CAP_TEXT.format(samples, gib)
+    with pytest.raises(ValueError) as info:
+        mutual_information_mc(_CHANNEL, samples, 0)
+    assert str(info.value) == text
+    argv = ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--samples"]
+    assert main([*argv, str(samples)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --samples: {text}\n"
+
+
 def test_tau_boundaries_keeps_its_stricter_budget_floor():
     for nbar in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError) as info:
