@@ -135,6 +135,11 @@ def _to_number(name: str, raw: str) -> float | int:
     return int(value) if value.is_integer() else value  # as a caller would write it
 
 
+def _to_whole(name: str, raw: str) -> float | int:
+    """A count: an integer literal exactly, past the float range too, else _to_number's."""
+    return int(raw) if raw.strip().isdecimal() else _to_number(name, raw)
+
+
 def _to_seed(name: str, raw: str) -> int:
     seed = _to_int(name, raw)
     if not 0 <= seed < 2**64:
@@ -187,10 +192,10 @@ class _Key:
 
 # In validation order: with several bad values, the first one here is reported
 _KEYS = {
-    "modes": _Key("modes", _to_number, "network mode count", rule=_mode_count),
+    "modes": _Key("modes", _to_whole, "network mode count", rule=_mode_count),
     "tau": _Key("taus", _to_taus, "chain transmissivities, e.g. 0.5,0.5"),
     "nbar": _Key("nbar", _to_number, "photon budget per network use", rule=_budget),
-    "grid": _Key("grid", _to_number, "grid points per tau axis", rule=_grid_resolution),
+    "grid": _Key("grid", _to_whole, "grid points per tau axis", rule=_grid_resolution),
     "samples": _Key("samples", _to_int, "Monte Carlo cross-check sample count",
                     rule=_check_sample_count),
     "seed": _Key("seed", _to_seed, "RNG seed (unsigned 64-bit)"),

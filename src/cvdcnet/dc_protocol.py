@@ -20,7 +20,6 @@ e^{-2r}/2 on every output, for which the mutual information is
 from __future__ import annotations
 
 import math
-import queue
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -289,8 +288,7 @@ class MCEstimate(NamedTuple):
 def _check_sample_count(n_samples) -> int:
     """n_samples as an int; ValueError unless it is a whole number in
     [MC_MIN_SAMPLES, MC_MAX_SAMPLES], an int past the float range included."""
-    whole = isinstance(n_samples, int) or _is_whole(n_samples)
-    if not (whole and n_samples >= MC_MIN_SAMPLES):
+    if not (_is_whole(n_samples) and n_samples >= MC_MIN_SAMPLES):
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
     if n_samples > MC_MAX_SAMPLES:
         tenths, rest = divmod(80 * int(n_samples), 2**30)  # GiB / 10 in ints, past any float
@@ -319,10 +317,11 @@ def mutual_information_mc(
     Averages ln p(beta|alpha) - ln p(beta) over joint draws. The draw
     order is fixed (all messages first, then all noise, one PCG64 stream
     seeded with `seed`) so results are reproducible bit for bit across
-    runs for the same channel, sample count and seed. A worker thread, joined
-    before the call ends, redraws the messages to reach the noise and works out
-    the noise side beside the caller's message side; its errors are raised
-    here, and an error or interrupt here cancels it.
+    runs for the same channel, sample count and seed. A one-worker thread
+    pool, shut down before the call ends, redraws the messages to reach the
+    noise and works out the noise side a chunk ahead of the caller's message
+    side; its errors are raised here, and an error or interrupt here cancels
+    it.
 
     Samples are processed in chunks whose arrays fit _MC_CHUNK_BYTES, so
     memory is 8 bytes per sample (the per-sample values, kept for the
@@ -330,6 +329,7 @@ def mutual_information_mc(
     More than MC_MAX_SAMPLES samples (1 GiB of values) raise ValueError
     before any work or thread.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, 8 ms: MC calls alone pay it
     n_samples = _check_sample_count(n_samples)
     try:
         msg_chol = np.linalg.cholesky(channel.msg_cov)
@@ -349,49 +349,39 @@ def mutual_information_mc(
     width = max(channel.n_messages, channel.n_outputs)
     chunk = min(n_samples, max(1, _MC_CHUNK_BYTES // (8 * width)))
     spans = [(start, min(chunk, n_samples - start)) for start in range(0, n_samples, chunk)]
-    # The noise follows all n_samples x n_messages message normals in the stream. A
-    # worker's generator skips past them, then puts chunk i's white_noise @ b_t and
-    # squared norms (_row_sums) in ring slot i % 2; fills, BLAS and ufuncs drop the GIL.
-    noise_b, noise_sq = np.empty((2, chunk, channel.n_outputs)), np.empty((2, chunk))
-    free, filled, cancel = threading.Semaphore(2), queue.SimpleQueue(), threading.Event()
+    # The noise follows all n_samples x n_messages message normals in the stream. On the
+    # pool's one worker, its generator skips past them, then yields chunk after chunk of
+    # white_noise @ b_t and squared norms (_row_sums); fills, BLAS and ufuncs drop the GIL.
+    cancel = threading.Event()
 
     def noise_side():
-        try:
-            rng, white_noise = np.random.default_rng(seed), np.empty((chunk, channel.n_outputs))
-            skip = np.empty((chunk, channel.n_messages))
-            for _, m in spans:
-                if not cancel.is_set():
-                    rng.standard_normal(out=skip[:m])
-            for i, (_, m) in enumerate(spans):
-                free.acquire()
-                if cancel.is_set():
-                    return
-                rng.standard_normal(out=white_noise[:m])
-                np.matmul(white_noise, b_t, out=noise_b[i % 2])
-                _row_sums(white_noise**2, noise_sq[i % 2])
-                filled.put(None)
-        except BaseException as exc:  # raised again in the caller
-            filled.put(exc)
+        rng, white_noise = np.random.default_rng(seed), np.empty((chunk, channel.n_outputs))
+        skip = np.empty((chunk, channel.n_messages))
+        for _, m in spans:
+            if cancel.is_set():
+                return
+            rng.standard_normal(out=skip[:m])
+        for _, m in spans:
+            rng.standard_normal(out=white_noise[:m])
+            yield white_noise @ b_t, _row_sums(white_noise**2, np.empty(chunk))
 
-    worker = threading.Thread(target=noise_side, name="mutual_information_mc noise")
-    worker.start()
+    noise, pool = noise_side(), ThreadPoolExecutor(1, "mutual_information_mc noise")
     try:
+        ahead = pool.submit(next, noise, None)  # one chunk ahead of the caller's
         msg_rng, z = np.random.default_rng(seed), np.empty((chunk, channel.n_messages))
         values, marg_sq = np.empty(n_samples), np.empty(chunk)
-        for i, (start, m) in enumerate(spans):
+        for start, m in spans:
             msg_rng.standard_normal(out=z[:m])
             signal = z @ a_t
-            if (error := filled.get()) is not None:
-                raise error
-            white_marg = signal + noise_b[i % 2]
+            noise_b, noise_sq = ahead.result()  # a worker error is raised here
+            ahead = pool.submit(next, noise, None)  # None past the last chunk
+            white_marg = signal + noise_b
             # ln p(beta|alpha) - ln p(beta), Gaussian densities with shared 2 pi factors
-            quad = 0.5 * (_row_sums(white_marg**2, marg_sq) - noise_sq[i % 2])
-            free.release()
+            quad = 0.5 * (_row_sums(white_marg**2, marg_sq) - noise_sq)
             values[start : start + m] = (quad + log_det_ratio)[:m]
-    finally:  # wake a worker waiting for a free slot, and let it end before returning
+    finally:  # stop a skip at its next chunk, drop a task not yet begun, join the worker
         cancel.set()
-        free.release()
-        worker.join()
+        pool.shutdown(cancel_futures=True)
     # np.mean, then np.std(ddof=1)'s own steps done in place: the same values bit for bit
     mean = np.mean(values)
     values -= mean

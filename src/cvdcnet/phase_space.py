@@ -17,6 +17,7 @@ physicality, they do not re-check it.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -65,18 +66,16 @@ def _frozen_array(values) -> np.ndarray:
 
 
 def _is_whole(value) -> bool:
-    """Whether value is a whole number that a float holds: an int past the float
-    range is not one, where float() would raise OverflowError."""
-    try:
-        return float(value).is_integer()
-    except OverflowError:
-        return False
+    """Whether value is a whole number, an int past the float range included."""
+    return isinstance(value, int) or float(value).is_integer()
 
 
 def _mode_count(n_modes, least: int = 2) -> int:
-    """n_modes as an int; ValueError unless it is a whole number >= least."""
+    """n_modes as an int; ValueError unless it is a whole number >= least that a float holds."""
     if not (_is_whole(n_modes) and n_modes >= least):
         raise ValueError(f"the mode count must be a whole number >= {least}, got {n_modes}")
+    if n_modes > sys.float_info.max:  # an int: mode counts take part in float arithmetic
+        raise ValueError(f"the mode count has {n_modes.bit_length()} bits, past the float range")
     return int(n_modes)
 
 

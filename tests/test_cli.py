@@ -28,6 +28,7 @@ from cvdcnet.cli_scan import (
     main,
     parse_args,
     parse_region,
+    run,
     run_checkpoints,
     serialize_region,
 )
@@ -111,6 +112,14 @@ def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
          "error: nbar must be a number, got 'abc'\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
          "error: nbar must be finite, got 'inf'\n"),
+        (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--seed", "abc"],
+         "error: seed must be an integer, got 'abc'\n"),
+        (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--samples", "abc"],
+         "error: samples must be an integer, got 'abc'\n"),
+        # an --out that opens but cannot take the bytes
+        pytest.param(["verify", "--out", "/dev/full"], "error: cannot write /dev/full: ",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full")),
     ],
 )
 def test_rejected_values_name_the_flags(argv, message, capsys):
@@ -224,6 +233,11 @@ def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
         parse_args(["capacity", "--config", str(bad_bool)])
     with pytest.raises(CliConfigError, match="cannot read"):
         parse_args(["capacity", "--config", str(tmp_path / "missing.cfg")])
+
+
+def test_run_refuses_a_config_of_no_command():
+    with pytest.raises(CliConfigError, match="unknown command 'nope'"):
+        run(RunConfig("nope"))
 
 
 def test_large_seed_accepted():
@@ -1037,6 +1051,18 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["result"]["c_quantum"] > 0
+
+
+def test_module_entry_point_runs_verify_subprocess():
+    proc = subprocess.run([sys.executable, "-m", "cvdcnet", "verify"], capture_output=True,
+                          text=True, timeout=120, env=_subprocess_env())
+    lines = proc.stdout.splitlines()
+    marks = [re.fullmatch(r"\[\d/8\] (PASS|FAIL) .*", line) for line in lines[1:-1]]
+    assert len(marks) == 8 and all(marks), proc.stdout
+    n_pass = sum(mark[1] == "PASS" for mark in marks)
+    assert lines[-1] == f"passed {n_pass}/8" and proc.stderr == ""
+    # 2 while a checkpoint fails, as the two asymptotic-ratio checkpoints do today
+    assert proc.returncode == (0 if n_pass == 8 else 2)
 
 
 def test_cli_loads_no_distribution_but_numpy():

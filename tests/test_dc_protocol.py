@@ -139,6 +139,8 @@ def test_encode_equals_repeated_displacements():
     assert_allclose(direct.covariance, st.covariance)
     with pytest.raises(ValueError):
         encode(st, EncodingPlan.standard(3, 1.0), np.zeros(3))
+    with pytest.raises(ValueError, match=r"message shape \(3,\), expected \(4,\)"):
+        encode(st, plan, np.zeros(3))
 
 
 # --- decoding -----------------------------------------------------------------
@@ -250,6 +252,10 @@ def test_channel_validation():
         LinearGaussianChannel(np.eye(2), np.zeros((2, 2)), np.eye(2))
     with pytest.raises(ValueError, match="noise_cov shape"):
         LinearGaussianChannel(np.eye(2), np.eye(3), np.eye(2))
+    with pytest.raises(ValueError, match=r"msg_cov shape \(3, 3\), expected \(2, 2\)"):
+        LinearGaussianChannel(np.eye(2), np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="channel matrix must be 2-d"):
+        LinearGaussianChannel(np.ones(2), np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="semidefinite"):
         LinearGaussianChannel(np.eye(2), np.eye(2), -np.eye(2))
     lopsided = np.array([[1.0, 1e-9], [0.0, 1.0]])
@@ -276,6 +282,9 @@ def test_channel_matrix_batch_agrees_with_single_builds():
                 EncodingPlan.standard(n, 1.0),
             )
             assert_allclose(batch[row], ch.matrix, atol=1e-13)
+    for bad in ([0.5, 0.5], [[0.5]], [[0.5, 0.5, 0.5]]):
+        with pytest.raises(ValueError, match=r"taus_grid shape .*, expected \(G, 2\)"):
+            channel_matrix_batch(3, bad)
 
 
 def test_chain_rejects_out_of_range_and_nan_transmissivities():
@@ -458,6 +467,15 @@ def test_mc_joins_its_worker_before_returning():
         assert threading.active_count() == threads
 
 
+def test_mc_refuses_a_singular_msg_cov_before_starting_its_worker():
+    # positive semidefinite, so a valid channel, but with no Cholesky factor to sample by
+    ch = LinearGaussianChannel(np.eye(2), np.eye(2), np.diag([1.0, 0.0]))
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="msg_cov must be positive definite to sample from"):
+        mutual_information_mc(ch, MC_MIN_SAMPLES, seed=0)
+    assert threading.active_count() == threads
+
+
 def _call_with_failing_fills(monkeypatch, side, error, fills):
     """Run one 10-chunk call on a thread of its own, with the generator of one side
     ("noise" on the worker, "messages" on the caller) raising error on fill number
@@ -614,6 +632,9 @@ def test_capacity_checks_its_taus_once_and_builds_the_public_report(monkeypatch)
         assert all(type(getattr(report, name)) is float for name in
                    ("nbar", "r", "sigma_msg_sq", "c_quantum", "c_classical", "delta"))
         assert report == CapacityReport(**dataclasses.asdict(report))
+    for name in ("c_quantum", "c_classical"):
+        with pytest.raises(ValueError, match="capacities cannot be negative"):
+            CapacityReport(**{**dataclasses.asdict(report), name: -1e-300})
 
 
 def test_capacity_zero_budget_is_zero():

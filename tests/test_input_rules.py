@@ -56,6 +56,8 @@ Q, P = Quadrature.POSITION, Quadrature.MOMENTUM
 RULES = {
     "mode count": ("phase_space", "_mode_count",
                    "the mode count must be a whole number >= {least}, got {value}"),
+    "mode count size": ("phase_space", "_mode_count",
+                        "the mode count has {bits} bits, past the float range"),
     "mode index": ("phase_space", "_mode_index",
                    "the mode index must be one of the modes 0..2, got {value}"),
     "quadrature": ("phase_space", "_quadrature", "not a Quadrature: {value!r}"),
@@ -68,6 +70,9 @@ RULES = {
           "squeezing strength must be finite and >= 0, got {value}"),
     "grid": ("advantage_analysis", "_grid_resolution",
              "grid_resolution must be a whole number >= 8, got {value}"),
+    "grid points": ("advantage_analysis", "_grid_points",
+                    "a {n}-mode scan at grid {value} has more than 2^64 points, over the cap of "
+                    "16,777,216"),
     "samples": ("dc_protocol", "_check_sample_count", "need at least 10000 samples, got {value}"),
     "ratio regime": ("advantage_analysis", "_asymptotic_regime",
                      "asymptotic regime starts at r_large >= 10, got {value}"),
@@ -118,9 +123,12 @@ def _scan_json_with(key, value):
 
 
 _TABLE = [
-    ("mode count", (2.5, 0, 10**400), _MODES_1),
-    ("mode count", (2.5, 1, 10**400), _MODES_2),
-    ("mode count", (10**400,), {  # past the float range: was an OverflowError
+    ("mode count", (2.5, 0), _MODES_1),
+    ("mode count", (2.5, 1), _MODES_2),
+    # past the float range: was an OverflowError, then "must be a whole number"
+    ("mode count size", (10**400,), {
+        **_MODES_1,
+        **_MODES_2,
         "_mode_count": _mode_count,
         "parse_region": lambda n: _scan_json_with("n_modes", n),
     }),
@@ -180,7 +188,8 @@ _TABLE = [
         "region_scan": lambda grid: region_scan(3, 7.0, grid),
         "RegionScan": lambda grid: RegionScan(3, 7.0, grid, np.zeros(64)),
     }),
-    ("grid", (10**400,), {  # past the float range: was an OverflowError
+    # past the float range: was an OverflowError, then "must be a whole number"
+    ("grid points", (10**400,), {
         "region_scan": lambda grid: region_scan(3, 7.0, grid),
         "parse_region": lambda grid: _scan_json_with("grid_resolution", grid),
     }),
@@ -196,7 +205,8 @@ _TABLE = [
 def _text(rule, value, least=2):
     """The rule's text for a bad value; tau counts are of a 3-mode chain, and mode
     indices of a 3-mode state or transform, or of a 4-mode plan's 3 senders."""
-    return RULES[rule][2].format(least=least, value=value, n=3, n_taus=2)
+    bits = value.bit_length() if isinstance(value, int) else None
+    return RULES[rule][2].format(least=least, value=value, n=3, n_taus=2, bits=bits)
 
 
 def _label(value) -> str:
@@ -278,6 +288,13 @@ def test_tau_boundaries_keeps_its_stricter_budget_floor():
                                    "8", "--samples", "9999"]),
     ("ratio regime", 5.0, "squeezing", ["ratio", "--modes", "3", "--tau", "0.5,0.5",
                                         "--squeezing", "5"]),
+    # whole numbers past the float range, read exactly: both were "must be finite"
+    pytest.param("mode count size", 10**400, "modes",
+                 ["capacity", "--modes", str(10**400), "--tau", "0.5", "--nbar", "1"],
+                 id="mode count size-10^400-modes"),
+    pytest.param("grid points", 10**400, "grid",
+                 ["scan", "--modes", "3", "--nbar", "7", "--grid", str(10**400)],
+                 id="grid points-10^400-grid"),
 ])
 def test_every_flag_reports_the_library_text_under_its_name(rule, value, flag, argv, capsys):
     assert main(argv) == 1
@@ -290,6 +307,8 @@ def test_every_flag_reports_the_library_text_under_its_name(rule, value, flag, a
     ("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "nan"]),
     ("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"]),
     ("squeezing", ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "nan"]),
+    pytest.param("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", str(10**400)],
+                 id="nbar-10^400"),  # a budget is a float: past the float range is not finite
 ])
 def test_a_value_that_is_no_finite_number_stops_at_the_cli_text_parse(flag, argv, capsys):
     assert main(argv) == 1
@@ -327,6 +346,7 @@ def _raise_sites(tree: ast.Module):
 # a rule's words, and other wordings a copy of the rule might use
 _SPELLINGS = {
     "mode count": r"mode count must|n_modes must|at least \{\} modes?|at least one sender",
+    "mode count size": r"past the float range",
     "mode index": r"mode.?index|out of range|senders hold",
     "quadrature": r"not a Quadrature",
     "transmissivity": r"must lie in \[0, 1\]",
@@ -334,6 +354,7 @@ _SPELLINGS = {
     "nbar": r"nbar must|budgets must",
     "r": r"squeezing strength|\br (and \w+ )?must",
     "grid": r"grid_resolution must|grid must",
+    "grid points": r"more than 2\^64 points",
     "samples": r"at least \{\} samples|samples must be >=",
     "ratio regime": r"asymptotic regime|squeezing >=",
 }

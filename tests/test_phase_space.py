@@ -78,6 +78,8 @@ def test_transform_constructor_rejects_non_symplectic():
         SymplecticTransform(1, 2.0 * np.eye(2))
     with pytest.raises(ValueError, match="symplectic"):
         SymplecticTransform(1, np.diag([np.e, np.e]))
+    with pytest.raises(ValueError, match=r"matrix shape \(2, 2\), expected \(4, 4\)"):
+        SymplecticTransform(2, np.eye(2))
 
 
 def test_squeezer_at_zero_is_identity():
@@ -238,6 +240,9 @@ def test_symplectic_eigenvalues_known_cases():
     )
     two = np.diag([0.7, 0.7, 3.0, 3.0])
     assert_allclose(symplectic_eigenvalues(two), [0.7, 3.0])
+    for bad in (np.eye(3), np.ones((2, 4)), np.ones(4)):
+        with pytest.raises(ValueError, match=r"is not \(2N, 2N\)"):
+            symplectic_eigenvalues(bad)
 
 
 def test_symplectic_eigenvalues_singular_input_uses_fallback():
@@ -259,6 +264,10 @@ def test_is_physical_near_boundary():
 def test_apply_symplectic_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_symplectic(vacuum(2), beam_splitter(3, 0, 1, 0.5))
+    with pytest.raises(ValueError, match="mode count mismatch in composition"):
+        beam_splitter(2, 0, 1, 0.5) @ beam_splitter(3, 0, 1, 0.5)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        beam_splitter(2, 0, 1, 0.5) @ 2.0
 
 
 def test_inverse_and_composition_round_trip():
