@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dc_protocol import _budget, _classical_rates, _quantum_rates, capacity, optimal_params
-from .phase_space import _frozen_array, _is_whole, _mode_count
+from .phase_space import _frozen_array, _is_whole, _mode_count, _real
 from .resource_prep import _validated_taus
 
 __all__ = [
@@ -67,7 +67,7 @@ def classical_capacity(n_senders: int, nbar):
     or an array of budgets.
     """
     n_senders = _mode_count(n_senders, least=1)
-    arr = np.asarray(nbar, dtype=float)
+    arr = np.asarray(_real(nbar) if np.isscalar(nbar) else nbar, dtype=float)
     _budget(arr.min(initial=0.0))  # the budget rule at the extremes, where a NaN is too
     _budget(arr.max(initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -97,7 +97,7 @@ def threshold_energy(
     delta never turns positive below the cap, and ValueError unless tol is finite
     and > 0.
     """
-    taus = _validated_taus(n_modes, taus)
+    taus, tol = _validated_taus(n_modes, taus), _real(tol)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol}")
 
@@ -226,7 +226,7 @@ def break_even_squeezing(n_modes: int, taus: Sequence[float]) -> float:
 
 def _asymptotic_regime(r_large) -> float:
     """r_large as a float; ValueError unless it is >= 10, where asymptotic_ratio applies."""
-    r_large = float(r_large)
+    r_large = _real(r_large)
     if not r_large >= 10.0:
         raise ValueError(f"asymptotic regime starts at r_large >= 10, got {r_large}")
     return r_large

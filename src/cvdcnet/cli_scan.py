@@ -22,7 +22,6 @@ import argparse
 import io
 import itertools
 import json
-import math
 import re
 import sys
 import warnings
@@ -109,20 +108,11 @@ def _round12(x: float) -> float:
 
 
 def _json_number(x: float) -> str:
-    """json.dumps(_round12(x)); json spells a finite float as repr does."""
-    x = _round12(x)
-    return repr(x) if math.isfinite(x) else json.dumps(x)
+    return json.dumps(_round12(x))
 
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
-def _to_int(name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliConfigError(f"{name} must be an integer, got '{raw}'") from exc
 
 
 def _to_number(name: str, raw: str) -> float | int:
@@ -130,9 +120,7 @@ def _to_number(name: str, raw: str) -> float | int:
         value = float(raw)
     except ValueError as exc:
         raise CliConfigError(f"{name} must be a number, got '{raw}'") from exc
-    if not math.isfinite(value):
-        raise CliConfigError(f"{name} must be finite, got '{raw}'")
-    return int(value) if value.is_integer() else value  # as a caller would write it
+    return int(value) if value.is_integer() else value  # as a caller would write it (NaN, inf too)
 
 
 def _to_whole(name: str, raw: str) -> float | int:
@@ -141,7 +129,10 @@ def _to_whole(name: str, raw: str) -> float | int:
 
 
 def _to_seed(name: str, raw: str) -> int:
-    seed = _to_int(name, raw)
+    try:
+        seed = int(raw)
+    except ValueError as exc:
+        raise CliConfigError(f"{name} must be an integer, got '{raw}'") from exc
     if not 0 <= seed < 2**64:
         raise CliConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
@@ -196,7 +187,7 @@ _KEYS = {
     "tau": _Key("taus", _to_taus, "chain transmissivities, e.g. 0.5,0.5"),
     "nbar": _Key("nbar", _to_number, "photon budget per network use", rule=_budget),
     "grid": _Key("grid", _to_whole, "grid points per tau axis", rule=_grid_resolution),
-    "samples": _Key("samples", _to_int, "Monte Carlo cross-check sample count",
+    "samples": _Key("samples", _to_whole, "Monte Carlo cross-check sample count",
                     rule=_check_sample_count),
     "seed": _Key("seed", _to_seed, "RNG seed (unsigned 64-bit)"),
     "format": _Key("fmt", _to_format, "output format: csv or json"),

@@ -36,6 +36,7 @@ from .phase_space import (
     _mode_count,
     _mode_index,
     _quadrature,
+    _real,
     _symmetrized,
     apply_symplectic,
 )
@@ -93,7 +94,7 @@ class EncodingPlan:
 
     def __post_init__(self):
         n = _mode_count(self.n_modes)
-        sigma = float(self.sigma_msg)
+        sigma = _real(self.sigma_msg)
         if not np.isfinite(sigma) or sigma <= 0.0:
             raise ValueError(f"sigma_msg must be finite and > 0, got {sigma}")
         # the n - 1 senders hold modes 0..n-2: the receiver's mode carries no message
@@ -399,7 +400,7 @@ def photon_constraint(n_modes: int, r: float, sigma_msg_sq: float) -> float:
     the n message components add sigma_msg_sq / 2 displacement photons
     apiece on average.
     """
-    n_modes, r = _mode_count(n_modes), _squeezing(r)
+    n_modes, r, sigma_msg_sq = _mode_count(n_modes), _squeezing(r), _real(sigma_msg_sq)
     if not 0.0 <= sigma_msg_sq < math.inf:
         raise ValueError(f"sigma_msg_sq must be finite and >= 0, got {sigma_msg_sq}")
     return float((n_modes - 1) * np.sinh(r) ** 2 + n_modes * sigma_msg_sq / 2.0)
@@ -414,7 +415,7 @@ class OptimalParams(NamedTuple):
 
 def _budget(nbar, positive: bool = False) -> float:
     """nbar as a float; ValueError unless it is finite and >= 0 (> 0 if positive)."""
-    nbar = float(nbar)
+    nbar = _real(nbar)
     if not (0.0 < nbar < math.inf or nbar == 0.0 and not positive):
         raise ValueError(f"nbar must be finite and {'>' if positive else '>='} 0, got {nbar}")
     return nbar

@@ -65,6 +65,14 @@ def _frozen_array(values) -> np.ndarray:
     return out
 
 
+def _real(value) -> float:
+    """value as a float; an int past the float range as the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:  # that int's rule then refuses the infinity with its own text
+        return np.inf if value > 0 else -np.inf
+
+
 def _is_whole(value) -> bool:
     """Whether value is a whole number, an int past the float range included."""
     return isinstance(value, int) or float(value).is_integer()
@@ -95,7 +103,7 @@ def _quadrature(q) -> Quadrature:
 
 def _transmissivity(tau) -> float:
     """tau as a float; ValueError unless it lies in [0, 1]."""
-    tau = float(tau)
+    tau = _real(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau}")
     return tau

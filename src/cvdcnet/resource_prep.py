@@ -26,6 +26,7 @@ from .phase_space import (
     QuadratureSelection,
     SymplecticTransform,
     _mode_count,
+    _real,
     _transmissivity,
     apply_symplectic,
     vacuum,
@@ -78,7 +79,7 @@ def alternating_pattern(n_modes: int) -> QuadratureSelection:
 
 def _squeezing(r) -> float:
     """r as a float; ValueError unless it is finite and >= 0."""
-    r = float(r)
+    r = _real(r)
     if not 0.0 <= r < math.inf:
         raise ValueError(f"squeezing strength must be finite and >= 0, got {r}")
     return r

@@ -102,7 +102,8 @@ def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
         (["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "355"],
          "error: --squeezing 355 is too large: r = 355 overflows the photon budget, "
          "finite up to r = 354.9\n"),
-        # converter errors: empty tau entries, a budget that is no finite number
+        # converter errors: empty tau entries, a value that is no number; an infinite
+        # budget gets the budget rule's text under its flag
         (["capacity", "--modes", "3", "--tau", "0.5,,0.5", "--nbar", "8"],
          "error: tau has an empty entry in '0.5,,0.5'\n"),
         (["threshold", "--modes", "2", "--tau", "0.5,"],
@@ -111,11 +112,11 @@ def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "abc"],
          "error: nbar must be a number, got 'abc'\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
-         "error: nbar must be finite, got 'inf'\n"),
+         "error: --nbar: nbar must be finite and >= 0, got inf\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--seed", "abc"],
          "error: seed must be an integer, got 'abc'\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--samples", "abc"],
-         "error: samples must be an integer, got 'abc'\n"),
+         "error: samples must be a number, got 'abc'\n"),
         # an --out that opens but cannot take the bytes
         pytest.param(["verify", "--out", "/dev/full"], "error: cannot write /dev/full: ",
                      marks=pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -4,6 +4,8 @@ owns it, with one message text, and every entry point and CLI flag reuses it."""
 import ast
 import math
 import re
+import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +47,11 @@ from cvdcnet import (
     vacuum,
 )
 from cvdcnet import dc_protocol
+from cvdcnet.advantage_analysis import _asymptotic_regime, _grid_resolution
 from cvdcnet.cli_scan import serialize_region
-from cvdcnet.dc_protocol import decoded_quadrature_variances
-from cvdcnet.phase_space import _mode_count
+from cvdcnet.dc_protocol import _budget, _check_sample_count, decoded_quadrature_variances
+from cvdcnet.phase_space import _mode_count, _mode_index, _quadrature, _transmissivity
+from cvdcnet.resource_prep import _squeezing, _validated_taus
 
 PACKAGE = Path(cvdcnet.__file__).parent
 Q, P = Quadrature.POSITION, Quadrature.MOMENTUM
@@ -80,6 +84,9 @@ RULES = {
 
 # the one rule on a value's kind rather than its range raises TypeError
 ERRORS = {"quadrature": TypeError}
+# the rules on a float, whose text shows an int past the float range as the infinity of its sign
+REAL = {"transmissivity", "nbar", "r", "ratio regime"}
+HUGE = (10**400, -10**400)  # each was an OverflowError in a rule on a float
 
 # (rule, bad values, the entry points that take the value, as name: call(value))
 _MODES_1 = {  # least = 1
@@ -110,6 +117,14 @@ _MODES_2 = {  # least = 2
     "asymptotic_ratio": lambda n: asymptotic_ratio(n, (0.5,), 20.0),
     "region_scan": lambda n: region_scan(n, 7.0, 8),
     "RegionScan": lambda n: RegionScan(n, 7.0, 8, np.zeros(8)),
+}
+_BUDGETS = {
+    "optimal_params": lambda nbar: optimal_params(3, nbar),
+    "capacity": lambda nbar: capacity(3, (0.5, 0.5), nbar),
+    "quantum_advantage": lambda nbar: quantum_advantage(3, (0.5, 0.5), nbar),
+    "classical_capacity": lambda nbar: classical_capacity(2, nbar),
+    "region_scan": lambda nbar: region_scan(3, nbar, 8),
+    "RegionScan": lambda nbar: RegionScan(3, nbar, 8, np.zeros(64)),
 }
 _SCAN_JSON = serialize_region(region_scan(3, 7.0, 8), "json")
 _CHANNEL = build_channel(ResourceSpec(3, 0.5, (0.5, 0.5)), EncodingPlan.standard(3, 1.0))
@@ -145,7 +160,7 @@ _TABLE = [
         "single_mode_squeezer": lambda q: single_mode_squeezer(3, 0, 0.5, q),
         "EncodingPlan": lambda q: EncodingPlan(3, 1.0, ((0, Q), (0, P), (1, q))),
     }),
-    ("transmissivity", (-0.1, 1.5, math.nan), {
+    ("transmissivity", (-0.1, 1.5, math.nan, *HUGE), {
         "beam_splitter": lambda t: beam_splitter(2, 0, 1, t),
         "three_mode_reference_cov tau1": lambda t: three_mode_reference_cov(0.5, t, 0.5),
         "three_mode_reference_cov tau2": lambda t: three_mode_reference_cov(0.5, 0.5, t),
@@ -170,15 +185,11 @@ _TABLE = [
         "asymptotic_ratio": lambda k: asymptotic_ratio(3, (0.5,) * k, 20.0),
     }),
     ("nbar", (-1.0, math.nan, math.inf), {
-        "optimal_params": lambda nbar: optimal_params(3, nbar),
-        "capacity": lambda nbar: capacity(3, (0.5, 0.5), nbar),
-        "quantum_advantage": lambda nbar: quantum_advantage(3, (0.5, 0.5), nbar),
-        "classical_capacity": lambda nbar: classical_capacity(2, nbar),
+        **_BUDGETS,
         "classical_capacity array": lambda nbar: classical_capacity(2, np.array([1.0, nbar])),
-        "region_scan": lambda nbar: region_scan(3, nbar, 8),
-        "RegionScan": lambda nbar: RegionScan(3, nbar, 8, np.zeros(64)),
     }),
-    ("r", (-1.0, math.nan, math.inf), {
+    ("nbar", HUGE, _BUDGETS),  # a float array cannot hold such an int
+    ("r", (-1.0, math.nan, math.inf, *HUGE), {
         "ResourceSpec": lambda r: ResourceSpec(3, r, (0.5, 0.5)),
         "photon_constraint": lambda r: photon_constraint(3, r, 1.0),
         "three_mode_reference_cov": lambda r: three_mode_reference_cov(r, 0.5, 0.5),
@@ -196,23 +207,32 @@ _TABLE = [
     ("samples", (9_999, 10_000.5, math.nan), {  # 10_000.5 was a TypeError, NaN a NaN estimate
         "mutual_information_mc": lambda samples: mutual_information_mc(_CHANNEL, samples, 0),
     }),
-    ("ratio regime", (5.0, math.nan), {
+    ("ratio regime", (5.0, math.nan, -10**400), {  # +10^400 overflows the budget instead
         "asymptotic_ratio": lambda r: asymptotic_ratio(3, (0.5, 0.5), r),
     }),
 ]
+
+
+def _as_float(value):
+    """value as a rule on a float shows it: an int past the float range as an infinity."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return math.inf if value > 0 else -math.inf
+    return value
 
 
 def _text(rule, value, least=2):
     """The rule's text for a bad value; tau counts are of a 3-mode chain, and mode
     indices of a 3-mode state or transform, or of a 4-mode plan's 3 senders."""
     bits = value.bit_length() if isinstance(value, int) else None
+    value = _as_float(value) if rule in REAL else value
     return RULES[rule][2].format(least=least, value=value, n=3, n_taus=2, bits=bits)
 
 
 def _label(value) -> str:
     """A bad value as a test id spells it: a power of ten past the float range as 10^k."""
     text = str(value)
-    return f"10^{len(text) - 1}" if len(text) > 300 else text
+    sign = "-" * text.startswith("-")
+    return f"{sign}10^{len(text.lstrip('-')) - 1}" if len(text) > 300 else text
 
 
 @pytest.mark.parametrize("rule, value, least, call", [
@@ -267,10 +287,31 @@ def test_every_whole_count_over_the_sample_cap_gets_the_cap_text(samples, gib, m
 
 
 def test_tau_boundaries_keeps_its_stricter_budget_floor():
-    for nbar in (0.0, -1.0, math.nan, math.inf):
+    for nbar in (0.0, -1.0, math.nan, math.inf, *HUGE):
         with pytest.raises(ValueError) as info:
             tau_boundaries(3, nbar)
-        assert str(info.value) == f"nbar must be finite and > 0, got {nbar}"
+        assert str(info.value) == f"nbar must be finite and > 0, got {_as_float(nbar)}"
+
+
+@pytest.mark.parametrize("value, call, text", [
+    pytest.param(10**400, lambda r: asymptotic_ratio(3, (0.5, 0.5), r),
+                 "r = inf overflows the photon budget, finite up to r = 354.9",
+                 id="asymptotic_ratio-10^400"),
+    *[pytest.param(value, call, text.format(_as_float(value)), id=f"{name}-{_label(value)}")
+      for name, call, text in [
+          ("threshold_energy tol", lambda tol: threshold_energy(3, (0.5, 0.5), tol=tol),
+           "tol must be > 0 and finite, got {}"),
+          ("photon_constraint sigma_msg_sq", lambda sq: photon_constraint(3, 0.5, sq),
+           "sigma_msg_sq must be finite and >= 0, got {}"),
+          ("EncodingPlan.standard sigma_msg", lambda sigma: EncodingPlan.standard(3, sigma),
+           "sigma_msg must be finite and > 0, got {}"),
+      ] for value in HUGE],
+])
+def test_an_int_past_the_float_range_meets_the_real_valued_check(value, call, text):
+    # each was an OverflowError ("int too large to convert to float")
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == text
 
 
 @pytest.mark.parametrize("rule, value, flag, argv", [
@@ -295,6 +336,23 @@ def test_tau_boundaries_keeps_its_stricter_budget_floor():
     pytest.param("grid points", 10**400, "grid",
                  ["scan", "--modes", "3", "--nbar", "7", "--grid", str(10**400)],
                  id="grid points-10^400-grid"),
+    # NaN, infinities and float literals past the float range: each was "must be finite"
+    ("transmissivity", math.nan, "tau", ["threshold", "--modes", "3", "--tau", "0.5,nan"]),
+    ("nbar", math.nan, "nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "nan"]),
+    ("nbar", math.inf, "nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"]),
+    ("nbar", -math.inf, "nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar=-inf"]),
+    ("ratio regime", math.nan, "squeezing", ["ratio", "--modes", "3", "--tau", "0.5,0.5",
+                                             "--squeezing", "nan"]),
+    pytest.param("nbar", 10**400, "nbar",
+                 ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", str(10**400)],
+                 id="nbar-10^400-nbar"),
+    ("mode count", math.inf, "modes", ["threshold", "--modes", "inf"]),
+    ("grid", math.nan, "grid", ["scan", "--modes", "3", "--nbar", "7", "--grid", "nan"]),
+    # counts that are no whole number: --samples's were "samples must be an integer"
+    ("samples", math.nan, "samples", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar",
+                                      "8", "--samples", "nan"]),
+    ("samples", 10_000.5, "samples", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar",
+                                      "8", "--samples", "10000.5"]),
 ])
 def test_every_flag_reports_the_library_text_under_its_name(rule, value, flag, argv, capsys):
     assert main(argv) == 1
@@ -302,18 +360,72 @@ def test_every_flag_reports_the_library_text_under_its_name(rule, value, flag, a
     assert out == "" and err == f"error: --{flag}: {_text(rule, value)}\n"
 
 
-@pytest.mark.parametrize("flag, argv", [
-    ("tau", ["threshold", "--modes", "3", "--tau", "0.5,nan"]),
-    ("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "nan"]),
-    ("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"]),
-    ("squeezing", ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "nan"]),
-    pytest.param("nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", str(10**400)],
-                 id="nbar-10^400"),  # a budget is a float: past the float range is not finite
-])
-def test_a_value_that_is_no_finite_number_stops_at_the_cli_text_parse(flag, argv, capsys):
-    assert main(argv) == 1
-    entry = argv[-1].split(",")[-1]
-    assert capsys.readouterr().err == f"error: {flag} must be finite, got '{entry}'\n"
+def test_a_config_file_value_meets_its_flag_rule(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("modes = 3\ntau = 0.5,0.5\nnbar = inf\n")  # was "must be finite"
+    assert main(["capacity", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --nbar: {_text('nbar', math.inf)}\n"
+
+
+def test_a_sample_count_flag_is_any_spelling_of_a_whole_number(capsys):
+    argv = ["capacity", "--modes", "4", "--tau", "0.5,0.5,0.5", "--nbar", "7", "--seed", "5"]
+    outs = []
+    for samples in ("100000", "1e5", "100000.0"):  # the last two were "must be an integer"
+        assert main([*argv, "--samples", samples]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+# README's input rules: each row's rule and the arguments that place its message's value
+_README_RULES = {
+    "mode count": (_mode_count, lambda n: (n,)),
+    "mode index": (_mode_index, lambda m: (m, 3)),
+    "quadrature": (_quadrature, lambda q: (q,)),
+    "transmissivity": (_transmissivity, lambda t: (t,)),
+    "tau count": (_validated_taus, lambda k: (3, (0.5,) * k)),
+    "squeezing r": (_squeezing, lambda r: (r,)),
+    "budget nbar": (_budget, lambda nbar: (nbar,)),
+    "samples": (_check_sample_count, lambda samples: (samples,)),
+    "grid": (_grid_resolution, lambda grid: (grid,)),
+    "ratio regime": (_asymptotic_regime, lambda r: (r,)),
+}
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+_README_TABLE = re.findall(r"^\| ([^|`]+) \| `(\w+)` \| `([^`]+)`(.*)\|$", README, re.M)
+
+
+def test_the_readme_input_rules_table_holds_every_rule():
+    assert sorted(row[0] for row in _README_TABLE) == sorted(_README_RULES)
+
+
+@pytest.mark.parametrize("name, owner, message, note", _README_TABLE, ids=itemgetter(0))
+def test_the_readme_input_rules_table_gives_each_rule_text(name, owner, message, note):
+    rule, arguments = _README_RULES[name]
+    assert rule.__module__ == f"cvdcnet.{owner}"
+    shown = re.split(r"got |: ", message)[-1]  # the bad value, as the message spells it
+    try:
+        value = ast.literal_eval(shown)
+    except ValueError:  # nan, inf
+        value = float(shown)
+    with pytest.raises(TypeError if "`TypeError`" in note else ValueError) as info:
+        rule(*arguments(value))
+    assert str(info.value) == message
+
+
+# README's command-line examples of the rules: (flag and value, a command line that gives it)
+_README_FLAGS = {
+    "--modes 2.5": ["threshold", "--modes", "2.5"],
+    "--nbar inf": ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
+    "--squeezing inf": ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "inf"],
+}
+
+
+def test_the_readme_flag_examples_are_what_main_prints(capsys):
+    examples = dict(re.findall(r"`(--\w+ [^`]+)` exits 1 with\s+`(error: [^`]+)`", README))
+    assert sorted(examples) == sorted(_README_FLAGS)
+    for flag, argv in _README_FLAGS.items():
+        assert main(argv) == 1
+        assert capsys.readouterr().err == examples[flag] + "\n"
 
 
 def _static_text(node) -> str:
