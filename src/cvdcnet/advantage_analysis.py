@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dc_protocol import _budget, _classical_rates, _quantum_rates, capacity, optimal_params
-from .phase_space import _frozen_array, _is_whole, _mode_count, _real
+from .phase_space import _frozen_array, _is_whole, _mode_count, _real, _shown
 from .resource_prep import _validated_taus
 
 __all__ = [
@@ -255,7 +255,8 @@ def asymptotic_ratio(n_modes: int, taus: Sequence[float], r_large: float) -> flo
 def _grid_resolution(grid_resolution) -> int:
     """grid_resolution as an int; ValueError unless it is a whole number >= 8."""
     if not (_is_whole(grid_resolution) and grid_resolution >= 8):
-        raise ValueError(f"grid_resolution must be a whole number >= 8, got {grid_resolution}")
+        raise ValueError(f"grid_resolution must be a whole number >= 8, "
+                         f"got {_shown(grid_resolution)}")
     return int(grid_resolution)
 
 
@@ -263,7 +264,7 @@ def _grid_points(n_modes: int, grid_resolution: int) -> int:
     """Points of a scan grid; ValueError unless region_scan could make it."""
     n_modes, grid_resolution = _mode_count(n_modes), _grid_resolution(grid_resolution)
     if (n_modes - 1) * math.log2(grid_resolution) > 64:  # too far over the cap to count
-        raise ValueError(f"a {n_modes}-mode scan at grid {grid_resolution} has more than "
+        raise ValueError(f"a {n_modes}-mode scan at grid {_shown(grid_resolution)} has more than "
                          f"2^64 points, over the cap of {_SCAN_MAX_POINTS:,}")
     n_points = grid_resolution ** (n_modes - 1)
     if n_points > _SCAN_MAX_POINTS:

@@ -26,6 +26,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -51,6 +52,7 @@ from .dc_protocol import (
     EncodingPlan,
     _budget,
     _check_sample_count,
+    _check_seed,
     build_channel,
     capacity,
     mutual_information_mc,
@@ -80,6 +82,10 @@ class CliConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[^-]")  # one '-', no flag: a value (-1e5)
+
     # argparse exits with status 2 on bad input; route through our error
     # type instead so invalid configuration is always exit code 1
     def error(self, message):
@@ -118,31 +124,18 @@ def _json_bytes(obj) -> bytes:
 def _to_number(name: str, raw: str) -> float | int:
     try:
         value = float(raw)
-    except ValueError as exc:
-        raise CliConfigError(f"{name} must be a number, got '{raw}'") from exc
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got '{raw}'") from None
     return int(value) if value.is_integer() else value  # as a caller would write it (NaN, inf too)
 
 
 def _to_whole(name: str, raw: str) -> float | int:
-    """A count: an integer literal exactly, past the float range too, else _to_number's."""
-    return int(raw) if raw.strip().isdecimal() else _to_number(name, raw)
-
-
-def _to_seed(name: str, raw: str) -> int:
-    try:
-        seed = int(raw)
-    except ValueError as exc:
-        raise CliConfigError(f"{name} must be an integer, got '{raw}'") from exc
-    if not 0 <= seed < 2**64:
-        raise CliConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    """A count: an integer literal exactly, of any length, else _to_number's."""
+    return int(Decimal(raw)) if raw.strip().isdecimal() else _to_number(name, raw)
 
 
 def _to_taus(name: str, raw: str) -> tuple[float, ...]:
-    parts = raw.split(",")
-    if not all(p.strip() for p in parts):
-        raise CliConfigError(f"{name} has an empty entry in '{raw}'")
-    return tuple(_transmissivity(_to_number(name, p)) for p in parts)
+    return tuple(_transmissivity(_to_number(name, p)) for p in raw.split(","))
 
 
 def _to_format(name: str, raw: str) -> str:
@@ -157,7 +150,7 @@ def _to_bool(name: str, raw: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise CliConfigError(f"{name} must be boolean, got '{raw}'")
+    raise ValueError(f"{name} must be boolean, got '{raw}'")
 
 
 def _to_out_path(name: str, raw: str) -> str:
@@ -189,7 +182,7 @@ _KEYS = {
     "grid": _Key("grid", _to_whole, "grid points per tau axis", rule=_grid_resolution),
     "samples": _Key("samples", _to_whole, "Monte Carlo cross-check sample count",
                     rule=_check_sample_count),
-    "seed": _Key("seed", _to_seed, "RNG seed (unsigned 64-bit)"),
+    "seed": _Key("seed", _to_whole, "RNG seed (unsigned 64-bit)", rule=_check_seed),
     "format": _Key("fmt", _to_format, "output format: csv or json"),
     "bits": _Key(
         "bits",
@@ -516,13 +509,6 @@ def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
     return row == n_points
 
 
-def _meta_count(meta: dict, key: str) -> int:
-    """meta[key] as a count: a JSON integer, or the text of one in CSV."""
-    if not re.fullmatch(r"-?\d+", str(meta[key])):  # 3.9, '3.9', NaN, true, ...
-        raise ValueError(f"region data's {key} must be a whole number, got {meta[key]!r}")
-    return int(meta[key])
-
-
 def parse_region(data: bytes) -> RegionScan:
     """Rebuild a RegionScan from serialize_region output (either format).
 
@@ -535,11 +521,11 @@ def parse_region(data: bytes) -> RegionScan:
     time and its deltas parsed exactly, with no general parser; any other
     text is read again cell by cell, a chunk at a time, to the same values
     (README, Numerical notes). Malformed input raises ValueError naming what
-    is wrong: a ragged CSV row, a CSV header other than the columns the
-    writer names for the metadata, a bad flag, missing metadata, a fractional
-    count, a budget not finite and >= 0, unknown units, a foreign convention,
-    a wrong row count, a tau off the grid or a JSON value of the wrong kind
-    (JSON metadata counts and nbar are numbers, not strings or booleans).
+    is wrong: a ragged CSV row, a CSV header other than the columns the writer
+    names for the metadata, a bad flag, missing metadata, a count the mode-count
+    or grid rule refuses, a budget not finite and >= 0, unknown units, a foreign
+    convention, a wrong row count, a tau off the grid or a JSON value of the wrong
+    kind (JSON metadata counts and nbar are numbers, not strings or booleans).
     """
     try:
         if re.match(rb"\s*\{", data):
@@ -571,7 +557,7 @@ def parse_region(data: bytes) -> RegionScan:
             head = ("".join(f"# {key}={value}\n" for key, value in meta.items()) + line).encode()
             fmt, body = "csv", len(head) if data.startswith(head) else 0  # the writer's head
         scale = _nats_per_unit(meta["units"])
-        n_modes, grid = _meta_count(meta, "n_modes"), _meta_count(meta, "grid_resolution")
+        n_modes, grid = (_to_whole(key, str(meta[key])) for key in ("n_modes", "grid_resolution"))
         nbar = float(meta["nbar"])
         if meta["convention"] != CONVENTION_FINGERPRINT:
             raise ValueError(f"region data has convention '{meta['convention']}', not ours")

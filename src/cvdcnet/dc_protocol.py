@@ -37,6 +37,7 @@ from .phase_space import (
     _mode_index,
     _quadrature,
     _real,
+    _shown,
     _symmetrized,
     apply_symplectic,
 )
@@ -290,14 +291,24 @@ def _check_sample_count(n_samples) -> int:
     """n_samples as an int; ValueError unless it is a whole number in
     [MC_MIN_SAMPLES, MC_MAX_SAMPLES], an int past the float range included."""
     if not (_is_whole(n_samples) and n_samples >= MC_MIN_SAMPLES):
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
+        raise ValueError(f"samples must be a whole number >= {MC_MIN_SAMPLES}, "
+                         f"got {_shown(n_samples)}")
     if n_samples > MC_MAX_SAMPLES:
         tenths, rest = divmod(80 * int(n_samples), 2**30)  # GiB / 10 in ints, past any float
+        gib = _shown(tenths // 10)
+        gib += f".{tenths % 10}" if gib.isdecimal() else " of"  # or "a 16583-bit int of GiB"
         raise ValueError(
-            f"{n_samples} samples exceed the cap of {MC_MAX_SAMPLES}: at 8 B a sample, their "
-            f"values would take {'over ' if rest else ''}{tenths // 10}.{tenths % 10} GiB"
+            f"{_shown(n_samples)} samples exceed the cap of {MC_MAX_SAMPLES}: at 8 B a sample, "
+            f"their values would take {'over ' if rest else ''}{gib} GiB"
         )
     return int(n_samples)
+
+
+def _check_seed(seed) -> int:
+    """seed as an int; ValueError unless it is a whole number in [0, 2^64)."""
+    if not (_is_whole(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be a whole number in [0, 2^64), got {_shown(seed)}")
+    return int(seed)
 
 
 def _row_sums(sq: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -327,11 +338,11 @@ def mutual_information_mc(
     Samples are processed in chunks whose arrays fit _MC_CHUNK_BYTES, so
     memory is 8 bytes per sample (the per-sample values, kept for the
     standard error, which is worked out in them in place) plus a few fixed chunks.
-    More than MC_MAX_SAMPLES samples (1 GiB of values) raise ValueError
-    before any work or thread.
+    A sample count out of [MC_MIN_SAMPLES, MC_MAX_SAMPLES] (1 GiB of values) or a seed
+    out of [0, 2^64), or either not whole, raises ValueError before any work or thread.
     """
     from concurrent.futures import ThreadPoolExecutor  # loads logging, 8 ms: MC calls alone pay it
-    n_samples = _check_sample_count(n_samples)
+    n_samples, seed = _check_sample_count(n_samples), _check_seed(seed)
     try:
         msg_chol = np.linalg.cholesky(channel.msg_cov)
     except LinAlgError as exc:

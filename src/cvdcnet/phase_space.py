@@ -73,6 +73,14 @@ def _real(value) -> float:
         return np.inf if value > 0 else -np.inf
 
 
+def _shown(value) -> str:
+    """value as a rule's text shows it: an int too long for str() by its bit length."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit int"
+
+
 def _is_whole(value) -> bool:
     """Whether value is a whole number, an int past the float range included."""
     return isinstance(value, int) or float(value).is_integer()
@@ -81,7 +89,7 @@ def _is_whole(value) -> bool:
 def _mode_count(n_modes, least: int = 2) -> int:
     """n_modes as an int; ValueError unless it is a whole number >= least that a float holds."""
     if not (_is_whole(n_modes) and n_modes >= least):
-        raise ValueError(f"the mode count must be a whole number >= {least}, got {n_modes}")
+        raise ValueError(f"the mode count must be a whole number >= {least}, got {_shown(n_modes)}")
     if n_modes > sys.float_info.max:  # an int: mode counts take part in float arithmetic
         raise ValueError(f"the mode count has {n_modes.bit_length()} bits, past the float range")
     return int(n_modes)
@@ -90,7 +98,8 @@ def _mode_count(n_modes, least: int = 2) -> int:
 def _mode_index(m, n_modes: int) -> int:
     """m as an int; ValueError unless it is one of the modes 0..n_modes - 1."""
     if not (_is_whole(m) and 0 <= m < n_modes):
-        raise ValueError(f"the mode index must be one of the modes 0..{n_modes - 1}, got {m}")
+        raise ValueError(f"the mode index must be one of the modes 0..{n_modes - 1}, "
+                         f"got {_shown(m)}")
     return int(m)
 
 

@@ -346,7 +346,7 @@ def mutual_information_mc_literal(channel, n_samples, seed):
     from cvdcnet.dc_protocol import MC_MIN_SAMPLES, MCEstimate
 
     if n_samples < MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
+        raise ValueError(f"samples must be a whole number >= {MC_MIN_SAMPLES}, got {n_samples}")
     try:
         msg_chol = np.linalg.cholesky(channel.msg_cov)
     except LinAlgError as exc:

@@ -102,25 +102,30 @@ def test_bad_invocations_exit_one_with_message(argv, tmp_path, capsys):
         (["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "355"],
          "error: --squeezing 355 is too large: r = 355 overflows the photon budget, "
          "finite up to r = 354.9\n"),
-        # converter errors: empty tau entries, a value that is no number; an infinite
+        # a value that is no number, an empty tau entry included, gets the number text under
+        # its flag (an empty entry had a text of its own, and "abc" no flag); an infinite
         # budget gets the budget rule's text under its flag
         (["capacity", "--modes", "3", "--tau", "0.5,,0.5", "--nbar", "8"],
-         "error: tau has an empty entry in '0.5,,0.5'\n"),
+         "error: --tau: tau must be a number, got ''\n"),
         (["threshold", "--modes", "2", "--tau", "0.5,"],
-         "error: tau has an empty entry in '0.5,'\n"),
-        (["threshold", "--modes", "2", "--tau", ","], "error: tau has an empty entry in ','\n"),
+         "error: --tau: tau must be a number, got ''\n"),
+        (["threshold", "--modes", "2", "--tau", ","],
+         "error: --tau: tau must be a number, got ''\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "abc"],
-         "error: nbar must be a number, got 'abc'\n"),
+         "error: --nbar: nbar must be a number, got 'abc'\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
          "error: --nbar: nbar must be finite and >= 0, got inf\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--seed", "abc"],
-         "error: seed must be an integer, got 'abc'\n"),
+         "error: --seed: seed must be a number, got 'abc'\n"),
         (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--samples", "abc"],
-         "error: samples must be a number, got 'abc'\n"),
+         "error: --samples: samples must be a number, got 'abc'\n"),
         # an --out that opens but cannot take the bytes
         pytest.param(["verify", "--out", "/dev/full"], "error: cannot write /dev/full: ",
                      marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                               reason="no /dev/full")),
+        # a flag in a value's place is a missing value, not a value that starts with '-'
+        (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "--bits"],
+         "error: argument --nbar: expected one argument\n"),
     ],
 )
 def test_rejected_values_name_the_flags(argv, message, capsys):
@@ -200,7 +205,8 @@ def test_shared_config_file_drives_every_subcommand(tmp_path, capsys):
         argv = [command, "--config", str(cfg), *overrides.get(command, [])]
         assert main(argv) in (0, 2), capsys.readouterr().err
         assert capsys.readouterr().err == ""
-    with pytest.raises(CliConfigError, match="--samples: need at least 10000 samples, got 5000"):
+    floor = "--samples: samples must be a whole number >= 10000, got 5000"
+    with pytest.raises(CliConfigError, match=floor):
         parse_args(["capacity", "--config", str(cfg)])
     with pytest.raises(CliConfigError, match="format must be one of"):
         parse_args(["scan", "--config", str(cfg)])
@@ -217,6 +223,25 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
     assert (first.bits, first.fmt, first.out) == (True, "json", "scan.json")
     second = parse_args(["scan", "--modes", "3", "--nbar", "7", "--grid", "16"])
     assert second == RunConfig(command="scan", modes=3, nbar=7.0, grid=16)
+
+
+# the keys whose values are numbers, lists of numbers or booleans
+_VALUE_KEYS = ("modes", "tau", "nbar", "grid", "samples", "seed", "squeezing", "bits")
+
+
+def test_every_value_that_does_not_parse_is_reported_under_its_flag(tmp_path, capsys):
+    assert sorted(set(cli_scan._KEYS) - {"format", "out"}) == sorted(_VALUE_KEYS)
+    for key in _VALUE_KEYS:
+        command = next(name for name, c in cli_scan._COMMANDS.items() if key in c.keys)
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"{key} = abc\n")
+        runs = [[command, "--config", str(config)]]
+        if not cli_scan._KEYS[key].switch:  # --bits takes no value on the command line
+            runs.append([command, f"--{key}", "abc"])
+        for argv in runs:
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: --{key}: "), (argv, err)
 
 
 def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
@@ -450,8 +475,8 @@ def _region_text(fmt, meta=(), rows=None):
         ({"convention": "q1q2p1p2"}, None, "convention 'q1q2p1p2', not"),
         ({"convention": None}, None, "no 'convention' entry"),
         ({"n_modes": 10**9}, None, r"more than 2\^64 points, over the cap"),
-        ({"n_modes": 3.9}, None, "n_modes must be a whole number, got '?3.9'?"),
-        ({"grid_resolution": 8.5}, None, "grid_resolution must be a whole number, got '?8.5'?"),
+        ({"n_modes": 3.9}, None, "^the mode count must be a whole number >= 2, got 3.9$"),
+        ({"grid_resolution": 8.5}, None, "^grid_resolution must be a whole number >= 8, got 8.5$"),
         ({"nbar": -5}, None, "nbar must be finite and >= 0, got -5"),
         ({"nbar": float("nan")}, None, "nbar must be finite and >= 0, got nan"),
         ({"nbar": float("inf")}, None, "nbar must be finite and >= 0, got inf"),
@@ -463,6 +488,16 @@ def _region_text(fmt, meta=(), rows=None):
 def test_parse_region_rejects_text_that_is_not_the_named_grid(fmt, meta, rows, message):
     with pytest.raises(ValueError, match=message):
         parse_region(_region_text(fmt, meta, rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parse_region_reads_a_whole_float_count_as_its_int(fmt):
+    # the counts meet the mode-count and grid rules, which take 3.0 as 3: both were refused
+    scan = parse_region(_region_text(fmt, {"n_modes": 3.0, "grid_resolution": 8.0}))
+    expected = parse_region(serialize_region(region_scan(3, 7.0, 8), fmt))
+    assert (type(scan.n_modes), type(scan.grid_resolution)) == (int, int)
+    assert (scan.n_modes, scan.nbar, scan.grid_resolution) == (3, expected.nbar, 8)
+    assert scan.deltas.tobytes() == expected.deltas.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import ast
 import math
 import re
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,12 @@ from cvdcnet import (
 from cvdcnet import dc_protocol
 from cvdcnet.advantage_analysis import _asymptotic_regime, _grid_resolution
 from cvdcnet.cli_scan import serialize_region
-from cvdcnet.dc_protocol import _budget, _check_sample_count, decoded_quadrature_variances
+from cvdcnet.dc_protocol import (
+    _budget,
+    _check_sample_count,
+    _check_seed,
+    decoded_quadrature_variances,
+)
 from cvdcnet.phase_space import _mode_count, _mode_index, _quadrature, _transmissivity
 from cvdcnet.resource_prep import _squeezing, _validated_taus
 
@@ -77,7 +81,9 @@ RULES = {
     "grid points": ("advantage_analysis", "_grid_points",
                     "a {n}-mode scan at grid {value} has more than 2^64 points, over the cap of "
                     "16,777,216"),
-    "samples": ("dc_protocol", "_check_sample_count", "need at least 10000 samples, got {value}"),
+    "samples": ("dc_protocol", "_check_sample_count",
+                "samples must be a whole number >= 10000, got {value}"),
+    "seed": ("dc_protocol", "_check_seed", "seed must be a whole number in [0, 2^64), got {value}"),
     "ratio regime": ("advantage_analysis", "_asymptotic_regime",
                      "asymptotic regime starts at r_large >= 10, got {value}"),
 }
@@ -204,8 +210,13 @@ _TABLE = [
         "region_scan": lambda grid: region_scan(3, 7.0, grid),
         "parse_region": lambda grid: _scan_json_with("grid_resolution", grid),
     }),
-    ("samples", (9_999, 10_000.5, math.nan), {  # 10_000.5 was a TypeError, NaN a NaN estimate
+    # 10_000.5 was a TypeError, NaN a NaN estimate, and inf was told it needed at least 10000
+    ("samples", (9_999, 10_000.5, math.nan, math.inf), {
         "mutual_information_mc": lambda samples: mutual_information_mc(_CHANNEL, samples, 0),
+    }),
+    # the seed had no rule in the library: -1 and 2.5 failed in NumPy on the worker thread
+    ("seed", (-1, 2.5, 2**64, math.nan, math.inf), {
+        "mutual_information_mc": lambda seed: mutual_information_mc(_CHANNEL, 10_000, seed),
     }),
     ("ratio regime", (5.0, math.nan, -10**400), {  # +10^400 overflows the budget instead
         "asymptotic_ratio": lambda r: asymptotic_ratio(3, (0.5, 0.5), r),
@@ -248,16 +259,32 @@ def test_every_entry_point_raises_the_rule_of_a_bad_value(rule, value, least, ca
     assert str(info.value) == _text(rule, value, least)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("drew samples or started a thread")
+
+
 def test_a_sample_count_is_any_whole_number_and_is_checked_before_any_draw(monkeypatch):
     assert mutual_information_mc(_CHANNEL, 1e5, 0) == mutual_information_mc(_CHANNEL, 100_000, 0)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew samples or started a thread")
-
-    monkeypatch.setattr(dc_protocol.np.random, "default_rng", refuse)
-    monkeypatch.setattr(dc_protocol.threading, "Thread", refuse)
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", _refuse)
+    monkeypatch.setattr(dc_protocol.threading, "Thread", _refuse)
     with pytest.raises(ValueError, match="got 10000.5"):
         mutual_information_mc(_CHANNEL, 10_000.5, 0)
+
+
+def test_a_seed_is_any_whole_number():
+    estimates = [mutual_information_mc(_CHANNEL, 10_000, seed) for seed in (1000, 1e3, 1000.0)]
+    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 2**64, None], ids=["-1", "2.5", "2^64", "None"])
+def test_a_seed_is_checked_before_any_generator_or_thread(seed, monkeypatch):
+    # None ran unseeded; -1 and 2.5 failed in NumPy once the worker thread had started
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", _refuse)
+    monkeypatch.setattr(dc_protocol.threading, "Thread", _refuse)
+    with pytest.raises(ValueError if seed is not None else TypeError) as info:
+        mutual_information_mc(_CHANNEL, 10_000, seed)
+    if seed is not None:
+        assert str(info.value) == _text("seed", seed)
 
 
 _CAP_TEXT = (f"{{}} samples exceed the cap of {dc_protocol.MC_MAX_SAMPLES}: at 8 B a sample, "
@@ -271,11 +298,8 @@ _CAP_TEXT = (f"{{}} samples exceed the cap of {dc_protocol.MC_MAX_SAMPLES}: at 8
 def test_every_whole_count_over_the_sample_cap_gets_the_cap_text(samples, gib, monkeypatch,
                                                                   capsys):
     # 10^400 was told it needed at least 10000 samples, and cap + 1 read "1.0 GiB"
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew samples or started a thread")
-
-    monkeypatch.setattr(dc_protocol.np.random, "default_rng", refuse)
-    monkeypatch.setattr(dc_protocol.threading, "Thread", refuse)
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", _refuse)
+    monkeypatch.setattr(dc_protocol.threading, "Thread", _refuse)
     text = _CAP_TEXT.format(samples, gib)
     with pytest.raises(ValueError) as info:
         mutual_information_mc(_CHANNEL, samples, 0)
@@ -312,6 +336,52 @@ def test_an_int_past_the_float_range_meets_the_real_valued_check(value, call, te
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == text
+
+
+_LONG = 10**5000  # 5,001 digits: str() of an int stops at 4,300 by default
+_LONG_BITS = "a 16610-bit int"
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: _mode_count(-_LONG),
+     "the mode count must be a whole number >= 2, got a negative 16610-bit int"),
+    (lambda: _mode_index(_LONG, 3),
+     f"the mode index must be one of the modes 0..2, got {_LONG_BITS}"),
+    (lambda: _grid_resolution(-_LONG),
+     "grid_resolution must be a whole number >= 8, got a negative 16610-bit int"),
+    (lambda: region_scan(3, 7.0, _LONG),
+     f"a 3-mode scan at grid {_LONG_BITS} has more than 2^64 points, over the cap of 16,777,216"),
+    (lambda: mutual_information_mc(_CHANNEL, -_LONG, 0),
+     "samples must be a whole number >= 10000, got a negative 16610-bit int"),
+    (lambda: mutual_information_mc(_CHANNEL, _LONG, 0),
+     _CAP_TEXT.format(_LONG_BITS, "a 16583-bit int of")),  # 8 x 10^5000 B, in GiB
+    (lambda: mutual_information_mc(_CHANNEL, 10_000, _LONG),
+     f"seed must be a whole number in [0, 2^64), got {_LONG_BITS}"),
+], ids=["mode count", "mode index", "grid", "grid points", "samples", "sample cap", "seed"])
+def test_a_rule_shows_an_int_too_long_for_str_by_its_bit_length(call, text, monkeypatch):
+    # each raised Python's "Exceeds the limit (4300 digits) for integer string conversion"
+    # in place of its rule's text
+    monkeypatch.setattr(dc_protocol.np.random, "default_rng", _refuse)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["threshold", "--modes", "1" * 4301],  # read exactly: was the int-to-str limit's text
+     "--modes: the mode count has 14285 bits, past the float range"),
+    (["scan", "--modes", "3", "--nbar", "7", "--grid", "1" + "0" * 5000],
+     f"--grid: a 3-mode scan at grid {_LONG_BITS} has more than 2^64 points, over the cap of "
+     "16,777,216"),
+    (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--samples", "1" + "0" * 5000],
+     "--samples: " + _CAP_TEXT.format(_LONG_BITS, "a 16583-bit int of")),
+    (["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8", "--seed", "1" + "0" * 5000],
+     f"--seed: seed must be a whole number in [0, 2^64), got {_LONG_BITS}"),
+], ids=["modes", "grid", "samples", "seed"])
+def test_a_flag_reads_an_integer_literal_of_any_length(argv, text, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {text}\n"
 
 
 @pytest.mark.parametrize("rule, value, flag, argv", [
@@ -353,6 +423,24 @@ def test_an_int_past_the_float_range_meets_the_real_valued_check(value, call, te
                                       "8", "--samples", "nan"]),
     ("samples", 10_000.5, "samples", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar",
                                       "8", "--samples", "10000.5"]),
+    ("samples", math.inf, "samples", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar",
+                                      "8", "--samples", "inf"]),
+    # a value that starts with '-' meets its rule: argparse took each for a flag and said
+    # "expected one argument"
+    ("transmissivity", -0.1, "tau", ["capacity", "--modes", "3", "--tau", "-0.1,0.5",
+                                     "--nbar", "8"]),
+    ("nbar", -1e5, "nbar", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "-1e5"]),
+    pytest.param("nbar", -math.inf, "nbar",
+                 ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "-inf"],
+                 id="nbar--inf-nbar-bare"),
+    # the seed's rule is the library's: 2.5 was "must be an integer", -3 "expected one argument"
+    ("seed", 2.5, "seed", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8",
+                           "--seed", "2.5"]),
+    ("seed", -3, "seed", ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "8",
+                          "--seed", "-3"]),
+    pytest.param("seed", 2**64, "seed", ["capacity", "--modes", "3", "--tau", "0.5,0.5",
+                                         "--nbar", "8", "--seed", str(2**64)],
+                 id="seed-2^64-seed"),
 ])
 def test_every_flag_reports_the_library_text_under_its_name(rule, value, flag, argv, capsys):
     assert main(argv) == 1
@@ -377,6 +465,15 @@ def test_a_sample_count_flag_is_any_spelling_of_a_whole_number(capsys):
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
+def test_a_seed_flag_is_any_spelling_of_a_whole_number(capsys):
+    argv = ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "7", "--samples", "10000"]
+    outs = []
+    for seed in ("1000", "1e3"):  # 1e3 was "seed must be an integer"
+        assert main([*argv, "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0]
+
+
 # README's input rules: each row's rule and the arguments that place its message's value
 _README_RULES = {
     "mode count": (_mode_count, lambda n: (n,)),
@@ -387,6 +484,7 @@ _README_RULES = {
     "squeezing r": (_squeezing, lambda r: (r,)),
     "budget nbar": (_budget, lambda nbar: (nbar,)),
     "samples": (_check_sample_count, lambda samples: (samples,)),
+    "seed": (_check_seed, lambda seed: (seed,)),
     "grid": (_grid_resolution, lambda grid: (grid,)),
     "ratio regime": (_asymptotic_regime, lambda r: (r,)),
 }
@@ -398,7 +496,8 @@ def test_the_readme_input_rules_table_holds_every_rule():
     assert sorted(row[0] for row in _README_TABLE) == sorted(_README_RULES)
 
 
-@pytest.mark.parametrize("name, owner, message, note", _README_TABLE, ids=itemgetter(0))
+@pytest.mark.parametrize("name, owner, message, note", _README_TABLE,
+                         ids=[row[0] for row in _README_TABLE])
 def test_the_readme_input_rules_table_gives_each_rule_text(name, owner, message, note):
     rule, arguments = _README_RULES[name]
     assert rule.__module__ == f"cvdcnet.{owner}"
@@ -417,6 +516,7 @@ _README_FLAGS = {
     "--modes 2.5": ["threshold", "--modes", "2.5"],
     "--nbar inf": ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
     "--squeezing inf": ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "inf"],
+    "--nbar -inf": ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "-inf"],
 }
 
 
@@ -467,7 +567,8 @@ _SPELLINGS = {
     "r": r"squeezing strength|\br (and \w+ )?must",
     "grid": r"grid_resolution must|grid must",
     "grid points": r"more than 2\^64 points",
-    "samples": r"at least \{\} samples|samples must be >=",
+    "samples": r"at least \{\} samples|samples must be",
+    "seed": r"seed must|unsigned 64-bit",
     "ratio regime": r"asymptotic regime|squeezing >=",
 }
 
