@@ -277,10 +277,13 @@ def _grid_points(n_modes: int, grid_resolution: int) -> int:
 
 
 def _grid_index(n_modes: int, grid_resolution: int, start: int, stop: int) -> np.ndarray:
-    """(stop - start, n_modes - 1) positions on the tau axis of scan rows
-    start..stop-1: lexicographic order, the first transmissivity slowest."""
-    shape = (grid_resolution,) * (n_modes - 1)
-    return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
+    """(n_modes - 1, stop - start) positions on the tau axes of scan rows start..stop-1,
+    one contiguous row an axis: lexicographic order, the first transmissivity slowest."""
+    index = np.tile(np.arange(start, stop), (n_modes - 1, 1))  # each axis's row: set below
+    for axis in range(n_modes - 2, 0, -1):  # a scalar divisor: no divmod, no unravel_index
+        np.floor_divide(index[axis], grid_resolution, out=index[axis - 1])
+        index[axis] -= index[axis - 1] * grid_resolution
+    return index
 
 
 def _grid_taus(index: np.ndarray, grid_resolution: int) -> np.ndarray:
@@ -321,7 +324,7 @@ class RegionScan:
     def taus(self) -> np.ndarray:
         """(n_points, n_modes - 1) grid, read-only, built on each access."""
         index = _grid_index(self.n_modes, self.grid_resolution, 0, self.n_points)
-        taus = _grid_taus(index, self.grid_resolution)
+        taus = np.ascontiguousarray(_grid_taus(index, self.grid_resolution).T)
         taus.flags.writeable = False
         return taus
 
@@ -335,23 +338,32 @@ class RegionScan:
 
 
 def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
-    """Evaluate delta on the full [0,1]^(n-1) grid, lexicographic order.
+    """Evaluate delta on the full [0,1]^(n-1) grid, lexicographic order, the first tau slowest.
 
-    Rows are ordered with the first transmissivity slowest, matching
-    sorted-tuple order, so serialized scans are directly comparable.
-    The O(n) transfer kernel runs on (C,) columns of C consecutive points,
-    whose working set (their (n - 1, C) taus and grid positions, and at most
-    eleven (C,) arrays of kernel state: about 8 (2n + 8) bytes a point) fits
-    _SCAN_CHUNK_BYTES; a grid of more than _SCAN_MAX_POINTS points raises
-    ValueError before anything is allocated.
+    For n >= 3, L = det(I + g M M^T) is affine in the last tau (README, Numerical notes): the
+    O(n) transfer kernel runs on (C,) columns of line prefixes, the last tau at 0 and at 1,
+    for a chunk of whole lines of grid_resolution rows, 32 bytes a row, in _SCAN_CHUNK_BYTES.
+    A 2-mode scan runs it on (C,) columns of points, 8 (2n + 8) bytes each. A grid over
+    _SCAN_MAX_POINTS points raises ValueError before anything is allocated.
     """
-    n_modes, grid_resolution = _mode_count(n_modes), _grid_resolution(grid_resolution)
-    n_points, nbar = _grid_points(n_modes, grid_resolution), _budget(nbar)
-    chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8))
-    deltas = np.empty(n_points)
-    c_cl = classical_capacity(n_modes - 1, nbar)
-    for start in range(0, n_points, chunk):
-        index = _grid_index(n_modes, grid_resolution, start, min(start + chunk, n_points))
-        taus = _grid_taus(index.T, grid_resolution)
-        deltas[start:start + chunk] = _quantum_rates(taus, nbar) - c_cl
-    return RegionScan(n_modes, nbar, grid_resolution, deltas, _adopt=True)
+    n_modes, grid = _mode_count(n_modes), _grid_resolution(grid_resolution)
+    n_points, nbar = _grid_points(n_modes, grid), _budget(nbar)
+    deltas, c_cl = np.empty(n_points), classical_capacity(n_modes - 1, nbar)
+    chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8) if n_modes == 2 else 32 * grid)
+    if n_modes == 2:  # the one tau is quadratic in L: a kernel pass a point
+        for start in range(0, n_points, chunk):
+            taus = _grid_taus(_grid_index(2, grid, start, min(start + chunk, n_points)), grid)
+            deltas[start:start + chunk] = _quantum_rates(taus, nbar) - c_cl
+        return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)
+    t = _grid_taus(np.arange(1, grid - 1), grid)  # the last tau of a line's inner rows
+    for first in range(0, n_points // grid, chunk):  # lines: >= 8, as grid <= 4096 here
+        index = _grid_index(n_modes - 1, grid, first, min(first + chunk, n_points // grid))
+        c0, c1 = (_quantum_rates([*_grid_taus(index, grid), end], nbar) for end in (0.0, 1.0))
+        rows = deltas[first * grid:(first + index.shape[1]) * grid].reshape(-1, grid)
+        rows[:, 0], rows[:, -1], inner = c0 - c_cl, c1 - c_cl, rows[:, 1:-1]  # C_0, C_1
+        m = np.multiply.outer(np.expm1(2.0 * (c1 - c0)), t)  # -t (1 - rho), rho = L_1 / L_0
+        far = np.multiply.outer(np.exp(2.0 * (c1 - c0)), t) + (1.0 - t)  # (1 - t) + t rho
+        np.log1p(m, out=inner)  # ln L(t) - ln L_0 where t (1 - rho) < 1/2, and elsewhere
+        np.log(far, out=inner, where=m <= -0.5)  # from a sum of terms >= 0
+        np.add(0.5 * inner, (c0 - c_cl)[:, None], out=inner)
+    return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)

@@ -249,46 +249,50 @@ _FLAGS = np.array([b"false", b"true"])
 _POW10 = 10 ** np.arange(17)
 # in column k = 0..16: 16 bytes, the last k of them 0xFF, as little-endian words (lo, hi)
 _TOP = (np.uint8(255) * (np.arange(16) >= 16 - np.arange(17)[:, None])).view("<u8").T.copy()
-# 0000..9999 as uint32s of 4 ASCII bytes: all digits, then leading, then trailing zeros as \0
-_DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("S4")[:, 0]
-_GROUPS = np.concatenate([_DIGITS, np.char.lstrip(_DIGITS, b"0"), np.char.rstrip(_DIGITS, b"0")])
-_GROUPS = _GROUPS.view(np.uint32)
+# 0000..9999 as uint32s of 4 ASCII bytes: all digits; leading, then trailing 0s as \0, all or
+# all but one (as in '0.0'). _LEAD, _TRAIL: each 0 before any other digit, after (reversed)
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+_LEAD, _TRAIL = (np.logical_and.accumulate(d == ord("0"), 1) for d in (_DIGITS, _DIGITS[:, ::-1]))
+_GROUPS = np.concatenate([_DIGITS * ~(zeros & np.array(cut, bool)) for zeros, cut in ((False, 0), (
+    _LEAD, 1), (_LEAD, [1, 1, 1, 0]), (_TRAIL[:, ::-1], 1), (_TRAIL[:, ::-1], [0, 1, 1, 1]))])
+_GROUPS = np.ascontiguousarray(_GROUPS).view("<u4")[:, 0]
 
 
 def _spelled(values: np.ndarray, fmt: str) -> np.ndarray:
-    """Records of \\0-padded bytes that spell the values in fmt: sign, integer part,
-    point, fraction, from N = rint(|d| 10^(11-e)), e = floor(log10 |d|), in
-    4-digit groups where N provably holds the 12 digits %.12g rounds to, and
-    fmt's per-value spelling elsewhere (README, Numerical notes)."""
+    """Records of 30 \\0-padded bytes that spell the values in fmt, each in one run of bytes:
+    from N = rint(|d| 10^(11-e)), e = floor(log10 |d|), in 4-digit groups (the integer part
+    right-aligned, its sign before it) where N provably holds the 12 digits %.12g rounds
+    to, and fmt's per-value spelling elsewhere (README, Numerical notes)."""
     spell, *_, point = _LAYOUTS[fmt]
     with np.errstate(divide="ignore", invalid="ignore"):  # of zeros, NaN and infinities
-        e = np.clip(np.nan_to_num(np.floor(np.log10(np.abs(values)))), -5, 11).astype(int)
-        p = np.abs(values) * _POW10[11 - e]  # below 2^40: within 2^-14 of |d| 10^(11-e)
-        e_out = e + (np.rint(p) == 1e12)  # rounded up into the next decade
-        exact = ((p >= 1e11) & (p < 1e12) & (abs(p % 1 - 0.5) > 1e-3)  # not near a tie
+        e = np.fmin(np.fmax(np.floor(np.log10(np.abs(values))), -5.0), 11.0).astype(int)
+        k = 11 - e  # N's digits after the point
+        p = np.abs(values) * _POW10.take(k)  # below 2^40: within 2^-14 of |d| 10^(11-e)
+        digits = np.rint(p)
+        e_out = e + (digits == 1e12)  # rounded up into the next decade
+        exact = ((p >= 1e11) & (p < 1e12) & (abs(p - np.floor(p) - 0.5) > 1e-3)  # no tie
                  & (e_out >= -4) & (e_out <= 11))  # fixed-point
-    k = np.where(exact, 11 - e, 0)  # N's digits after the point
-    whole, part = np.divmod(np.where(exact, np.rint(p), 0).astype(np.int64), _POW10[k])
-    out = np.empty(len(values), [("sign", "S1")] + [(f"i{j}", np.uint32) for j in (2, 1, 0)]
-                   + [("point", "S2")] + [(f"f{j}", np.uint32) for j in (3, 2, 1, 0)])
-    out["sign"] = np.where(np.signbit(values) & exact, b"-", b"")
-    points = np.array([b"0.", b".", point.encode()])
-    out["point"] = points[(whole != 0) * (1 + (part == 0))]  # "0.", ".", or a whole number's
-    part *= _POW10[16 - k]  # 16 digits
-    lead = trail = True  # in the integer part's leading zeros, the fraction's trailing ones
-    for j in (2, 1, 0):
-        group, whole = np.divmod(whole, _POW10[4 * j])
-        out[f"i{j}"], lead = _GROUPS[group + 10**4 * lead], lead & (group == 0)
-    for j in range(4):
-        part, group = np.divmod(part, 10**4)
-        out[f"f{j}"], trail = _GROUPS[group + 2 * 10**4 * trail], trail & (group == 0)
+    digits, scale = np.where(exact, digits, 0.0), _POW10.take(k * exact)
+    whole = np.floor(digits / scale).astype(np.int64)  # N < 1e12: N / 10^k never rounds up
+    part = (digits - whole * scale).astype(np.int64) * _POW10.take(16 - k * exact)  # 16 digits
+    out = np.empty(len(values), [("pad", "u1")] + [(f"i{j}", "<u4") for j in (2, 1, 0)]
+                   + [("point", "u1")] + [(f"f{j}", "<u4") for j in (3, 2, 1, 0)])
+    out["pad"], out["point"] = 0, ord(".") * ((part != 0) | (point != ""))  # JSON's ".0"
+    for j, form in ((2, 1), (1, 1), (0, 2)):  # leading zeros as \0 (a 0 kept in i0)
+        group = whole // 10 ** (4 * j) - whole // 10 ** (4 * j + 4) * 10**4
+        out[f"i{j}"] = _GROUPS.take(group + form * 10**4 * (whole < 10 ** (4 * j + 4)))
+    for j, form in ((3, 3 + (point != "")), (2, 3), (1, 3), (0, 3)):  # trailing zeros as \0
+        group = part // 10 ** (4 * j)
+        part -= group * 10 ** (4 * j)
+        out[f"f{j}"] = _GROUPS.take(group + form * 10**4 * (part == 0))  # JSON: f3 keeps a 0
+    neg = np.flatnonzero(np.signbit(values) & exact)
+    out.view(np.uint8)[30 * neg + 11 - np.maximum(e_out[neg], 0)] = ord("-")  # before a digit
     slow = np.flatnonzero(~exact)
-    cells = np.array([spell(x).encode() for x in values[slow].tolist()], "S30")
-    out.view(np.uint8).reshape(len(out), -1)[slow, -30:] = cells.view(np.uint8).reshape(-1, 30)
-    return out.view(f"V{out.itemsize}")  # plain bytes: copied whole, not field by field
+    out.view("S30")[slow] = [spell(x).encode() for x in values[slow].tolist()]
+    return out.view("V30")  # plain bytes: copied whole, not field by field
 
 
-def _entries(lead: str, cells: np.ndarray, trail: str) -> tuple[np.ndarray, ...]:
+def _entries(cells: np.ndarray, lead: str, trail: str) -> tuple[np.ndarray, ...]:
     """lead + cell + trail for each \\0-padded cell, its \\0s dropped: as '<u8' words (word j
     of every entry in row j), the masks of its bytes in them, its length and its bytes."""
     raw = np.char.add(np.char.add(lead.encode(), cells.view(f"S{cells.itemsize}")), trail.encode())
@@ -303,25 +307,31 @@ def _entries(lead: str, cells: np.ndarray, trail: str) -> tuple[np.ndarray, ...]
     return words, masks, lengths, text.astype(f"S{lengths.max()}")
 
 
-class _TauTables:
-    """Per tau, build(_entries) of its spellings in fmt with the bytes before each (the last
-    tau's with those up to delta too), over a range of grid positions, kept while the ones
-    asked for stay in it: the whole axis where it has at most _ROWS_PER_CHUNK values (for
-    n >= 3 always), else _ROWS_PER_CHUNK or more from the least one asked for."""
+def _right_aligned(text: np.ndarray) -> np.ndarray:
+    """\\0-padded entries with the padding before each, not after (\\1 is in no entry)."""
+    raw = np.char.rjust(text, text.itemsize, b"\1").view(np.uint8)
+    return (raw * (raw != 1)).view(text.dtype)
 
-    def __init__(self, fmt: str, n_modes: int, grid: int, build: Callable = lambda e: e):
+
+class _TauTables:
+    """Per tau i, build(i, _entries) of its spellings in fmt with the bytes before each (the
+    last tau's with those up to delta too), over a range of grid positions, kept while the
+    ones asked for stay in it: the whole axis where it has at most _ROWS_PER_CHUNK values
+    (for n >= 3 always), else _ROWS_PER_CHUNK or more from the least one asked for."""
+
+    def __init__(self, fmt: str, n_modes: int, grid: int, build: Callable = lambda i, e: e):
         _, first, between, before_delta, *_ = _LAYOUTS[fmt]
         leads, trails = [first] + [between] * (n_modes - 2), [""] * (n_modes - 2) + [before_delta]
         self.seps = list(zip(leads, trails))
         self.fmt, self.grid, self.build, self.lo, self.hi = fmt, grid, build, 0, 0
 
     def __call__(self, index: np.ndarray) -> tuple[list, np.ndarray]:
-        """The tables that hold the (C, n - 1) grid positions, and the positions in them."""
+        """The tables that hold the (n - 1, C) grid positions, and the positions in them."""
         if self.hi - self.lo < self.grid and (index.min() < self.lo or index.max() >= self.hi):
             lo, hi = int(index.min()), int(index.max()) + 1
             self.lo, self.hi = lo, min(max(hi, lo + _ROWS_PER_CHUNK), self.grid)
             taus = _spelled(_grid_taus(np.arange(self.lo, self.hi), self.grid), self.fmt)
-            self.tables = [self.build(_entries(lead, taus, trail)) for lead, trail in self.seps]
+            self.tables = [self.build(i, _entries(taus, *sep)) for i, sep in enumerate(self.seps)]
         return self.tables, index - self.lo
 
 
@@ -329,8 +339,9 @@ def _row_text(scan: RegionScan, fmt: str, scale: float) -> Iterator[bytes]:
     """serialize_region's rows, _ROWS_PER_CHUNK at a time: a record array of \\0-padded
     byte fields (each tau, delta and flag with the bytes around it), every \\0 dropped."""
     *_, before_flag, end, _ = _LAYOUTS[fmt]
-    taus = _TauTables(fmt, scan.n_modes, scan.grid_resolution, itemgetter(3))
-    flags = _entries(before_flag, _FLAGS, end)[3]
+    taus = _TauTables(fmt, scan.n_modes, scan.grid_resolution, lambda i, e: _right_aligned(e[3])
+                      if i % 2 == 0 and i < scan.n_modes - 2 else e[3])  # text abuts tau i + 1
+    flags = _entries(_FLAGS, before_flag, end)[3]
     for start in range(0, scan.n_points, _ROWS_PER_CHUNK):
         stop = min(start + _ROWS_PER_CHUNK, scan.n_points)
         tables, index = taus(_grid_index(scan.n_modes, scan.grid_resolution, start, stop))
@@ -338,7 +349,7 @@ def _row_text(scan: RegionScan, fmt: str, scale: float) -> Iterator[bytes]:
         fields = [(f"tau{i}", table.dtype) for i, table in enumerate(tables)]
         rec = np.empty(stop - start, fields + [("delta", delta.dtype), ("flag", flags.dtype)])
         for i, table in enumerate(tables):
-            rec[f"tau{i}"] = table[index[:, i]]
+            rec[f"tau{i}"] = table[index[i]]
         rec["delta"], rec["flag"] = delta, flags[scan.flags[start:stop].view(np.uint8)]
         raw = rec.view(np.uint8)
         yield raw[raw != 0].tobytes()
@@ -469,7 +480,7 @@ def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
     grid, each delta in any -?D+(.D+)? spelling or in fmt's own; False for any other
     body, which the general reader then reads into deltas (README, Numerical notes)."""
     spell, *_, before_flag, end, _ = _LAYOUTS[fmt]
-    taus, flags = _TauTables(fmt, n_modes, grid), _entries(before_flag, _FLAGS, end)
+    taus, flags = _TauTables(fmt, n_modes, grid), _entries(_FLAGS, before_flag, end)
     newlines = "".join(map("".join, taus.seps)).count("\n") + (before_flag + end).count("\n")
     tail, closing = (b"", b"") if fmt == "csv" else (_JSON_TAIL, b",\n")
     n_points, stop = len(deltas), len(data) - len(tail)
@@ -489,11 +500,11 @@ def _written_deltas(data: bytes, body: int, fmt: str, n_modes: int, grid: int,
         tables, index = taus(_grid_index(n_modes, grid, row, row + len(ends)))
         at = [np.concatenate(([16], ends[:-1]))]  # where each row's fields start
         for i, table in enumerate(tables):
-            at.append(at[-1] + table[2].take(index[:, i]))
+            at.append(at[-1] + table[2].take(index[i]))
         true = (text[ends - len(end) - 4] == ord("t")).astype(np.intp)  # 'a' of false
         d0, d1 = at[-1], ends - flags[2].take(true)
         if not ((d1 > d0).all() and _matches(words, d1, flags, true)
-                and all(_matches(words, at[i], t, index[:, i]) for i, t in enumerate(tables))):
+                and all(_matches(words, at[i], t, index[i]) for i, t in enumerate(tables))):
             return False
         values, exact = _fixed_point(words, text, d0, d1)
         for i in np.flatnonzero(~exact).tolist():  # exponents, NaN, infinities: as written
@@ -531,14 +542,14 @@ def parse_region(data: bytes) -> RegionScan:
         if re.match(rb"\s*\{", data):
             records = re.search(rb'"records"\s*:\s*', data)
             head = json.loads(data[: records.start()].rstrip().rstrip(b",") + b"}"
-                              if records else data)
+                              if records else data, parse_int=Decimal)  # of any length
             if records and "meta" not in head:
                 raise ValueError("region data has no 'meta' entry before its 'records'")
             meta = head["meta"]
             if not records:
                 raise KeyError("records")
             for key in ("n_modes", "nbar", "grid_resolution"):  # numbers: not true, "7.0", ...
-                if key in meta and type(meta[key]) not in (int, float):
+                if key in meta and type(meta[key]) not in (Decimal, float):
                     raise ValueError(f"region data is malformed: its {key} is {meta[key]!r}")
             read_rows, header = partial(_json_rows, data, records.end()), None
             fmt, body = "json", records.end() + 2 if data.startswith(b"[\n", records.end()) else 0
@@ -571,14 +582,15 @@ def parse_region(data: bytes) -> RegionScan:
             return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)
         # not the writer's rows: read every cell, and say what is wrong
         # each tau as the writer spells it in CSV, as a float
-        taus = _TauTables("csv", n_modes, grid, lambda e: np.char.strip(e[3], b",").astype(float))
+        taus = _TauTables("csv", n_modes, grid,
+                          lambda i, e: np.char.strip(e[3], b",").astype(float))
         start = 0
         for rows in read_rows(n_modes):
             stop = start + len(rows)
             if stop > n_points:
                 raise ValueError(f"region data has more than the {n_points:,} rows of its grid")
             tables, index = taus(_grid_index(n_modes, grid, start, stop))
-            expected = tables[0][index]
+            expected = tables[0][index.T]
             off = np.flatnonzero(rows[:, :-1] != expected)
             if off.size:
                 row, k = divmod(off[0], n_modes - 1)

@@ -4,7 +4,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvdcnet.advantage_analysis import (
-    _SCAN_CHUNK_BYTES,
     BISECT_TOL,
     SEARCH_CAP_NBAR,
     NoAdvantageError,
@@ -738,13 +737,69 @@ def test_region_scan_past_the_q_block_underflow():
     assert scan.deltas[-1] == pytest.approx(quantum_advantage(4, (1.0,) * 3, 1e82), rel=1e-14)
 
 
-@pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16)])
-def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid):
+def _two_pass_rows(n_modes, nbar, grid):
+    """region_scan's deltas from one kernel call per end of every line at once:
+    ln L(t) = ln L_0 + ln((1 - t) + t rho), log1p where t (1 - rho) < 1/2."""
+    c_cl = classical_capacity(n_modes - 1, nbar)
+    prefix = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, grid)] * (n_modes - 2),
+                                  indexing="ij"), axis=-1).reshape(-1, n_modes - 2).T
+    c0, c1 = (dc_protocol._quantum_rates([*prefix, end], nbar) for end in (0.0, 1.0))
+    t = np.linspace(0.0, 1.0, grid)[1:-1]
+    m = np.multiply.outer(np.expm1(2.0 * (c1 - c0)), t)  # -t (1 - rho)
+    far = np.multiply.outer(np.exp(2.0 * (c1 - c0)), t) + (1.0 - t)
+    rows = np.empty((len(c0), grid))
+    rows[:, 1:-1] = 0.5 * np.where(m > -0.5, np.log1p(m), np.log(far)) + (c0 - c_cl)[:, None]
+    rows[:, 0], rows[:, -1] = c0 - c_cl, c1 - c_cl
+    return rows.ravel()
+
+
+@pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16), (2, 7.0, 300**2),
+                                                 (4, 15.0, 100)])
+def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid, monkeypatch):
+    # 64 KiB chunks: more than 8 of them at each grid here (n = 2 and 4 at 1 MiB too)
+    monkeypatch.setattr(advantage_analysis, "_SCAN_CHUNK_BYTES", 2**16)
     scan = region_scan(n_modes, nbar, grid)
-    chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8))  # points per kernel call
+    # points per chunk: a kernel call on a column of points for n = 2, else on the line
+    # prefixes of whole lines of grid points, at 32 bytes a point
+    chunk = 2**16 // (8 * (2 * n_modes + 8)) if n_modes == 2 else 2**16 // (32 * grid) * grid
     assert scan.n_points > 8 * chunk  # more than 8 chunks
-    whole = dc_protocol._quantum_rates(scan.taus.T, nbar) - classical_capacity(n_modes - 1, nbar)
-    assert np.array_equal(scan.deltas, whole)
+    c_cl = classical_capacity(n_modes - 1, nbar)
+    per_point = dc_protocol._quantum_rates(scan.taus.T, nbar) - c_cl
+    if n_modes == 2:
+        assert np.array_equal(scan.deltas, per_point)
+    else:  # the two-pass rows, chunked as in one call, and within 4e-16 C_cl of each point's
+        assert np.array_equal(scan.deltas, _two_pass_rows(n_modes, nbar, grid))
+        assert np.abs(scan.deltas - per_point).max() <= 4e-16 * c_cl
+
+
+@pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (4, 15.0, 12), (4, 1e82, 8),
+                                                 (5, 30.0, 20), (8, 5.0, 8)])
+def test_region_scan_line_ends_are_the_per_point_kernel_bit_for_bit(n_modes, nbar, grid):
+    scan = region_scan(n_modes, nbar, grid)
+    assert np.isfinite(scan.deltas).all()
+    ends = np.concatenate([np.arange(0, scan.n_points, grid),  # last tau 0, then 1
+                           np.arange(grid - 1, scan.n_points, grid)])
+    c_cl = classical_capacity(n_modes - 1, nbar)
+    per_point = dc_protocol._quantum_rates(scan.taus[ends].T, nbar) - c_cl
+    assert np.array_equal(scan.deltas[ends], per_point)
+
+
+@pytest.mark.parametrize("n_modes", range(3, 9))
+def test_det_is_affine_in_the_last_tau(n_modes):
+    # L = det(I + g M M^T) at t = 0.37 lies on the line through t = 0 and t = 1,
+    # whatever the other taus: what region_scan's two passes a line rest on
+    rng = np.random.default_rng(1100 + n_modes)
+    for _ in range(20):
+        prefix, nbar = tuple(rng.uniform(0.0, 1.0, n_modes - 2)), float(rng.uniform(1.0, 30.0))
+        gain = signal_gain(n_modes, nbar)
+        dense, kernel = [], []
+        for t in (0.0, 1.0, 0.37):
+            plan = EncodingPlan.standard(n_modes, 1.0)
+            m = build_channel(ResourceSpec(n_modes, 1.0, prefix + (t,)), plan).matrix
+            dense.append(np.exp(2.0 * mi_oracle(m, gain)))
+            kernel.append(np.exp(2.0 * float(dc_protocol._quantum_rates(prefix + (t,), nbar))))
+        for l0, l1, l_t in (dense, kernel):
+            assert l_t == pytest.approx(0.63 * l0 + 0.37 * l1, rel=1e-14, abs=0.0)
 
 
 def test_region_scan_refuses_grids_over_the_point_cap(monkeypatch):
@@ -795,6 +850,25 @@ def test_two_mode_region_scan_memory_is_its_deltas_and_flags():
     # axis beside them, 8 B a point more when the one axis is the whole grid
     scan, peak = traced_peak(region_scan, 2, 7.0, 2**20)
     assert peak - 9 * scan.n_points < 2e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("n_modes", range(2, 9))
+def test_grid_index_is_unravel_index(n_modes):
+    rng = np.random.default_rng(4400 + n_modes)
+    top = int(2 ** (24 / (n_modes - 1)) + 1e-9)  # the largest grid under the point cap
+    for grid in sorted({8, top, *rng.integers(8, top + 1, 6).tolist()}):
+        n_points = grid ** (n_modes - 1)
+        for _ in range(4):  # off the chunk and window boundaries, and across them
+            start = int(rng.integers(0, n_points))
+            stop = min(n_points, start + int(rng.integers(1, 3 * 2**14)))
+            expected = np.stack(np.unravel_index(np.arange(start, stop), (grid,) * (n_modes - 1)),
+                                axis=1)
+            index = advantage_analysis._grid_index(n_modes, grid, start, stop)
+            assert index.shape == (n_modes - 1, stop - start) and index.flags.c_contiguous
+            assert np.array_equal(index.T, expected)
+    scan = region_scan(n_modes, 7.0, 8)
+    assert scan.taus.flags.c_contiguous and not scan.taus.flags.writeable
+    assert scan.taus.shape == (scan.n_points, n_modes - 1)
 
 
 @pytest.mark.parametrize("grid", [8, 9, 10, 100, 999, 1000, 3 * 2**14 + 5, 2**20])

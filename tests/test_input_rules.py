@@ -384,6 +384,26 @@ def test_a_flag_reads_an_integer_literal_of_any_length(argv, text, capsys):
     assert out == "" and err == f"error: {text}\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("key, digits, text", [
+    ("n_modes", 5001, "the mode count has 16610 bits, past the float range"),
+    ("grid_resolution", 5001,
+     f"a 3-mode scan at grid {_LONG_BITS} has more than 2^64 points, over the cap of 16,777,216"),
+    ("nbar", 401, "nbar must be finite and >= 0, got inf"),
+    ("nbar", 5001, "nbar must be finite and >= 0, got inf"),
+], ids=["modes", "grid", "nbar-401-digits", "nbar-5001-digits"])
+def test_region_metadata_reads_an_integer_literal_of_any_length(fmt, key, digits, text):
+    # in JSON, each count got Python's int-to-str limit text from json.loads (CSV got the
+    # rules' texts), and a budget past the float range an OverflowError
+    data = serialize_region(region_scan(3, 7.0, 8), fmt)
+    value = rb"\g<1>1" + b"0" * (digits - 1)
+    data, found = re.subn(rb"(\b" + key.encode() + rb'"?[=:] ?)[0-9.]+', value, data, count=1)
+    assert found == 1
+    with pytest.raises(ValueError) as info:
+        parse_region(data)
+    assert str(info.value) == text
+
+
 @pytest.mark.parametrize("rule, value, flag, argv", [
     ("mode count", 2.5, "modes", ["threshold", "--modes", "2.5"]),
     ("mode count", 1, "modes", ["breakeven", "--modes", "1", "--tau", "0.5"]),
