@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvdcnet
-from cvdcnet import advantage_analysis, cli_scan, dc_protocol
+from cvdcnet import advantage_analysis, cli_scan, dc_protocol, scan_text
 from cvdcnet.advantage_analysis import (
     RegionScan,
     asymptotic_ratio,
@@ -21,8 +21,6 @@ from cvdcnet.advantage_analysis import (
     threshold_energy,
 )
 from cvdcnet.cli_scan import (
-    _ROWS_PER_CHUNK,
-    LN2,
     CliConfigError,
     RunConfig,
     main,
@@ -34,6 +32,7 @@ from cvdcnet.cli_scan import (
 )
 from cvdcnet.dc_protocol import MC_MAX_SAMPLES
 from cvdcnet.resource_prep import CONVENTION_FINGERPRINT
+from cvdcnet.scan_text import _ROWS_PER_CHUNK, LN2
 
 from helpers import (
     BREAK_EVEN3,
@@ -388,8 +387,10 @@ def test_serialize_region_rejects_bad_modes():
 
 def test_parse_region_patterns_keep_to_python_3_10_syntax():
     # possessive quantifiers and atomic groups are errors before Python 3.11
-    source = Path(cli_scan.__file__).read_text()
-    assert not re.search(r"[*+?}]\+|\(\?>", source)
+    sources = sorted(Path(cvdcnet.__file__).parent.glob("*.py"))
+    assert "scan_text.py" in [path.name for path in sources]
+    for path in sources:
+        assert not re.search(r"[*+?}]\+|\(\?>", path.read_text()), path.name
 
 
 @pytest.mark.parametrize("cell", ["falsey", "truex", "TRUE", ""])
@@ -411,22 +412,28 @@ def test_parse_region_without_data_rows_raises_and_does_not_warn(body):
 
 
 @pytest.mark.parametrize(
-    "mangle",
+    "mangle, text",
     [
-        lambda obj: {**obj, "meta": 7},
-        lambda obj: {**obj, "records": [7] + obj["records"]},
-        lambda obj: {**obj, "records": obj["records"][0]},
-        lambda obj: {**obj, "meta": {**obj["meta"], "nbar": True}},
-        lambda obj: {**obj, "meta": {**obj["meta"], "nbar": "7.0"}},
-        lambda obj: {**obj, "meta": {**obj["meta"], "n_modes": "3"}},
-        lambda obj: {**obj, "meta": {**obj["meta"], "grid_resolution": True}},
+        (lambda obj: {**obj, "meta": 7}, "region data is malformed: its meta is 7"),
+        (lambda obj: {**obj, "meta": "x"}, "region data is malformed: its meta is 'x'"),
+        (lambda obj: {**obj, "meta": None}, "region data is malformed: its meta is None"),
+        (lambda obj: {**obj, "meta": [3, 8]}, "region data is malformed: its meta is [3, 8]"),
+        (lambda obj: {**obj, "records": [7] + obj["records"]}, "region data is malformed"),
+        (lambda obj: {**obj, "records": obj["records"][0]}, "region data is malformed"),
+        (lambda obj: {**obj, "meta": {**obj["meta"], "nbar": True}}, "region data is malformed"),
+        (lambda obj: {**obj, "meta": {**obj["meta"], "nbar": "7.0"}}, "region data is malformed"),
+        (lambda obj: {**obj, "meta": {**obj["meta"], "n_modes": "3"}},
+         "region data is malformed"),
+        (lambda obj: {**obj, "meta": {**obj["meta"], "grid_resolution": True}},
+         "region data is malformed"),
     ],
-    ids=["meta-not-an-object", "record-not-an-object", "records-an-object", "nbar-a-bool",
-         "nbar-a-string", "modes-a-string", "grid-a-bool"],
+    ids=["meta-not-an-object", "meta-a-string", "meta-null", "meta-a-list",
+         "record-not-an-object", "records-an-object", "nbar-a-bool", "nbar-a-string",
+         "modes-a-string", "grid-a-bool"],
 )
-def test_parse_region_rejects_json_of_the_wrong_kind(mangle):
+def test_parse_region_rejects_json_of_the_wrong_kind(mangle, text):
     good = json.loads(serialize_region(region_scan(3, 7.0, 8), "json"))
-    with pytest.raises(ValueError, match="region data is malformed"):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
         parse_region(json.dumps(mangle(good)).encode())
 
 
@@ -551,7 +558,7 @@ def test_scan_text_memory_stays_near_its_arrays_and_bytes():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_two_mode_scan_text_memory_is_flat_in_the_grid(fmt):
     def stream(scan):
-        for _ in cli_scan._region_chunks(scan, fmt, "nats"):
+        for _ in scan_text.region_chunks(scan, fmt, "nats"):
             pass  # each chunk is dropped as the next one is made, as the CLI writes them
 
     peaks = []
@@ -729,10 +736,18 @@ def test_parse_region_reads_the_writers_rows_without_a_general_parser(fmt, units
     def general(*args, **kwargs):
         raise AssertionError("the general reader ran")
 
+    real, returned = scan_text._written_deltas, []
+
+    def written(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
     for name in ("_csv_rows", "_json_rows"):
-        monkeypatch.setattr(cli_scan, name, general)
+        monkeypatch.setattr(scan_text, name, general)
     monkeypatch.setattr(np, "loadtxt", general)
-    for scan in _written_scans():
+    monkeypatch.setattr(scan_text, "_written_deltas", written)
+    scans = list(_written_scans())
+    for scan in scans:
         data = serialize_region(scan, fmt, units)
         if fmt == "csv":
             written = parse_region_csv_literal(data)[2]
@@ -742,6 +757,7 @@ def test_parse_region_reads_the_writers_rows_without_a_general_parser(fmt, units
         expected = written * (LN2 if units == "bits" else 1.0)
         assert back.deltas.tobytes() == expected.tobytes()  # bit for bit, NaN and -0.0 too
         assert np.array_equal(back.flags, expected > 0)
+    assert returned == [True] * len(scans)  # each text read by the writer-checked reader
 
 
 def _row_cells(lines, fmt):
@@ -832,8 +848,10 @@ def test_parse_region_reads_other_spellings_as_the_general_reader(fmt, kind, cel
     text = _mutated(data, fmt, rng, kind, cell)
     assert text != data
     fast = _read(text)
-    monkeypatch.setattr(cli_scan, "_written_deltas", lambda *args: None)
+    calls = []
+    monkeypatch.setattr(scan_text, "_written_deltas", lambda *args: calls.append(args))
     assert fast == _read(text)  # the same deltas, or the same message
+    assert len(calls) == 1  # the stand-in refused the text, so the general reader read it
     assert isinstance(fast, bytes) == (accepted in (True, fmt)), fast
 
 
