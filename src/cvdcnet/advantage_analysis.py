@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, InitVar, dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ __all__ = [
 SEARCH_CAP_NBAR = 1e4     # photon budgets beyond this are treated as "never"
 BISECT_TOL = 1e-6         # absolute nbar tolerance for threshold roots
 _SCAN_MAX_POINTS = 2**24  # region_scan refuses larger grids
-_SCAN_CHUNK_BYTES = 2**20  # region_scan chunk working set: fastest of 256 KiB..2 MiB, n = 3..8
+_CHUNK_ROWS = 2**14  # scan rows a chunk: region_scan's kernel, the text writer, the CSV reader
 
 
 class NoAdvantageError(RuntimeError):
@@ -94,12 +94,17 @@ def threshold_energy(
     floats. The floor 1e-6 never holds an advantage: P(v) <= 1, so
     C_q <= (n/2) ln(1 + 2g) <= n g = 2 nbar (1 + nbar/(n-1)), about 2e-6 there,
     while C_cl >= nbar ln(1 + (n-1)/nbar) >= 1.38e-5. Raises NoAdvantageError if
-    delta never turns positive below the cap, and ValueError unless tol is finite
-    and > 0.
+    delta never turns positive below the cap, or with no kernel pass if the chain is cut:
+    c_n = tau_1 (1 - tau_1) prod_{k>=2} (1 - tau_k) = 0 keeps C_q <= C_cl at every budget
+    (README, Numerical notes). Raises ValueError unless tol is finite and > 0.
     """
     taus, tol = _validated_taus(n_modes, taus), _real(tol)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol}")
+    if taus[0] == 0.0 or 1.0 in taus:  # c_n = 0: tau_1 is 0 or 1, or a later tau is 1
+        cut = 0 if taus[0] == 0.0 else taus.index(1.0)
+        raise NoAdvantageError(f"no quantum advantage at any budget for {n_modes}-mode taus "
+                               f"{taus}: tau_{cut + 1} = {taus[cut]:g} cuts the chain")
 
     def delta_at(nbar):  # right for budgets in (0, SEARCH_CAP_NBAR]
         return float(_quantum_rates(taus, nbar) - _classical_rates(n_modes - 1, nbar))
@@ -337,33 +342,43 @@ class RegionScan:
         return int(np.count_nonzero(self.flags))
 
 
+def _scan_chunks(n_modes: int, nbar: float, grid: int, out=None) -> Iterator[np.ndarray]:
+    """region_scan's deltas in row order, _CHUNK_ROWS rows at a time, for checked arguments;
+    each chunk is a view of out, the whole scan's deltas, where out is given."""
+    c_cl, line = classical_capacity(n_modes - 1, nbar), grid if n_modes > 2 else 1  # rows
+    n_lines, step = grid ** (n_modes - 1) // line, max(_CHUNK_ROWS // line, 1)
+    t = _grid_taus(np.arange(1, line - 1), grid)  # the last tau of a line's inner rows
+    for first in range(0, n_lines, step):  # a line's prefix, or for n = 2 a point
+        index = _grid_index(max(n_modes - 1, 2), grid, first, min(first + step, n_lines))
+        rows = (np.empty((index.shape[1], line)) if out is None  # one grid line a row
+                else out[first * line:(first + index.shape[1]) * line].reshape(-1, line))
+        if line == 1:
+            rows[:, 0] = _quantum_rates(_grid_taus(index, grid), nbar) - c_cl
+        else:
+            prefix = np.tile(_grid_taus(index, grid), 2)  # one kernel call: last tau 0, then 1
+            ends = np.repeat([0.0, 1.0], len(rows))
+            c0, c1 = _quantum_rates([*prefix, ends], nbar).reshape(2, -1)
+            rows[:, 0], rows[:, -1], inner = c0 - c_cl, c1 - c_cl, rows[:, 1:-1]  # C_0, C_1
+            m = np.multiply.outer(np.expm1(2.0 * (c1 - c0)), t)  # -t (1 - rho), rho = L_1 / L_0
+            far = np.multiply.outer(np.exp(2.0 * (c1 - c0)), t) + (1.0 - t)  # (1 - t) + t rho
+            np.log1p(m, out=inner)  # ln L(t) - ln L_0 where t (1 - rho) < 1/2, and elsewhere
+            np.log(far, out=inner, where=m <= -0.5)  # from a sum of terms >= 0
+            np.add(0.5 * inner, (c0 - c_cl)[:, None], out=inner)
+        yield rows.reshape(-1)
+
+
 def region_scan(n_modes: int, nbar: float, grid_resolution: int) -> RegionScan:
     """Evaluate delta on the full [0,1]^(n-1) grid, lexicographic order, the first tau slowest.
 
     For n >= 3, L = det(I + g M M^T) is affine in the last tau (README, Numerical notes): the
-    O(n) transfer kernel runs on (C,) columns of line prefixes, the last tau at 0 and at 1,
-    for a chunk of whole lines of grid_resolution rows, 32 bytes a row, in _SCAN_CHUNK_BYTES.
-    A 2-mode scan runs it on (C,) columns of points, 8 (2n + 8) bytes each. A grid over
+    O(n) transfer kernel runs on a (2C,) column of line prefixes, the last tau at 0 then at 1,
+    for a chunk of whole lines (at least one) of at most _CHUNK_ROWS rows. A 2-mode scan, whose
+    one tau is quadratic in L, runs it on (C,) columns of _CHUNK_ROWS points. A grid over
     _SCAN_MAX_POINTS points raises ValueError before anything is allocated.
     """
     n_modes, grid = _mode_count(n_modes), _grid_resolution(grid_resolution)
     n_points, nbar = _grid_points(n_modes, grid), _budget(nbar)
-    deltas, c_cl = np.empty(n_points), classical_capacity(n_modes - 1, nbar)
-    chunk = _SCAN_CHUNK_BYTES // (8 * (2 * n_modes + 8) if n_modes == 2 else 32 * grid)
-    if n_modes == 2:  # the one tau is quadratic in L: a kernel pass a point
-        for start in range(0, n_points, chunk):
-            taus = _grid_taus(_grid_index(2, grid, start, min(start + chunk, n_points)), grid)
-            deltas[start:start + chunk] = _quantum_rates(taus, nbar) - c_cl
-        return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)
-    t = _grid_taus(np.arange(1, grid - 1), grid)  # the last tau of a line's inner rows
-    for first in range(0, n_points // grid, chunk):  # lines: >= 8, as grid <= 4096 here
-        index = _grid_index(n_modes - 1, grid, first, min(first + chunk, n_points // grid))
-        c0, c1 = (_quantum_rates([*_grid_taus(index, grid), end], nbar) for end in (0.0, 1.0))
-        rows = deltas[first * grid:(first + index.shape[1]) * grid].reshape(-1, grid)
-        rows[:, 0], rows[:, -1], inner = c0 - c_cl, c1 - c_cl, rows[:, 1:-1]  # C_0, C_1
-        m = np.multiply.outer(np.expm1(2.0 * (c1 - c0)), t)  # -t (1 - rho), rho = L_1 / L_0
-        far = np.multiply.outer(np.exp(2.0 * (c1 - c0)), t) + (1.0 - t)  # (1 - t) + t rho
-        np.log1p(m, out=inner)  # ln L(t) - ln L_0 where t (1 - rho) < 1/2, and elsewhere
-        np.log(far, out=inner, where=m <= -0.5)  # from a sum of terms >= 0
-        np.add(0.5 * inner, (c0 - c_cl)[:, None], out=inner)
+    deltas = np.empty(n_points)
+    for _ in _scan_chunks(n_modes, nbar, grid, deltas):  # each chunk written in place
+        pass
     return RegionScan(n_modes, nbar, grid, deltas, _adopt=True)

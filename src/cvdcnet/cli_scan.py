@@ -16,6 +16,7 @@ back, by cvdcnet.scan_text.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -31,10 +32,10 @@ from .advantage_analysis import (
     _asymptotic_regime,
     _grid_points,
     _grid_resolution,
+    _scan_chunks,
     asymptotic_ratio,
     break_even_squeezing,
     min_threshold_energy,
-    region_scan,
     threshold_energy,
 )
 from .dc_protocol import (
@@ -263,10 +264,17 @@ def _run_capacity(config: RunConfig) -> int:
 
 
 def _run_scan(config: RunConfig) -> int:
-    scan = region_scan(config.modes, config.nbar, config.grid)
+    chunks, n_advantage = _scan_chunks(config.modes, config.nbar, config.grid), [0]
+    first = next(chunks)  # a budget the kernel refuses raises here, before a byte is written
+
+    def counted(deltas):  # a chunk's flags as it passes to the text: no grid-sized array
+        n_advantage[0] += np.count_nonzero(deltas > 0)
+        return deltas
+
     units = "bits" if config.bits else "nats"
-    _emit(config, region_chunks(scan, config.fmt, units))
-    return 0 if scan.n_advantage > 0 else 2
+    deltas = map(counted, itertools.chain([first], chunks))
+    _emit(config, region_chunks(config.modes, config.nbar, config.grid, deltas, config.fmt, units))
+    return 0 if n_advantage[0] > 0 else 2
 
 
 def _run_threshold(config: RunConfig) -> int:

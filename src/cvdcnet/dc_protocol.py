@@ -505,7 +505,8 @@ def _log_transfer(taus, v, u):
     a slot, else by [[1, t], [0, r]], which keeps e + f. BS_0 is each block's first slot
     step. A slot step renormalizes its input to e + f = 1 and loses y = t u e of it, so
     1 - P = d, with d <- d + y (1 - d), to full relative accuracy: ln P = log1p(-d)
-    where P > 1/2. v = 0 gives ln P(0) = ln c_n, which is ln 0 on a cut chain."""
+    where P > 1/2. v = 0 gives ln P(0) = ln c_n, c_n = tau_1 (1 - tau_1) prod_{k>=2} (1 - tau_k):
+    the r of each slot step. That is ln 0 on a cut chain, which threshold_energy refuses first."""
     t1 = taus[0]
     log_p, d = 0.0, 0.0  # ln P and 1 - P so far
     for block, (t, r) in enumerate(((1.0 - t1, t1), (t1, 1.0 - t1))):  # BS_0 in the p, q block

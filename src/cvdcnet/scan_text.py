@@ -15,16 +15,15 @@ import warnings
 from decimal import Decimal
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .advantage_analysis import RegionScan, _grid_index, _grid_points, _grid_taus
+from .advantage_analysis import _CHUNK_ROWS, RegionScan, _grid_index, _grid_points, _grid_taus
 from .resource_prep import CONVENTION_FINGERPRINT
 
 LN2 = float(np.log(2.0))
 _FORMATS = ("csv", "json")
-_ROWS_PER_CHUNK = 2**14  # scan rows rendered, and written, at a time
 _WINDOW = 2**18  # bytes of scan text _written_deltas checks at a time
 _PAD = 72  # bytes after a window's last row: the words of the widest entry, 30 + 17 + 25
 # a JSON integer as written: read exactly at any length, and shown as written
@@ -55,8 +54,9 @@ def to_format(name: str, raw: str) -> str:
 
 
 def region_bytes(scan: RegionScan, fmt: str, units: str) -> bytes:
+    chunks = (scan.deltas[i:i + _CHUNK_ROWS] for i in range(0, scan.n_points, _CHUNK_ROWS))
     out = io.BytesIO()  # grows in place: no list of chunks beside the joined bytes
-    out.writelines(region_chunks(scan, fmt, units))
+    out.writelines(region_chunks(scan.n_modes, scan.nbar, scan.grid_resolution, chunks, fmt, units))
     return out.getvalue()
 
 
@@ -146,66 +146,68 @@ def _right_aligned(text: np.ndarray) -> np.ndarray:
 
 class _TauTables:
     """Per tau i, build(i, _entries) of its spellings in fmt with the bytes before each (the
-    last tau's with those up to delta too), over a range of grid positions, kept while the
-    ones asked for stay in it: the whole axis where it has at most _ROWS_PER_CHUNK values
-    (for n >= 3 always), else _ROWS_PER_CHUNK or more from the least one asked for."""
+    last tau's with those up to delta too): of the whole axis, built once, for n >= 3 (at
+    most 4,096 values), and for n = 2 of the positions asked for, on each call."""
 
     def __init__(self, fmt: str, n_modes: int, grid: int, build: Callable = lambda i, e: e):
         _, first, between, before_delta, *_ = _LAYOUTS[fmt]
         leads, trails = [first] + [between] * (n_modes - 2), [""] * (n_modes - 2) + [before_delta]
         self.seps = list(zip(leads, trails))
-        self.fmt, self.grid, self.build, self.lo, self.hi = fmt, grid, build, 0, 0
+        self.fmt, self.grid, self.build = fmt, grid, build
+        self.axis = self._tables(np.arange(grid)) if n_modes > 2 else None
+
+    def _tables(self, positions: np.ndarray) -> list:
+        taus = _spelled(_grid_taus(positions, self.grid), self.fmt)
+        return [self.build(i, _entries(taus, *sep)) for i, sep in enumerate(self.seps)]
 
     def __call__(self, index: np.ndarray) -> tuple[list, np.ndarray]:
         """The tables that hold the (n - 1, C) grid positions, and the positions in them."""
-        if self.hi - self.lo < self.grid and (index.min() < self.lo or index.max() >= self.hi):
-            lo, hi = int(index.min()), int(index.max()) + 1
-            self.lo, self.hi = lo, min(max(hi, lo + _ROWS_PER_CHUNK), self.grid)
-            taus = _spelled(_grid_taus(np.arange(self.lo, self.hi), self.grid), self.fmt)
-            self.tables = [self.build(i, _entries(taus, *sep)) for i, sep in enumerate(self.seps)]
-        return self.tables, index - self.lo
+        if self.axis is None:  # two modes: a chunk's or a window's consecutive positions
+            return self._tables(index[0]), index - index[0, 0]
+        return self.axis, index
 
 
-def _row_text(scan: RegionScan, fmt: str, scale: float) -> Iterator[bytes]:
-    """serialize_region's rows, _ROWS_PER_CHUNK at a time: a record array of \\0-padded
+def _row_text(n_modes: int, grid: int, chunks: Iterable, fmt: str, scale: float) -> Iterator[bytes]:
+    """serialize_region's rows, a chunk of deltas at a time: a record array of \\0-padded
     byte fields (each tau, delta and flag with the bytes around it), every \\0 dropped."""
     *_, before_flag, end, _ = _LAYOUTS[fmt]
-    taus = _TauTables(fmt, scan.n_modes, scan.grid_resolution, lambda i, e: _right_aligned(e[3])
-                      if i % 2 == 0 and i < scan.n_modes - 2 else e[3])  # text abuts tau i + 1
-    flags = _entries(_FLAGS, before_flag, end)[3]
-    for start in range(0, scan.n_points, _ROWS_PER_CHUNK):
-        stop = min(start + _ROWS_PER_CHUNK, scan.n_points)
-        tables, index = taus(_grid_index(scan.n_modes, scan.grid_resolution, start, stop))
-        delta = _spelled(scan.deltas[start:stop] * scale, fmt)
+    taus = _TauTables(fmt, n_modes, grid, lambda i, e: _right_aligned(e[3])
+                      if i % 2 == 0 and i < n_modes - 2 else e[3])  # text abuts tau i + 1
+    flags, stop = _entries(_FLAGS, before_flag, end)[3], 0
+    for deltas in chunks:
+        start, stop = stop, stop + len(deltas)
+        tables, index = taus(_grid_index(n_modes, grid, start, stop))
+        delta = _spelled(deltas * scale, fmt)
         fields = [(f"tau{i}", table.dtype) for i, table in enumerate(tables)]
         rec = np.empty(stop - start, fields + [("delta", delta.dtype), ("flag", flags.dtype)])
         for i, table in enumerate(tables):
             rec[f"tau{i}"] = table[index[i]]
-        rec["delta"], rec["flag"] = delta, flags[scan.flags[start:stop].view(np.uint8)]
+        rec["delta"], rec["flag"] = delta, flags[(deltas > 0).view(np.uint8)]
         raw = rec.view(np.uint8)
         yield raw[raw != 0].tobytes()
 
 
-def region_chunks(scan: RegionScan, fmt: str, units: str) -> Iterator[bytes]:
-    """serialize_region's bytes, one chunk of rows at a time."""
+def region_chunks(n_modes: int, nbar: float, grid: int, deltas: Iterable[np.ndarray], fmt: str,
+                  units: str) -> Iterator[bytes]:
+    """serialize_region's bytes from a scan's deltas in row order, a chunk of rows a chunk."""
     to_format("format", fmt)
     scale = 1.0 / _nats_per_unit(units)
     meta = {
-        "n_modes": scan.n_modes,
-        "nbar": round12(scan.nbar),
-        "grid_resolution": scan.grid_resolution,
+        "n_modes": n_modes,
+        "nbar": round12(nbar),
+        "grid_resolution": grid,
         "units": units,
         "convention": CONVENTION_FINGERPRINT,
     }
     if fmt == "csv":
         lines = [f"# {key}={value}" for key, value in meta.items()]
-        lines.append(_csv_header(scan.n_modes, units))
+        lines.append(_csv_header(n_modes, units))
         yield ("\n".join(lines) + "\n").encode("utf-8")
-        yield from _row_text(scan, fmt, scale)
+        yield from _row_text(n_modes, grid, deltas, fmt, scale)
         return
     # json.dumps(indent=2)'s layout: head, records each ending ",\n" (the last one's cut), tail
     chunk = (json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "records": [\n').encode("utf-8")
-    for rows in _row_text(scan, fmt, scale):
+    for rows in _row_text(n_modes, grid, deltas, fmt, scale):
         yield chunk
         chunk = rows
     yield chunk[:-2] + _JSON_TAIL
@@ -216,16 +218,16 @@ def _csv_header(n_modes: int, units: str) -> str:
 
 
 def _csv_rows(stream: io.TextIOBase, n_modes: int) -> Iterator[np.ndarray]:
-    """The CSV data rows, _ROWS_PER_CHUNK at a time, as (C, n_modes) floats:
+    """The CSV data rows, _CHUNK_ROWS at a time, as (C, n_modes) floats:
     the taus, then delta."""
     # S6, not S5, so that a cell such as 'falsey' is not cut to 'false'
     dtype = [("cells", "f8", (n_modes,)), ("flag", "S6")]
-    for start in itertools.count(0, _ROWS_PER_CHUNK):
+    for start in itertools.count(0, _CHUNK_ROWS):
         with warnings.catch_warnings():  # of blank lines, and of no rows left at a chunk's end
             warnings.simplefilter("ignore", UserWarning)
             try:
                 rows = np.loadtxt(stream, delimiter=",", dtype=dtype, ndmin=1,
-                                  max_rows=_ROWS_PER_CHUNK)
+                                  max_rows=_CHUNK_ROWS)
             except ValueError as exc:
                 raise ValueError(f"in the data rows from row {start + 1}: {exc}") from None
         bad = np.flatnonzero((rows["flag"] != b"true") & (rows["flag"] != b"false"))
@@ -234,7 +236,7 @@ def _csv_rows(stream: io.TextIOBase, n_modes: int) -> Iterator[np.ndarray]:
             raise ValueError(f"data row {start + bad[0] + 1}: flag '{cell}' is not true or false")
         if len(rows):
             yield rows["cells"]
-        if len(rows) < _ROWS_PER_CHUNK:
+        if len(rows) < _CHUNK_ROWS:
             return
 
 

@@ -1,3 +1,7 @@
+import itertools
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +150,53 @@ def test_threshold_energy_no_advantage_configuration():
     with pytest.raises(NoAdvantageError) as exc:
         threshold_energy(3, (0.0, 0.0))
     assert exc.value.search_cap == SEARCH_CAP_NBAR
+
+
+@pytest.mark.parametrize("n_modes", [3, 4, 5])
+def test_a_cut_chain_is_refused_from_its_taus_alone(n_modes, monkeypatch):
+    # c_n = tau_1 (1 - tau_1) prod_{k>=2} (1 - tau_k) = 0 keeps C_q <= C_cl at every budget;
+    # it cost a kernel pass at the cap, and the verdict named the cap, not the cut
+    kernel, passes = dc_protocol._log_transfer, [0]
+
+    def counted(*args):
+        passes[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(dc_protocol, "_log_transfer", counted)
+    cut = 0
+    for taus in itertools.product((0.0, 0.5, 1.0), repeat=n_modes - 1):
+        passes[0] = 0
+        if taus[0] * (1.0 - taus[0]) * math.prod(1.0 - t for t in taus[1:]) > 0.0:
+            assert threshold_energy(n_modes, taus) > 0.0 and passes[0] > 0, taus
+            continue
+        k = 0 if taus[0] == 0.0 else taus.index(1.0)  # the first tau that cuts the chain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoAdvantageError, match=re.escape(
+                    f"no quantum advantage at any budget for {n_modes}-mode taus {taus}: "
+                    f"tau_{k + 1} = {taus[k]:g} cuts the chain")) as exc:
+                threshold_energy(n_modes, taus)
+        assert passes[0] == 0 and exc.value.search_cap == SEARCH_CAP_NBAR, taus
+        cut += 1
+    assert cut == 3 ** (n_modes - 1) - 2 ** (n_modes - 2)  # all but tau_1 = 1/2, no later 1
+
+
+def test_c_n_is_the_product_of_the_taus():
+    # c_n = P(0) = det(M)^2 / 2^n = tau_1 (1 - tau_1) prod_{k>=2} (1 - tau_k): the r of each
+    # slot step, on chains with exact 0s and 1s among their taus
+    rng = np.random.default_rng(3007)
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        taus = rng.uniform(size=n - 1)
+        ends = rng.uniform(size=n - 1) < 0.2
+        taus[ends] = rng.choice([0.0, 1.0], int(ends.sum()))
+        taus = tuple(taus.tolist())
+        c_n = taus[0] * (1.0 - taus[0]) * math.prod(1.0 - t for t in taus[1:])
+        m = build_channel(ResourceSpec(n, 1.0, taus), EncodingPlan.standard(n, 1.0)).matrix
+        with np.errstate(divide="ignore"):  # ln 0 on a cut chain
+            kernel = float(np.exp(_log_transfer(taus, 0.0, 1.0)))
+        assert np.linalg.det(m) ** 2 / 2**n == pytest.approx(c_n, abs=1e-14), taus
+        assert kernel == pytest.approx(c_n, abs=1e-14), taus
 
 
 def test_threshold_energy_input_validation():
@@ -756,12 +807,13 @@ def _two_pass_rows(n_modes, nbar, grid):
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (5, 40.0, 16), (2, 7.0, 300**2),
                                                  (4, 15.0, 100)])
 def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid, monkeypatch):
-    # 64 KiB chunks: more than 8 of them at each grid here (n = 2 and 4 at 1 MiB too)
-    monkeypatch.setattr(advantage_analysis, "_SCAN_CHUNK_BYTES", 2**16)
+    # 512-row chunks: more than 8 of them at each grid here (n = 2 and 4 at 2^14 too), and
+    # one line a chunk at grid 300
+    monkeypatch.setattr(advantage_analysis, "_CHUNK_ROWS", 2**9)
     scan = region_scan(n_modes, nbar, grid)
-    # points per chunk: a kernel call on a column of points for n = 2, else on the line
-    # prefixes of whole lines of grid points, at 32 bytes a point
-    chunk = 2**16 // (8 * (2 * n_modes + 8)) if n_modes == 2 else 2**16 // (32 * grid) * grid
+    # rows per chunk: a kernel call on a column of points for n = 2, else on the line
+    # prefixes of whole lines of grid points, at least one line
+    chunk = 2**9 if n_modes == 2 else max(2**9 // grid, 1) * grid
     assert scan.n_points > 8 * chunk  # more than 8 chunks
     c_cl = classical_capacity(n_modes - 1, nbar)
     per_point = dc_protocol._quantum_rates(scan.taus.T, nbar) - c_cl
@@ -770,6 +822,18 @@ def test_region_scan_chunks_match_one_kernel_call(n_modes, nbar, grid, monkeypat
     else:  # the two-pass rows, chunked as in one call, and within 4e-16 C_cl of each point's
         assert np.array_equal(scan.deltas, _two_pass_rows(n_modes, nbar, grid))
         assert np.abs(scan.deltas - per_point).max() <= 4e-16 * c_cl
+
+
+@pytest.mark.parametrize("n_modes, nbar, grid", [(2, 7.0, 3 * 2**14 + 5), (3, 10.0, 1000),
+                                                 (4, 7.0, 100), (5, 30.0, 40), (8, 5.0, 8)])
+def test_scan_chunks_are_whole_lines_and_the_scan_bit_for_bit(n_modes, nbar, grid):
+    # the CLI streams the chunks that region_scan writes in place: the same bits either way
+    chunks = list(advantage_analysis._scan_chunks(n_modes, nbar, grid))
+    line = grid if n_modes > 2 else 1
+    sizes = [len(chunk) for chunk in chunks]
+    assert sizes[0] == max(advantage_analysis._CHUNK_ROWS // line, 1) * line
+    assert set(sizes[:-1]) <= {sizes[0]} and 0 < sizes[-1] <= sizes[0] and sizes[-1] % line == 0
+    assert np.concatenate(chunks).tobytes() == region_scan(n_modes, nbar, grid).deltas.tobytes()
 
 
 @pytest.mark.parametrize("n_modes, nbar, grid", [(3, 7.0, 300), (4, 15.0, 12), (4, 1e82, 8),

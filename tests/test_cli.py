@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 import cvdcnet
 from cvdcnet import advantage_analysis, cli_scan, dc_protocol, scan_text
 from cvdcnet.advantage_analysis import (
+    _CHUNK_ROWS,
     RegionScan,
     asymptotic_ratio,
     break_even_squeezing,
@@ -32,7 +34,7 @@ from cvdcnet.cli_scan import (
 )
 from cvdcnet.dc_protocol import MC_MAX_SAMPLES
 from cvdcnet.resource_prep import CONVENTION_FINGERPRINT
-from cvdcnet.scan_text import _ROWS_PER_CHUNK, LN2
+from cvdcnet.scan_text import LN2
 
 from helpers import (
     BREAK_EVEN3,
@@ -558,7 +560,8 @@ def test_scan_text_memory_stays_near_its_arrays_and_bytes():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_two_mode_scan_text_memory_is_flat_in_the_grid(fmt):
     def stream(scan):
-        for _ in scan_text.region_chunks(scan, fmt, "nats"):
+        deltas = (scan.deltas[i:i + _CHUNK_ROWS] for i in range(0, scan.n_points, _CHUNK_ROWS))
+        for _ in scan_text.region_chunks(2, scan.nbar, scan.grid_resolution, deltas, fmt, "nats"):
             pass  # each chunk is dropped as the next one is made, as the CLI writes them
 
     peaks = []
@@ -686,7 +689,7 @@ def _hand_built_scan():
 )
 def test_chunked_scan_text_matches_the_oracle(make_scan, chunks, fmt, units):
     scan = make_scan()
-    assert scan.n_points > chunks * _ROWS_PER_CHUNK  # the grid scans span several chunks
+    assert scan.n_points > chunks * _CHUNK_ROWS  # the grid scans span several chunks
     assert serialize_region(scan, fmt, units) == serialize_region_literal(scan, fmt, units)
 
 
@@ -902,9 +905,9 @@ def test_scan_over_the_point_cap_fails_before_building_the_grid(monkeypatch, cap
 ])
 def test_scan_refuses_a_grid_over_the_cap_while_parsing(modes, grid, size, monkeypatch, capsys):
     def no_scan(*args, **kwargs):
-        raise AssertionError("region_scan ran before the grid size was checked")
+        raise AssertionError("the scan ran before the grid size was checked")
 
-    monkeypatch.setattr(cli_scan, "region_scan", no_scan)
+    monkeypatch.setattr(cli_scan, "_scan_chunks", no_scan)
     argv = ["scan", "--modes", str(modes), "--nbar", "7", "--grid", str(grid)]
     message = f"--grid: a {modes}-mode scan at grid {grid} has {size}, over the cap of 16,777,216"
     with pytest.raises(CliConfigError, match=re.escape(message)):
@@ -929,9 +932,9 @@ def test_scan_command_exit_codes_and_files(tmp_path):
 
 def test_out_into_missing_directory_fails_before_computing(tmp_path, monkeypatch, capsys):
     def no_scan(*args):
-        raise AssertionError("region_scan ran before --out was checked")
+        raise AssertionError("the scan ran before --out was checked")
 
-    monkeypatch.setattr("cvdcnet.cli_scan.region_scan", no_scan)
+    monkeypatch.setattr(cli_scan, "_scan_chunks", no_scan)
     out = tmp_path / "missing" / "x.csv"
     assert main(["scan", "--modes", "3", "--nbar", "7", "--grid", "16",
                  "--out", str(out)]) == 1
@@ -939,6 +942,32 @@ def test_out_into_missing_directory_fails_before_computing(tmp_path, monkeypatch
     assert main(["scan", "--modes", "3", "--nbar", "7", "--grid", "16",
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: cannot write {tmp_path}: it is a directory\n"
+
+
+def test_a_refused_scan_writes_nothing(tmp_path, capsys):
+    # the kernel refuses the budget on the first chunk, before a header byte or a file
+    argv = ["scan", "--modes", "3", "--nbar", "1e160", "--grid", "8"]
+    for extra in ([], ["--format", "json"]):
+        out = tmp_path / "scan.txt"
+        for target in ([], ["--out", str(out)]):
+            assert main(argv + extra + target) == 1
+            assert capsys.readouterr() == ("", "error: photon budget 1e+160 overflows the "
+                                               "determinant\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n_modes, small, large", [(3, 256, 1024), (2, 2**16, 2**20)])
+def test_cli_scan_memory_is_flat_in_the_grid(n_modes, small, large, monkeypatch):
+    # the CLI streams the kernel's chunks to the text: it built the whole scan, 9 B a
+    # point, and peaked at 5.8 MB, then 14.6 MB, for (3, 10, 256) and (3, 10, 1024)
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=len))  # a sink
+    peaks = []
+    for grid in (small, large):
+        argv = ["scan", "--modes", str(n_modes), "--nbar", "10", "--grid", str(grid)]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0] + 1e6, [f"{peak / 1e6:.1f} MB" for peak in peaks]
 
 
 def test_scan_command_bits_header(tmp_path):
@@ -980,6 +1009,13 @@ def test_threshold_command_no_advantage_diagnostic(capsys):
     diag = obj["diagnostic"]
     assert diag["error"] == "no-advantage"
     assert diag["search_cap"] == 1e4
+
+
+def test_threshold_command_names_the_tau_that_cuts_the_chain(capsys):
+    assert main(["threshold", "--modes", "4", "--tau", "0.3,1,0.2"]) == 2
+    diag = _json_out(capsys)["diagnostic"]
+    assert diag["message"] == ("no quantum advantage at any budget for 4-mode taus "
+                               "(0.3, 1.0, 0.2): tau_2 = 1 cuts the chain")
 
 
 def test_breakeven_command(capsys):

@@ -63,8 +63,8 @@ def lazy():
 
 
 def test_the_text_layer_imports_only_the_scan_and_its_grid():
-    allowed = {("advantage_analysis", name)
-               for name in ("RegionScan", "_grid_index", "_grid_points", "_grid_taus")}
+    allowed = {("advantage_analysis", name) for name in
+               ("RegionScan", "_CHUNK_ROWS", "_grid_index", "_grid_points", "_grid_taus")}
     allowed.add(("resource_prep", "CONVENTION_FINGERPRINT"))
     imported = _imported_names(ast.parse(Path(scan_text.__file__).read_text()))
     assert imported <= allowed, sorted(imported - allowed)
