@@ -50,7 +50,8 @@ _CHUNK_ROWS = 2**14  # scan rows a chunk: region_scan's kernel, the text writer,
 
 
 class NoAdvantageError(RuntimeError):
-    """No photon budget up to the search cap yields a positive advantage."""
+    """No photon budget up to the search cap yields a positive advantage, or the chain is
+    cut and no budget at all does."""
 
     def __init__(self, message: str, search_cap: float = SEARCH_CAP_NBAR):
         super().__init__(message)
@@ -66,7 +67,7 @@ def classical_capacity(n_senders: int, nbar):
     x beyond ~1e15. Continuous extension 0 at nbar = 0. Accepts a scalar
     or an array of budgets.
     """
-    n_senders = _mode_count(n_senders, least=1)
+    n_senders = _mode_count(n_senders, least=1, scalar=True)
     arr = np.asarray(_real(nbar) if np.isscalar(nbar) else nbar, dtype=float)
     _budget(arr.min(initial=0.0))  # the budget rule at the extremes, where a NaN is too
     _budget(arr.max(initial=0.0))

@@ -97,10 +97,6 @@ class RunConfig:
     squeezing: float = 20.0
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
 def _to_taus(name: str, raw: str) -> tuple[float, ...]:
     return tuple(_transmissivity(to_number(name, p)) for p in raw.split(","))
 
@@ -230,7 +226,8 @@ def _emit_json(config: RunConfig, **body) -> None:
         "units": "bits" if config.bits else "nats",
         "convention": CONVENTION_FINGERPRINT,
     }
-    _emit(config, [_json_bytes({"meta": meta, **body})])
+    text = json.dumps({"meta": meta, **body}, indent=2) + "\n"
+    _emit(config, [text.encode("utf-8")])
 
 
 def _result(config: RunConfig, taus: Sequence[float], **values: float) -> dict:

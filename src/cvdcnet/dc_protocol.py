@@ -44,7 +44,6 @@ from .phase_space import (
 from .resource_prep import (
     ResourceSpec,
     _chain_adjoint,
-    _quadrature_lift,
     _squeezing,
     _validated_taus,
     alternating_pattern,
@@ -176,7 +175,7 @@ def decoding_symplectic(n_modes: int, taus: Sequence[float]) -> SymplecticTransf
     message component appears with a positive coefficient. It negates
     whole rows of the channel matrix, so capacities do not depend on it.
     """
-    s = _quadrature_lift(_chain_adjoint(_validated_taus(n_modes, taus)))
+    s = np.kron(_chain_adjoint(_validated_taus(n_modes, taus)), np.eye(2))
     s[2:, :] *= -1.0
     return SymplecticTransform(n_modes, s)
 
@@ -411,7 +410,7 @@ def photon_constraint(n_modes: int, r: float, sigma_msg_sq: float) -> float:
     the n message components add sigma_msg_sq / 2 displacement photons
     apiece on average.
     """
-    n_modes, r, sigma_msg_sq = _mode_count(n_modes), _squeezing(r), _real(sigma_msg_sq)
+    n_modes, r, sigma_msg_sq = _mode_count(n_modes, scalar=True), _squeezing(r), _real(sigma_msg_sq)
     if not 0.0 <= sigma_msg_sq < math.inf:
         raise ValueError(f"sigma_msg_sq must be finite and >= 0, got {sigma_msg_sq}")
     return float((n_modes - 1) * np.sinh(r) ** 2 + n_modes * sigma_msg_sq / 2.0)
@@ -438,7 +437,7 @@ def optimal_params(n_modes: int, nbar: float) -> OptimalParams:
     r = (1/2) ln(1 + 2 nbar / (n-1)) and
     sigma^2 = (n-1) sinh(2r) / n; photon_constraint round-trips to nbar.
     """
-    n_modes, nbar = _mode_count(n_modes), _budget(nbar)
+    n_modes, nbar = _mode_count(n_modes, scalar=True), _budget(nbar)
     x = 2.0 * nbar / (n_modes - 1)
     r = 0.5 * np.log1p(x)
     sinh_2r = x * (2.0 + x) / (2.0 * (1.0 + x))

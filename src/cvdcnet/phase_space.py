@@ -17,6 +17,7 @@ physicality, they do not re-check it.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -86,12 +87,19 @@ def _is_whole(value) -> bool:
     return isinstance(value, int) or float(value).is_integer()
 
 
-def _mode_count(n_modes, least: int = 2) -> int:
-    """n_modes as an int; ValueError unless it is a whole number >= least that a float holds."""
+_MAX_MODES = math.isqrt(sys.maxsize // 32)  # a (2n, 2n) float array's 32 n^2 bytes fit an index
+
+
+def _mode_count(n_modes, least: int = 2, scalar: bool = False) -> int:
+    """n_modes as an int; ValueError unless it is a whole number >= least that a float holds,
+    and at most _MAX_MODES unless the caller's formula is scalar in n (builds no per-mode data)."""
     if not (_is_whole(n_modes) and n_modes >= least):
         raise ValueError(f"the mode count must be a whole number >= {least}, got {_shown(n_modes)}")
     if n_modes > sys.float_info.max:  # an int: mode counts take part in float arithmetic
         raise ValueError(f"the mode count has {n_modes.bit_length()} bits, past the float range")
+    if n_modes > _MAX_MODES and not scalar:  # before any loop over the modes or any array
+        raise ValueError(f"a (2n, 2n) float array holds at most {_MAX_MODES:,} modes, "
+                         f"got {n_modes:.10g}")
     return int(n_modes)
 
 

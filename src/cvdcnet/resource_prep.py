@@ -105,19 +105,11 @@ def _chain_adjoint(taus) -> np.ndarray:
     return rows
 
 
-def _quadrature_lift(o: np.ndarray) -> np.ndarray:
-    """O (x) I_2 for an n x n mode matrix O, the same map on q and on p;
-    byte for byte np.kron(o, np.eye(2)), signed zeros included, without
-    its generic outer-product overhead."""
-    n = len(o)
-    return (o[:, None, :, None] * np.eye(2)[:, None]).reshape(2 * n, 2 * n)
-
-
 def preparation_transform(spec: ResourceSpec) -> SymplecticTransform:
     """Symplectic map taking the vacuum to the resource state: the
     squeezers, then the chain, S = C diag(squeeze)."""
     n = spec.n_modes
-    chain = _quadrature_lift(_chain_adjoint(spec.taus).T)
+    chain = np.kron(_chain_adjoint(spec.taus).T, np.eye(2))
     squeeze = np.full(2 * n, np.exp(spec.r))
     squeeze[alternating_pattern(n).flat_indices()] = np.exp(-spec.r)
     return SymplecticTransform(n, chain * squeeze)

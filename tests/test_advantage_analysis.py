@@ -360,14 +360,15 @@ def test_line_closed_form_matches_the_channel():
 
 
 def test_min_threshold_longer_chains():
-    for n in range(5, 13):
+    # every n whose minimum is below the search cap: min_threshold_energy(19) = 7,526
+    for n in range(2, 20):
         result = min_threshold_energy(n)
 
         def delta(nb, n=n):
             return capacity_line_closed(n, 0.5, nb) - float(classical_stable(n - 1, nb))
 
         assert result.nbar_th == pytest.approx(
-            bisect_root(delta, 1.0, SEARCH_CAP_NBAR), abs=1e-6
+            bisect_root(delta, 1e-3, SEARCH_CAP_NBAR, tol=1e-11), rel=1e-9, abs=0
         )
         assert result.taus == (0.5,) + (0.0,) * (n - 2)
 
@@ -879,7 +880,9 @@ def test_region_scan_refuses_grids_over_the_point_cap(monkeypatch):
     with pytest.raises(ValueError, match="16,785,409 points"):
         region_scan(3, 7.0, 4097)  # just over 2**24
     with pytest.raises(ValueError, match=r"has more than 2\^64 points"):
-        region_scan(10**9, 7.0, 8)  # refused before 8**(10**9 - 1) is taken
+        region_scan(10**8, 7.0, 8)  # refused before 8**(10**8 - 1) is taken
+    with pytest.raises(ValueError, match="float array holds at most 536,870,911 modes"):
+        region_scan(10**9, 7.0, 8)  # the mode count's own rule comes first
 
 
 def test_region_scan_freezes_copies_not_caller_arrays():

@@ -483,7 +483,9 @@ def _region_text(fmt, meta=(), rows=None):
         ({"units": "decibans"}, None, "units must be .* got 'decibans'"),
         ({"convention": "q1q2p1p2"}, None, "convention 'q1q2p1p2', not"),
         ({"convention": None}, None, "no 'convention' entry"),
-        ({"n_modes": 10**9}, None, r"more than 2\^64 points, over the cap"),
+        ({"n_modes": 10**8}, None, r"more than 2\^64 points, over the cap"),
+        ({"n_modes": 10**9}, None,
+         r"^a \(2n, 2n\) float array holds at most 536,870,911 modes, got 1000000000$"),
         ({"n_modes": 3.9}, None, "^the mode count must be a whole number >= 2, got 3.9$"),
         ({"grid_resolution": 8.5}, None, "^grid_resolution must be a whole number >= 8, got 8.5$"),
         ({"nbar": -5}, None, "nbar must be finite and >= 0, got -5"),
@@ -491,8 +493,8 @@ def _region_text(fmt, meta=(), rows=None):
         ({"nbar": float("inf")}, None, "nbar must be finite and >= 0, got inf"),
     ],
     ids=["missing-row", "extra-row", "shifted-rows", "grid-9", "grid-16", "modes",
-         "units", "foreign-convention", "no-convention", "huge-modes", "fractional-modes",
-         "fractional-grid", "negative-nbar", "nan-nbar", "inf-nbar"],
+         "units", "foreign-convention", "no-convention", "huge-modes", "modes-past-arrays",
+         "fractional-modes", "fractional-grid", "negative-nbar", "nan-nbar", "inf-nbar"],
 )
 def test_parse_region_rejects_text_that_is_not_the_named_grid(fmt, meta, rows, message):
     with pytest.raises(ValueError, match=message):

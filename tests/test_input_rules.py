@@ -45,7 +45,7 @@ from cvdcnet import (
     threshold_energy,
     vacuum,
 )
-from cvdcnet import dc_protocol
+from cvdcnet import advantage_analysis, cli_scan, dc_protocol, phase_space, resource_prep
 from cvdcnet.advantage_analysis import _asymptotic_regime, _grid_resolution
 from cvdcnet.cli_scan import serialize_region
 from cvdcnet.dc_protocol import (
@@ -54,7 +54,7 @@ from cvdcnet.dc_protocol import (
     _check_seed,
     decoded_quadrature_variances,
 )
-from cvdcnet.phase_space import _mode_count, _mode_index, _quadrature, _transmissivity
+from cvdcnet.phase_space import _MAX_MODES, _mode_count, _mode_index, _quadrature, _transmissivity
 from cvdcnet.resource_prep import _squeezing, _validated_taus
 
 PACKAGE = Path(cvdcnet.__file__).parent
@@ -66,6 +66,9 @@ RULES = {
                    "the mode count must be a whole number >= {least}, got {value}"),
     "mode count size": ("phase_space", "_mode_count",
                         "the mode count has {bits} bits, past the float range"),
+    "mode array": ("phase_space", "_mode_count",
+                   f"a (2n, 2n) float array holds at most {_MAX_MODES:,} modes, "
+                   "got {value:.10g}"),
     "mode index": ("phase_space", "_mode_index",
                    "the mode index must be one of the modes 0..2, got {value}"),
     "quadrature": ("phase_space", "_quadrature", "not a Quadrature: {value!r}"),
@@ -310,6 +313,59 @@ def test_every_whole_count_over_the_sample_cap_gets_the_cap_text(samples, gib, m
     assert out == "" and err == f"error: --samples: {text}\n"
 
 
+# the entry points that build per-mode data from the mode count alone
+_PER_MODE = {
+    "symplectic_form": symplectic_form,
+    "vacuum": vacuum,
+    "single_mode_squeezer": lambda n: single_mode_squeezer(n, 0, 0.5, Q),
+    "beam_splitter": lambda n: beam_splitter(n, 0, 1, 0.5),
+    "alternating_pattern": alternating_pattern,
+    "decoded_quadrature_variances": lambda n: decoded_quadrature_variances(n, 0.5),
+    "EncodingPlan.standard": lambda n: EncodingPlan.standard(n, 1.0),
+    "min_threshold_energy": min_threshold_energy,
+    "tau_boundaries": lambda n: tau_boundaries(n, 7.0),
+    "region_scan": lambda n: region_scan(n, 7.0, 8),
+}
+
+
+# Each count is at least 2^63, so that without the rule every tuple or array of it fails at
+# once (an OverflowError or NumPy's dimension error) and every loop over it meets _refuse
+@pytest.mark.parametrize("n", [10**19, 10**300], ids=["10^19", "10^300"])
+@pytest.mark.parametrize("name", sorted(_PER_MODE))
+def test_a_mode_count_no_array_holds_is_refused_before_any_loop(name, n, monkeypatch):
+    # alternating_pattern and EncodingPlan.standard looped until memory ran out, and the
+    # others raised an OverflowError or NumPy's "Maximum allowed dimension exceeded"
+    for module in (phase_space, resource_prep, dc_protocol, advantage_analysis):
+        monkeypatch.setattr(module, "range", _refuse, raising=False)
+    with pytest.raises(ValueError) as info:
+        _PER_MODE[name](n)
+    assert str(info.value) == _text("mode array", n)
+
+
+def test_the_mode_array_rule_starts_one_past_the_largest_count_an_array_holds():
+    assert 32 * _MAX_MODES**2 <= sys.maxsize < 32 * (_MAX_MODES + 1) ** 2
+    assert _mode_count(_MAX_MODES) == _MAX_MODES
+    with pytest.raises(ValueError) as info:
+        _mode_count(_MAX_MODES + 1)
+    assert str(info.value) == _text("mode array", _MAX_MODES + 1)
+
+
+def test_the_scalar_closed_forms_keep_every_mode_count_a_float_holds():
+    assert classical_capacity(10**12, 5.0) == 135.1079160174847
+    assert photon_constraint(10**12, 0.5, 1.0) == pytest.approx(
+        (10**12 - 1) * math.sinh(0.5) ** 2 + 10**12 / 2, rel=1e-15)
+    assert optimal_params(10**300, 1.0).r == pytest.approx(1e-300, rel=1e-15)
+
+
+@pytest.mark.parametrize("modes", ["1e12", "1e19", "1e300", str(_MAX_MODES + 1)])
+def test_a_mode_count_flag_no_array_holds_exits_1_with_the_rule(modes, monkeypatch, capsys):
+    # 1e12 ended in a MemoryError traceback, and 1e19 and 1e300 in an OverflowError one
+    monkeypatch.setattr(cli_scan, "min_threshold_energy", _refuse)
+    assert main(["threshold", "--modes", modes]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --modes: {_text('mode array', int(float(modes)))}\n"
+
+
 def test_tau_boundaries_keeps_its_stricter_budget_floor():
     for nbar in (0.0, -1.0, math.nan, math.inf, *HUGE):
         with pytest.raises(ValueError) as info:
@@ -497,6 +553,7 @@ def test_a_seed_flag_is_any_spelling_of_a_whole_number(capsys):
 # README's input rules: each row's rule and the arguments that place its message's value
 _README_RULES = {
     "mode count": (_mode_count, lambda n: (n,)),
+    "mode array": (_mode_count, lambda n: (n,)),
     "mode index": (_mode_index, lambda m: (m, 3)),
     "quadrature": (_quadrature, lambda q: (q,)),
     "transmissivity": (_transmissivity, lambda t: (t,)),
@@ -534,6 +591,7 @@ def test_the_readme_input_rules_table_gives_each_rule_text(name, owner, message,
 # README's command-line examples of the rules: (flag and value, a command line that gives it)
 _README_FLAGS = {
     "--modes 2.5": ["threshold", "--modes", "2.5"],
+    "--modes 1e300": ["threshold", "--modes", "1e300"],
     "--nbar inf": ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
     "--squeezing inf": ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "inf"],
     "--nbar -inf": ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "-inf"],
@@ -579,6 +637,7 @@ def _raise_sites(tree: ast.Module):
 _SPELLINGS = {
     "mode count": r"mode count must|n_modes must|at least \{\} modes?|at least one sender",
     "mode count size": r"past the float range",
+    "mode array": r"float array holds",
     "mode index": r"mode.?index|out of range|senders hold",
     "quadrature": r"not a Quadrature",
     "transmissivity": r"must lie in \[0, 1\]",

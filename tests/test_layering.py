@@ -101,3 +101,93 @@ def lazy():
         ("dc_protocol", "*"), ("phase_space", "*"), ("resource_prep", "CONVENTION_FINGERPRINT"),
         ("scan_text", "_spelled"),
     }
+
+
+# --- dead code: no import a module never reads, no private name that nothing in src/ uses ---
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: loads, and the names inside string annotations."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for text in ast.walk(annotation) if annotation else ():
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    names |= _read_names(ast.parse(text.value, mode="eval"))
+    return names
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports at its top level and never reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - _read_names(tree))
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The module's top-level private defs, classes and assignments (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """The names a module reads, reaches as attributes or imports from another module."""
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    return _read_names(tree) | attributes | imported
+
+
+def _unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    referenced = set().union(*map(_references, trees.values()))
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree) - referenced)
+
+
+_TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_import_is_read_in_its_module():
+    unused = {module: _unused_imports(tree) for module, tree in _TREES.items()
+              if module != "__init__"}
+    assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_every_private_name_is_used_in_the_package():
+    assert _unreferenced_privates(_TREES) == []
+
+
+def test_the_dead_code_walk_sees_each_kind():
+    used_here = """
+from __future__ import annotations
+import os.path
+import numpy as np
+from typing import Optional, Sequence
+from .phase_space import _real, _shown
+
+_CAP = 3
+_LEFT, _RIGHT = 1, 2
+
+def _helper(x: Sequence[int]) -> "Optional[np.ndarray]":
+    return _real(x) + _LEFT
+
+class _Unused:
+    pass
+"""
+    used_there = "from .here import _CAP\n"
+    tree = ast.parse(used_here)
+    assert _unused_imports(tree) == ["_shown", "os"]
+    assert _private_definitions(tree) == {"_CAP", "_LEFT", "_RIGHT", "_helper", "_Unused"}
+    assert _unreferenced_privates({"here": tree, "there": ast.parse(used_there)}) == [
+        "here._RIGHT", "here._Unused", "here._helper"]
