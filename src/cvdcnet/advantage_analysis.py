@@ -71,9 +71,7 @@ def classical_capacity(n_senders: int, nbar):
     arr = np.asarray(_real(nbar) if np.isscalar(nbar) else nbar, dtype=float)
     _budget(arr.min(initial=0.0))  # the budget rule at the extremes, where a NaN is too
     _budget(arr.max(initial=0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = _classical_rates(n_senders, arr)
-    val = np.where(arr / n_senders > 0, val, 0.0)
+    val = _classical_rates(n_senders, arr)
     return float(val) if arr.ndim == 0 else val
 
 
@@ -99,7 +97,8 @@ def threshold_energy(
     c_n = tau_1 (1 - tau_1) prod_{k>=2} (1 - tau_k) = 0 keeps C_q <= C_cl at every budget
     (README, Numerical notes). Raises ValueError unless tol is finite and > 0.
     """
-    taus, tol = _validated_taus(n_modes, taus), _real(tol)
+    taus = _validated_taus(n_modes, taus)
+    n_modes, tol = len(taus) + 1, _real(tol)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol}")
     if taus[0] == 0.0 or 1.0 in taus:  # c_n = 0: tau_1 is 0 or 1, or a later tau is 1
@@ -107,7 +106,7 @@ def threshold_energy(
         raise NoAdvantageError(f"no quantum advantage at any budget for {n_modes}-mode taus "
                                f"{taus}: tau_{cut + 1} = {taus[cut]:g} cuts the chain")
 
-    def delta_at(nbar):  # right for budgets in (0, SEARCH_CAP_NBAR]
+    def delta_at(nbar):  # right for every budget in [0, SEARCH_CAP_NBAR]
         return float(_quantum_rates(taus, nbar) - _classical_rates(n_modes - 1, nbar))
 
     lo, hi = math.log(1e-6), math.log(SEARCH_CAP_NBAR)  # ln nbar where delta <= 0, > 0
@@ -200,7 +199,7 @@ def tau_boundaries(
     delta at the slice's best point (t = 1/2 on the first axis, t = 0 on
     the others) and at its edge fixes the interval exactly, for any n.
     """
-    n_modes, nbar = _mode_count(n_modes), _budget(nbar, positive=True)
+    n_modes, nbar = _mode_count(n_modes), _budget(nbar)
     prefix = tuple(fixed_prefix)
     axis = len(prefix)
     if axis >= n_modes - 1:

@@ -423,11 +423,11 @@ class OptimalParams(NamedTuple):
     sigma_msg_sq: float
 
 
-def _budget(nbar, positive: bool = False) -> float:
-    """nbar as a float; ValueError unless it is finite and >= 0 (> 0 if positive)."""
+def _budget(nbar) -> float:
+    """nbar as a float; ValueError unless it is finite and >= 0."""
     nbar = _real(nbar)
-    if not (0.0 < nbar < math.inf or nbar == 0.0 and not positive):
-        raise ValueError(f"nbar must be finite and {'>' if positive else '>='} 0, got {nbar}")
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     return nbar
 
 
@@ -435,12 +435,15 @@ def optimal_params(n_modes: int, nbar: float) -> OptimalParams:
     """Capacity-achieving (r, sigma_msg^2) under the photon budget nbar.
 
     r = (1/2) ln(1 + 2 nbar / (n-1)) and
-    sigma^2 = (n-1) sinh(2r) / n; photon_constraint round-trips to nbar.
+    sigma^2 = (n-1) sinh(2r) / n; photon_constraint round-trips to nbar. Past
+    nbar ~ 8.99e307, 2 nbar itself overflows: r = inf and sigma^2 = NaN.
     """
     n_modes, nbar = _mode_count(n_modes, scalar=True), _budget(nbar)
     x = 2.0 * nbar / (n_modes - 1)
     r = 0.5 * np.log1p(x)
     sinh_2r = x * (2.0 + x) / (2.0 * (1.0 + x))
+    if not sinh_2r < math.inf:  # x (2 + x) overflows past x ~ 1.3e154, sinh 2r does not
+        sinh_2r = 0.5 * x * ((2.0 + x) / (1.0 + x))
     return OptimalParams(float(r), float((n_modes - 1) * sinh_2r / n_modes))
 
 
@@ -460,6 +463,7 @@ class CapacityReport:
 
     def __post_init__(self):
         object.__setattr__(self, "taus", _validated_taus(self.n_modes, self.taus))
+        object.__setattr__(self, "n_modes", len(self.taus) + 1)  # an int, as capacity gives
         for name in ("nbar", "r", "sigma_msg_sq", "c_quantum", "c_classical", "delta"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.c_quantum < 0 or self.c_classical < 0:
@@ -474,12 +478,12 @@ def capacity(n_modes: int, taus: Sequence[float], nbar: float) -> CapacityReport
     builds no matrix; the classical benchmark rides along in the report.
     """
     taus = _validated_taus(n_modes, taus)
-    n_modes = len(taus) + 1
+    n_modes, nbar = len(taus) + 1, _budget(nbar)
     r, sigma_sq = optimal_params(n_modes, nbar)
     c_q = max(0.0, float(_quantum_rates(taus, nbar)))
-    c_cl = float(_classical_rates(n_modes - 1, nbar)) if nbar > 0 else 0.0
+    c_cl = float(_classical_rates(n_modes - 1, nbar))
     report = object.__new__(CapacityReport)  # every field is checked above: no __post_init__
-    report.__dict__.update(n_modes=n_modes, taus=taus, nbar=float(nbar), r=r, sigma_msg_sq=sigma_sq,
+    report.__dict__.update(n_modes=n_modes, taus=taus, nbar=nbar, r=r, sigma_msg_sq=sigma_sq,
                            c_quantum=c_q, c_classical=c_cl, delta=c_q - c_cl)
     return report
 
@@ -540,9 +544,12 @@ def _quantum_rates(taus, nbar: float):
 
 
 def _classical_rates(n_senders: int, nbar):
-    """C_cl = n_senders [x log1p(1/x) + log1p(x)], x = nbar / n_senders, unchecked:
-    right only for budgets > 0 (advantage_analysis.classical_capacity checks them). With
-    m = max(x, 1e-300), x log1p(1/x) = x [log1p(1/m) + ln(m/x)]: 1/x overflows at x < 5.6e-309."""
+    """C_cl = n_senders [x log1p(1/x) + log1p(x)], x = nbar / n_senders, for checked budgets;
+    0 at nbar = 0. Below x = 1e-300, where 1/x overflows and x loses digits, it is nbar (1 +
+    ln(n_senders / nbar)) to O(x), taken from nbar itself: finite up to 8.9e284 senders."""
     x = nbar / n_senders
-    m = x + (x < 1e-300) * (1e-300 - x)  # max(x, 1e-300), cheaper than a ufunc on a float
-    return n_senders * (x * (np.log1p(1.0 / m) + np.log(m / x)) + np.log1p(x))
+    tiny = x < 1e-300  # mixed as 0 or 1: from x = 1e-300 up, the first form's terms bit for bit
+    a = np.log1p(tiny * (1e-300 * n_senders / (nbar + 1e-300 * (nbar == 0)) - 1.0)
+                 + (1.0 - tiny) / (x + tiny))  # ln(1e-300 / x) where tiny, else log1p(1/x)
+    return ((1.0 - tiny) * n_senders * (x * a + np.log1p(x))
+            + tiny * nbar * (a + 691.7755278982137))  # 1 - ln(1e-300)

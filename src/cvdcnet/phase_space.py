@@ -95,12 +95,13 @@ def _mode_count(n_modes, least: int = 2, scalar: bool = False) -> int:
     and at most _MAX_MODES unless the caller's formula is scalar in n (builds no per-mode data)."""
     if not (_is_whole(n_modes) and n_modes >= least):
         raise ValueError(f"the mode count must be a whole number >= {least}, got {_shown(n_modes)}")
-    if n_modes > sys.float_info.max:  # an int: mode counts take part in float arithmetic
+    n_modes = int(n_modes)  # compared as an int: a NumPy scalar's own precision overflows
+    if n_modes > sys.float_info.max:  # mode counts take part in float arithmetic
         raise ValueError(f"the mode count has {n_modes.bit_length()} bits, past the float range")
     if n_modes > _MAX_MODES and not scalar:  # before any loop over the modes or any array
         raise ValueError(f"a (2n, 2n) float array holds at most {_MAX_MODES:,} modes, "
                          f"got {n_modes:.10g}")
-    return int(n_modes)
+    return n_modes
 
 
 def _mode_index(m, n_modes: int) -> int:
@@ -270,7 +271,7 @@ def single_mode_squeezer(
     conjugate grows by e^{r}. Negative r is allowed and reverses the roles,
     so squeezer(r) @ squeezer(-r) is the identity.
     """
-    n_modes = _mode_count(n_modes, least=1)
+    n_modes, r = _mode_count(n_modes, least=1), _real(r)
     squeezed = 2 * _mode_index(mode_index, n_modes)
     squeezed += _quadrature(squeezed_quadrature) is Quadrature.MOMENTUM
     diag = np.ones(2 * n_modes)

@@ -110,7 +110,13 @@ def test_classical_capacity_stays_finite_down_to_the_least_subnormal():
             assert abs(mp.mpf(got) - exact) <= 1e-15 * exact + 2.0**-1074, x
     report = capacity(3, (0.5, 0.5), 1e-320)  # a RuntimeWarning fails the test
     assert np.isfinite(report.c_classical) and report.c_classical > 0.0
-    assert report.c_classical == 2 * classical_capacity(1, 1e-320 / 2)
+    with mp.workdps(60):  # more senders: x = nbar / n underflows before nbar does
+        for n_s in (2, 3, 31):
+            for nbar in (1e-320, 5e-324, 1e-310, 1e-300):
+                x = mp.mpf(nbar) / n_s
+                exact = n_s * ((1 + x) * mp.log1p(x) - x * mp.log(x))
+                got = capacity(n_s + 1, (0.5,) * n_s, nbar).c_classical
+                assert abs(mp.mpf(got) - exact) <= 1e-15 * exact + 2.0**-1074, (n_s, nbar)
 
 
 def test_classical_capacity_rejects_bad_input():
@@ -707,8 +713,10 @@ def test_boundary_input_validation():
     assert tau_boundaries(3.0, 7.0) == tau_boundaries(3, 7.0)
     with pytest.raises(ValueError, match="pins every"):
         tau_boundaries(3, 7.0, (0.5, 0.5))
-    with pytest.raises(ValueError, match="nbar"):
-        tau_boundaries(3, 0.0)
+    with pytest.raises(ValueError, match="nbar must be finite and >= 0, got -1.0"):
+        tau_boundaries(3, -1.0)
+    for prefix in ((), (0.5,)):  # no budget at all: no advantage, on either axis
+        assert tau_boundaries(3, 0.0, prefix).empty
     with pytest.raises(ValueError, match="lie in"):
         tau_boundaries(3, 7.0, (1.5,))
 

@@ -5,6 +5,9 @@ import ast
 import math
 import re
 import sys
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from cvdcnet import (
     CapacityReport,
     EncodingPlan,
     GaussianState,
+    NoAdvantageError,
     Quadrature,
     QuadratureSelection,
     RegionScan,
@@ -366,11 +370,68 @@ def test_a_mode_count_flag_no_array_holds_exits_1_with_the_rule(modes, monkeypat
     assert out == "" and err == f"error: --modes: {_text('mode array', int(float(modes)))}\n"
 
 
-def test_tau_boundaries_keeps_its_stricter_budget_floor():
-    for nbar in (0.0, -1.0, math.nan, math.inf, *HUGE):
+def test_tau_boundaries_takes_the_one_budget_rule_and_is_empty_at_zero():
+    # it had a rule of its own, > 0, because the rate divided by zero at nbar = 0
+    for nbar in (-1.0, math.nan, math.inf, *HUGE):
         with pytest.raises(ValueError) as info:
             tau_boundaries(3, nbar)
-        assert str(info.value) == f"nbar must be finite and > 0, got {_as_float(nbar)}"
+        assert str(info.value) == f"nbar must be finite and >= 0, got {_as_float(nbar)}"
+    for prefix in ((), (0.5,)):
+        interval = tau_boundaries(3, 0.0, prefix)
+        assert interval.empty and math.isnan(interval.lo) and math.isnan(interval.hi)
+
+
+def _same(a, b) -> bool:
+    """Whether two results agree bit for bit, field by field, a NaN matching a NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return a == b or math.isnan(a) and math.isnan(b)
+    if type(a).__module__.startswith("cvdcnet") and not isinstance(a, Quadrature):
+        return _same(list(vars(a).items()), list(vars(b).items()))
+    return a == b
+
+
+def test_the_result_comparison_sees_each_difference():
+    assert _same((1.0, math.nan, np.zeros(2)), (1.0, math.nan, np.zeros(2)))
+    assert not _same(np.zeros(2), np.zeros(2, dtype=np.float32))
+    assert not _same(1.0, np.float64(1.0)) and not _same([1.0], [1.0, 2.0])
+    assert not _same(ResourceSpec(2, 0.5, (0.5,)), ResourceSpec(2, 0.5, (0.25,)))
+
+
+_KINDS = (np.float16, np.float32, Fraction, Decimal)
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("call", [*_MODES_1.values(), _mode_count, *_MODES_2.values()],
+                         ids=[*_MODES_1, "_mode_count", *_MODES_2])
+def test_a_mode_count_of_any_numeric_kind_gives_what_the_int_gives(kind, call):
+    # a float16 or float32 count overflowed in the size check's cast, in its own precision
+    # (an error here); threshold_energy and break_even_squeezing took a Decimal raw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same(call(kind(2)), call(2))
+
+
+def test_threshold_energy_names_the_mode_count_it_validated():
+    with pytest.raises(NoAdvantageError) as info:  # was "3.0-mode taus"
+        threshold_energy(3.0, (0.0, 0.5))
+    assert str(info.value).startswith("no quantum advantage at any budget for 3-mode taus")
+
+
+@pytest.mark.parametrize("r", [*(kind(1) for kind in _KINDS), np.float32(-1)],
+                         ids=[*(kind.__name__ for kind in _KINDS), "float32-negative"])
+def test_single_mode_squeezer_takes_r_of_any_numeric_kind(r):
+    # a float32 r was refused as not symplectic (defect 1.202e-09), a Fraction raised TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for quadrature in (Q, P):
+            got = single_mode_squeezer(3, 1, r, quadrature)
+            assert _same(got.matrix, single_mode_squeezer(3, 1, float(r), quadrature).matrix)
 
 
 @pytest.mark.parametrize("value, call, text", [
@@ -594,6 +655,7 @@ _README_FLAGS = {
     "--modes 1e300": ["threshold", "--modes", "1e300"],
     "--nbar inf": ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "inf"],
     "--squeezing inf": ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "inf"],
+    "--squeezing 178": ["ratio", "--modes", "3", "--tau", "0.5,0.5", "--squeezing", "178"],
     "--nbar -inf": ["capacity", "--modes", "3", "--tau", "0.5,0.5", "--nbar", "-inf"],
 }
 

@@ -191,3 +191,104 @@ class _Unused:
     assert _private_definitions(tree) == {"_CAP", "_LEFT", "_RIGHT", "_helper", "_Unused"}
     assert _unreferenced_privates({"here": tree, "there": ast.parse(used_there)}) == [
         "here._RIGHT", "here._Unused", "here._helper"]
+
+
+# --- no private option with one value: every default of a private signature is passed ---
+
+def _defaulted_signatures(tree: ast.Module) -> dict[str, tuple[list[str], set[str]]]:
+    """name: (positional parameters, defaulted parameters) of each private function or
+    method, and of each private class's __init__ under the class's name; self is dropped."""
+    found, methods = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name if item.name == "__init__" else item.name
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    methods[item] = (name, 0 if static else 1)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, skip = methods.get(node, (node.name, 0))
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            args = node.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args][skip:]
+            defaulted = set(positional[len(positional) - len(args.defaults):]
+                            if args.defaults else ())
+            defaulted |= {arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None}
+            if defaulted:
+                found[name] = (positional, defaulted)
+    return found
+
+
+def _unpassed_defaults(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name.parameter for each default that no call anywhere in trees passes, by
+    position or by keyword: an option that only ever takes one value."""
+    signatures = {(module, name): signature for module, tree in trees.items()
+                  for name, signature in _defaulted_signatures(tree).items()}
+    passed = {}
+    for tree in trees.values():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+            for (_, callee), (positional, _) in signatures.items():
+                if callee == name:
+                    given = passed.setdefault(callee, set())
+                    given.update(positional[:len(call.args) if not starred else None])
+                    given.update(kw.arg or "**" for kw in call.keywords)
+    return sorted(f"{module}.{name}.{param}" for (module, name), (positional, defaulted)
+                  in signatures.items() for param in defaulted
+                  if param not in passed.get(name, ()) and "**" not in passed.get(name, ()))
+
+
+def test_every_default_of_a_private_signature_is_passed_in_the_package():
+    # a default that no call passes is a constant dressed as an option
+    assert _unpassed_defaults(_TREES) == []
+
+
+def test_the_unpassed_default_walk_sees_each_kind():
+    source = """
+def _kept(a, b=1, *, c=2):
+    return a
+
+def _constant(a, flag=False):
+    return a
+
+def public(a, b=1):
+    return a
+
+class _Box:
+    def __init__(self, size, fill=0.0, grain=1):
+        self._grow(by=2)
+
+    def _grow(self, by=1, step=1):
+        return by
+
+    @staticmethod
+    def _make(n=1, m=2):
+        return n
+
+class Open:
+    def __init__(self, x=1):
+        pass
+
+def _spread(a=1, b=2):
+    return a
+
+def use(box, args, options):
+    _kept(1, 2)
+    _kept(1, c=3)
+    _constant(1)
+    _Box(3, grain=2)
+    box._make(5)
+    _spread(*args)
+    _kept(**options)
+    public(1)
+    Open()
+"""
+    assert set(_defaulted_signatures(ast.parse(source))) == {
+        "_kept", "_constant", "_Box", "_grow", "_make", "_spread"}
+    assert _unpassed_defaults({"m": ast.parse(source)}) == [
+        "m._Box.fill", "m._constant.flag", "m._grow.step", "m._make.m"]
